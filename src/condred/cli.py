@@ -94,15 +94,14 @@ def cmd_gen(args) -> int:
     except InfeasibleParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    doc = instance_to_json(inst)
-    save_json(doc, args.out)
+    out_digest = save_json(instance_to_json(inst), args.out)
     report = check_promise(inst, tol=args.tol)
     print(f"wrote {args.out}  kind={inst.kind.value}  promise={'pass' if report.overall else 'FAIL'}")
     _emit_report(
         args.report,
         {
             "command": ["gen", args.kind, f"n={args.n}", f"seed={args.seed}"],
-            "output_digest": digest(doc),
+            "output_digest": out_digest,
             "checks": _report_checks(report),
         },
         started,
@@ -127,19 +126,19 @@ def cmd_verify(args) -> int:
         inst = instance_from_json(load_json(path))
         report = check_promise(inst, tol=args.tol)
         any_fail |= not report.overall
-        rows.append((path, report))
+        rows.append((path, digest(instance_to_json(inst)), report))
         verdict = "pass" if report.overall else "VIOLATED: " + ", ".join(report.failing())
         print(f"{path}: {verdict}")
     if len(rows) > 1:
-        ok = sum(1 for _, r in rows if r.overall)
+        ok = sum(1 for _, _, r in rows if r.overall)
         print(f"{ok}/{len(rows)} instances pass")
     _emit_report(
         args.report,
         {
             "command": ["verify", str(args.path)],
             "files": [
-                {"path": str(path), "input_digest": digest(instance_to_json(instance_from_json(load_json(path)))), "checks": _report_checks(r)}
-                for path, r in rows
+                {"path": str(path), "input_digest": d, "checks": _report_checks(r)}
+                for path, d, r in rows
             ],
         },
         started,
@@ -165,8 +164,7 @@ def cmd_reduce(args) -> int:
     if args.measure:
         rec = reductions.measure_record(rec, inst, out)
     residual = reductions.identity_residual(args.rule, inst, out)
-    out_doc = instance_to_json(out)
-    save_json(out_doc, args.out)
+    out_digest = save_json(instance_to_json(out), args.out)
     src_dec = oracle_decide(inst, tol=args.tol, check=args.check)
     dst_dec = oracle_decide(out, tol=args.tol, check=args.check)
     agree = src_dec.value == dst_dec.value
@@ -180,7 +178,7 @@ def cmd_reduce(args) -> int:
         {
             "command": ["reduce", args.rule],
             "input_digest": digest(doc),
-            "output_digest": digest(out_doc),
+            "output_digest": out_digest,
             "identity_residual": residual,
             "decisions": {"source": _decision_json(src_dec), "target": _decision_json(dst_dec)},
             "provenance": [_record_to_json(rec)],
@@ -202,8 +200,7 @@ def cmd_chain(args) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_doc = instance_to_json(out)
-    save_json(out_doc, args.out)
+    out_digest = save_json(instance_to_json(out), args.out)
     src_dec = oracle_decide(inst, tol=args.tol, check=args.check)
     dst_dec = oracle_decide(out, tol=args.tol, check=args.check)
     agree = src_dec.value == dst_dec.value
@@ -216,7 +213,7 @@ def cmd_chain(args) -> int:
         {
             "command": ["chain", args.rules],
             "input_digest": digest(doc),
-            "output_digest": digest(out_doc),
+            "output_digest": out_digest,
             "decisions": {"source": _decision_json(src_dec), "target": _decision_json(dst_dec)},
             "provenance": [_record_to_json(r) for r in records],
         },
@@ -238,8 +235,7 @@ def cmd_compile_circuit(args) -> int:
         records = []
     else:
         inst, records = eliminate_measurements(circ)
-    out_doc = instance_to_json(inst)
-    save_json(out_doc, args.out)
+    out_digest = save_json(instance_to_json(inst), args.out)
     dec = oracle_decide(inst, tol=args.tol, check=args.check)
     expected = (
         DecisionValue.ONE
@@ -259,7 +255,7 @@ def cmd_compile_circuit(args) -> int:
         {
             "command": ["compile-circuit", args.target],
             "input_digest": digest(doc),
-            "output_digest": digest(out_doc),
+            "output_digest": out_digest,
             "simulated_acceptance": prob,
             "decisions": {"expected": expected.value, "oracle": _decision_json(dec)},
             "provenance": [_record_to_json(r) for r in records],

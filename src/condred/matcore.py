@@ -6,6 +6,12 @@ are stacked row-major, so ``vec(A)[r*d + c] == A[r, c]`` and
 ``vec(A @ rho @ B) == kron(A, B.T) @ vec(rho)``.  The superoperator helpers
 (:func:`natural_representation`, :func:`vec_index`) and the circuit encoder
 all use this order and break if it is changed in only one place.
+
+Storage is always dense, but the reductions produce matrices that are almost
+all zeros.  The kernels :func:`inverse_entry`, :func:`log_abs_det` and
+:func:`gram` therefore compute on a sparse copy (:func:`sparse_form`)
+whenever the input is sparse enough, and on the dense array otherwise.
+SciPy is imported only on the sparse path.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+#: the kernels go sparse when at most this share of the entries is nonzero
+SPARSE_DENSITY = 1 / 64
 
 
 class NonConvergenceError(RuntimeError):
@@ -81,6 +90,70 @@ def sigma_max(a) -> float:
 
 def sigma_min(a) -> float:
     return float(svd_values(a)[-1])
+
+
+def sparse_form(a: np.ndarray):
+    """CSC copy of ``a`` when at most 1/64 of its entries are nonzero, else None.
+
+    An invertible n x n matrix has at least n nonzeros, so it qualifies only
+    from n = 64 on; small instances never load SciPy.
+    """
+    nonzero = a != 0
+    if np.count_nonzero(nonzero) > SPARSE_DENSITY * a.size:
+        return None
+    from scipy import sparse
+
+    rows, cols = np.nonzero(nonzero)
+    return sparse.csc_array((a[rows, cols], (rows, cols)), shape=a.shape)
+
+
+def _splu(sp):
+    """Sparse LU; an exactly singular matrix raises ``LinAlgError`` as the
+    dense LAPACK path does."""
+    from scipy.sparse.linalg import splu
+
+    try:
+        return splu(sp)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise np.linalg.LinAlgError(f"Singular matrix: {exc}") from exc
+
+
+def inverse_entry(a: np.ndarray, s: int, t: int) -> complex:
+    """Entry (s, t) of a^-1, 1-based, from one column solve.
+
+    Raises ``np.linalg.LinAlgError`` when ``a`` is exactly singular.
+    """
+    rhs = np.zeros(a.shape[0], dtype=np.complex128)
+    rhs[t - 1] = 1.0
+    sp = sparse_form(a)
+    col = np.linalg.solve(a, rhs) if sp is None else _splu(sp).solve(rhs)
+    return complex(col[s - 1])
+
+
+def log_abs_det(a: np.ndarray) -> float:
+    """ln|det a| by triangular factorization; -inf when ``a`` is singular."""
+    sp = sparse_form(a)
+    if sp is None:
+        return float(np.linalg.slogdet(a)[1])
+    try:
+        lu = _splu(sp)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    # L has a unit diagonal and the permutations have |det| = 1
+    return float(np.sum(np.log(np.abs(lu.U.diagonal()))))
+
+
+def gram(a: np.ndarray, *, left: bool) -> np.ndarray:
+    """A^dag A when ``left`` (the adjoint on the left), else A A^dag.
+
+    The result is exactly Hermitian: it is averaged with its own adjoint
+    before it is returned (on the sparse path, before it is densified).
+    """
+    sp = sparse_form(a)
+    m = a if sp is None else sp
+    g = m.conj().T @ m if left else m @ m.conj().T
+    g = (g + g.conj().T) / 2.0
+    return g if sp is None else g.toarray(order="C")
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:

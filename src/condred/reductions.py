@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import hermitian_eigs, svd_values
+from .matcore import gram, hermitian_eigs, inverse_entry, log_abs_det, svd_values
 from .problems import (
     ConditionParams,
     Kind,
@@ -76,6 +76,16 @@ def _superdiag_blocks(mats, n: int) -> np.ndarray:
     return big
 
 
+def _eye_minus(big: np.ndarray) -> np.ndarray:
+    """I - big in place, for a ``big`` with a zero diagonal.
+
+    ``0 - x`` rather than ``-x`` keeps the signed zeros of ``np.eye - big``.
+    """
+    np.subtract(0.0, big, out=big)
+    np.fill_diagonal(big, 1.0)
+    return big
+
+
 def _log_count(x: float) -> int:
     """floor(1 + ln(floor(x))), the term-count device used by the series rules."""
     fx = math.floor(x)
@@ -113,13 +123,12 @@ def reduce_matpow_to_matinv(inst: ProblemInstance) -> tuple[ProblemInstance, Red
     p = inst.params
     n, m = p.n, p.m
     c = math.ceil(1.0 + p.kappa)
-    big = _superdiag_blocks([inst.matrix] * m, n)
-    z = np.eye(n * (m + 1), dtype=np.complex128) - big
+    # (I - superdiag) / c, built in the one buffer
+    z = _eye_minus(_superdiag_blocks([inst.matrix] * m, n))
+    z /= c
     out_kind = Kind.MATINV if inst.kind is Kind.MATPOW else Kind.V_MATINV
     out_params = ConditionParams(n * (m + 1), 1, (1.0 + m * p.kappa) * c, c * p.epsilon)
-    out = ProblemInstance(
-        out_kind, out_params, (z / c,), s=inst.s, t=n * m + inst.t, b=c * inst.b
-    )
+    out = ProblemInstance(out_kind, out_params, (z,), s=inst.s, t=n * m + inst.t, b=c * inst.b)
     rec = ReductionRecord(
         rule="matpow_to_matinv" if inst.kind is Kind.MATPOW else "vmatpow_to_vmatinv",
         input_params=p,
@@ -140,7 +149,7 @@ def reduce_matinv_to_posmatinv(inst: ProblemInstance) -> tuple[ProblemInstance, 
     n = p.n
     a = inst.matrix
     h = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    h[:n, :n] = a.conj().T @ a
+    h[:n, :n] = gram(a, left=True)
     h[:n, n:] = -a.conj().T
     h[n:, :n] = -a
     h[n:, n:] = 2.0 * np.eye(n)
@@ -238,11 +247,10 @@ def reduce_nonneg_itmatprod_to_det(inst: ProblemInstance) -> tuple[ProblemInstan
     p = inst.params
     n, m, kappa = p.n, p.m, p.kappa
     big_n = n * (m + 1)
-    b_mat = np.eye(big_n, dtype=np.complex128) - _superdiag_blocks(inst.matrices, n)
-    c_mat = b_mat.copy()
-    c_mat[n * m + inst.t - 1, inst.s - 1] += 1.0  # rank-one bump |nm+t><s|
+    c_hat = _eye_minus(_superdiag_blocks(inst.matrices, n))
+    c_hat[n * m + inst.t - 1, inst.s - 1] += 1.0  # rank-one bump |nm+t><s|
     l_hat = _log_count(2.0 + kappa)
-    c_hat = math.exp(-l_hat) * c_mat
+    c_hat *= math.exp(-l_hat)
     b = float(np.real(inst.b))
     b_hat = math.log1p(b) - l_hat * big_n
     if b_hat > 0:
@@ -269,8 +277,7 @@ def reduce_det_to_posdet(inst: ProblemInstance) -> tuple[ProblemInstance, Reduct
     if inst.kind is not Kind.DET:
         raise ValueError(f"rule needs DET input, got {inst.kind.value}")
     p = inst.params
-    h = inst.matrix @ inst.matrix.conj().T
-    h = (h + h.conj().T) / 2.0
+    h = gram(inst.matrix, left=False)
     # the declared gap parameter is eps/2 although squaring the
     # determinant doubles the realized log gap; the record carries both
     out_params = ConditionParams(p.n, 1, p.kappa**2, p.epsilon / 2.0)
@@ -526,12 +533,6 @@ def chain(
 # identity and bound measurement
 
 
-def _inverse_entry(a: np.ndarray, s: int, t: int) -> complex:
-    rhs = np.zeros(a.shape[0], dtype=np.complex128)
-    rhs[t - 1] = 1.0
-    return complex(np.linalg.solve(a, rhs)[s - 1])
-
-
 def _product_entry(mats, s: int, t: int) -> complex:
     row = mats[0][s - 1, :]
     for a in mats[1:]:
@@ -556,10 +557,10 @@ def identity_residual(rule: str, src: ProblemInstance, dst: ProblemInstance) -> 
     if rule in ("matpow_to_matinv", "vmatpow_to_vmatinv"):
         c = math.ceil(1 + src.params.kappa)
         want = c * np.linalg.matrix_power(src.matrix, src.params.m)[src.s - 1, src.t - 1]
-        return float(abs(_inverse_entry(dst.matrix, dst.s, dst.t) - want))
+        return float(abs(inverse_entry(dst.matrix, dst.s, dst.t) - want))
     if rule == "matinv_to_posmatinv":
-        want = 3 * abs(_inverse_entry(src.matrix, src.s, src.t))
-        return float(abs(abs(_inverse_entry(dst.matrix, dst.s, dst.t)) - want))
+        want = 3 * abs(inverse_entry(src.matrix, src.s, src.t))
+        return float(abs(abs(inverse_entry(dst.matrix, dst.s, dst.t)) - want))
     if rule == "posdet_to_sumitmatprod":
         n, kappa = src.params.n, src.params.kappa
         l_hat = _log_count(kappa)
@@ -586,12 +587,10 @@ def identity_residual(rule: str, src: ProblemInstance, dst: ProblemInstance) -> 
         entry = float(np.real(_product_entry(src.matrices, src.s, src.t)))
         n, m, kappa = src.params.n, src.params.m, src.params.kappa
         l_hat = _log_count(2.0 + kappa)
-        _, logdet = np.linalg.slogdet(dst.matrix)
+        logdet = log_abs_det(dst.matrix)
         return float(abs(logdet - (math.log1p(entry) - l_hat * n * (m + 1))))
     if rule == "det_to_posdet":
-        _, ld_src = np.linalg.slogdet(src.matrix)
-        _, ld_dst = np.linalg.slogdet(dst.matrix)
-        return float(abs(ld_dst - 2 * ld_src))
+        return float(abs(log_abs_det(dst.matrix) - 2 * log_abs_det(src.matrix)))
     if rule == "sumitmatprod_to_itmatprod":
         return float(abs(_product_entry(dst.matrices, 1, 1) - _sum_over_e(src)))
     if rule == "vmatinv_to_singular":
@@ -602,7 +601,7 @@ def identity_residual(rule: str, src: ProblemInstance, dst: ProblemInstance) -> 
         b_mat[:n, :n] = 2 * c * src.matrix
         b_mat[n, n] = 1.0 / (1.0 - complex(src.b) / (2 * c))
         det_b = np.linalg.det(b_mat)
-        want = (complex(src.b) - _inverse_entry(src.matrix, src.s, src.t)) / (2 * c) * det_b
+        want = (complex(src.b) - inverse_entry(src.matrix, src.s, src.t)) / (2 * c) * det_b
         return float(abs(np.linalg.det(c_hat) - want) / max(1.0, abs(det_b)))
     raise KeyError(f"no identity defined for rule {rule!r}")
 
@@ -637,18 +636,16 @@ def _measure_one(bound: Bound, rule: str, src: ProblemInstance, dst: ProblemInst
         b_mat[n, n] = corner
         return float(svd_values(b_mat)[-1])
     if q in ("series remainder (one-sided)", "series remainder >= 0"):
-        _, logdet = np.linalg.slogdet(src.matrix)
+        logdet = log_abs_det(src.matrix)
         acc = dst.matrices[0].copy()
         for a in dst.matrices[1:]:
             acc = acc @ a
         diag_sum = float(np.real(sum(acc[s - 1, t - 1] for (s, t) in dst.E)))
         n, kappa = src.params.n, src.params.kappa
         l_hat = _log_count(kappa)
-        return diag_sum - (n * l_hat + float(logdet))
+        return diag_sum - (n * l_hat + logdet)
     if q == "|Neumann remainder|":
-        rhs = np.zeros(src.params.n, dtype=np.complex128)
-        rhs[src.t - 1] = 1.0
-        exact = complex(np.linalg.solve(src.matrix, rhs)[src.s - 1])
+        exact = inverse_entry(src.matrix, src.s, src.t)
         acc = dst.matrices[0].copy()
         for a in dst.matrices[1:]:
             acc = acc @ a

@@ -17,6 +17,7 @@ exact for double precision and keeps equal inputs byte-identical on disk.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -169,18 +170,32 @@ def circuit_from_json(obj) -> GeneralCircuit:
         raise SchemaError(f"inconsistent circuit: {exc}") from exc
 
 
+_ENCODER = json.JSONEncoder(indent=1, sort_keys=True)
+_CHUNKS = 1 << 16  # encoder chunks joined per write
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True)
+    return _ENCODER.encode(obj)
 
 
 def digest(obj) -> str:
     return hashlib.sha256(dumps(obj).encode()).hexdigest()
 
 
-def save_json(obj, path) -> None:
+def save_json(obj, path) -> str:
+    """Write ``dumps(obj)`` and a newline to ``path``; return ``digest(obj)``.
+
+    The text is written and hashed as the encoder produces it, so the whole
+    document is never held as one string.
+    """
+    sha = hashlib.sha256()
+    chunks = _ENCODER.iterencode(obj)
     with open(path, "w") as fh:
-        fh.write(dumps(obj))
+        while text := "".join(itertools.islice(chunks, _CHUNKS)):
+            fh.write(text)
+            sha.update(text.encode())
         fh.write("\n")
+    return sha.hexdigest()
 
 
 def load_json(path):

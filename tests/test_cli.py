@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +15,19 @@ from hypothesis import strategies as st
 from condred.circuits import GeneralCircuit, append_cleanup, simulate_acceptance, unitary_gate
 from condred.cli import main
 from condred.problems import ConditionParams, Kind, gen_instance
+import condred
+from condred import serialize
 from condred.serialize import (
     SchemaError,
     circuit_from_json,
     circuit_to_json,
+    digest,
+    dumps,
     instance_from_json,
     instance_to_json,
     matrix_from_json,
     matrix_to_json,
+    save_json,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -75,6 +84,17 @@ class TestRoundTrips:
         a = np.array(values, dtype=float).reshape(2, 4).astype(complex)
         back = matrix_from_json(json.loads(json.dumps(matrix_to_json(a))))
         assert np.array_equal(back.view(float), a.view(float))
+
+    def test_save_json_streams_the_dumps_text(self, rng, tmp_path):
+        small = instance_to_json(gen_instance(Kind.MATINV, ConditionParams(3, 1, 4.0, 0.05), seed=2))
+        # a document long enough that the encoder's chunks are written in
+        # several batches
+        big = {"a": matrix_to_json(rng.normal(size=(128, 128))), "b": [1, -0.0, 2.5e-310]}
+        assert sum(1 for _ in serialize._ENCODER.iterencode(big)) > serialize._CHUNKS
+        for doc in (small, big):
+            path = tmp_path / "doc.json"
+            assert save_json(doc, path) == digest(doc)
+            assert path.read_text() == dumps(doc) + "\n"
 
     def test_schema_errors(self):
         with pytest.raises(SchemaError):
@@ -239,6 +259,30 @@ class TestCli:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run("verify", tmp_path / "nope.json") == 2
+
+    def test_small_commands_stay_scipy_free(self, tmp_path):
+        # the sparse kernels import SciPy only for large, nearly empty
+        # matrices; gen and solve on n = 4 must not load it
+        script = "\n".join(
+            [
+                "import sys",
+                "from condred.cli import main",
+                f"d = {str(tmp_path)!r}",
+                "for kind in ('MATINV', 'DET+'):",
+                "    out = f'{d}/{kind}.json'",
+                "    assert main(['gen', '--kind', kind, '--n', '4', '--kappa', '4',",
+                "                 '--epsilon', '0.05', '--seed', '3', '--out', out]) == 0",
+                "    assert main(['solve', out, '--report', out + '.report']) == 0",
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ]
+        )
+        src = str(Path(condred.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
     def test_self_test_flag(self, capsys):
         assert run("--self-test") == 0

@@ -24,6 +24,8 @@ from condred.reductions import (
     DET_PLUS_CYCLE,
     MATINV_PLUS_CYCLE,
     RULES,
+    _log_count,
+    _superdiag_blocks,
     apply_rule,
     chain,
     measure_record,
@@ -256,6 +258,34 @@ class TestNonnegToDet:
             sv = svd_values(out.matrix)
             assert sv[0] <= 1 + 1e-9
             assert sv[-1] >= (2 + m * kappa) ** -3 - 1e-9
+
+
+class TestInPlaceBuilders:
+    """The builders that work in one buffer give exactly the textbook formulas."""
+
+    def test_matpow_to_matinv_matches_formula(self):
+        for kind in (Kind.MATPOW, Kind.V_MATPOW):
+            for seed in SEEDS:
+                inst = gen_instance(kind, GEN_PARAMS[kind], seed)
+                out, _ = reduce_matpow_to_matinv(inst)
+                n, m = inst.params.n, inst.params.m
+                c = math.ceil(1.0 + inst.params.kappa)
+                big = _superdiag_blocks([inst.matrix] * m, n)
+                want = (np.eye(n * (m + 1), dtype=np.complex128) - big) / c
+                assert np.array_equal(out.matrix, want)
+                assert out.matrix.tobytes() == want.tobytes()
+
+    def test_nonneg_to_det_matches_formula(self):
+        for seed in SEEDS:
+            inst = gen_instance(Kind.ITMATPROD_NONNEG, GEN_PARAMS[Kind.ITMATPROD_NONNEG], seed)
+            out, _ = reduce_nonneg_itmatprod_to_det(inst)
+            n, m = inst.params.n, inst.params.m
+            b_mat = np.eye(n * (m + 1), dtype=np.complex128) - _superdiag_blocks(inst.matrices, n)
+            c_mat = b_mat.copy()
+            c_mat[n * m + inst.t - 1, inst.s - 1] += 1.0
+            want = math.exp(-_log_count(2.0 + inst.params.kappa)) * c_mat
+            assert np.array_equal(out.matrix, want)
+            assert out.matrix.tobytes() == want.tobytes()
 
 
 class TestDetToPosdet:

@@ -1,0 +1,135 @@
+"""The matcore kernels on the reductions' nearly empty matrices.
+
+``inverse_entry``, ``log_abs_det`` and ``gram`` compute on a sparse copy
+when at most 1/64 of the matrix is nonzero.  Here they are checked against
+dense LAPACK on the largest matrices the package builds: the ends of both
+reduction cycles and a compiled h = 2 circuit.
+"""
+
+import numpy as np
+import pytest
+
+from condred.circuits import append_cleanup, eliminate_measurements
+from condred.matcore import gram, inverse_entry, log_abs_det, sparse_form
+from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, chain
+from test_acceptance import _det_plus_cycle_instance, _matinv_plus_cycle_instance
+from test_circuits import forced_circuit
+
+ENTRY_RTOL = 1e-10
+LOGDET_RTOL = 1e-9
+
+
+def _dense_inverse_entry(a, s, t):
+    rhs = np.zeros(a.shape[0], dtype=complex)
+    rhs[t - 1] = 1.0
+    return complex(np.linalg.solve(a, rhs)[s - 1])
+
+
+def _matinv_plus_cycle_end():
+    out, _ = chain(_matinv_plus_cycle_instance(0, True), MATINV_PLUS_CYCLE)
+    assert out.params.n == 2450
+    return out
+
+
+def _det_plus_cycle_end():
+    out, _ = chain(_det_plus_cycle_instance(0, True), DET_PLUS_CYCLE)
+    assert out.params.n == 350
+    return out
+
+
+def _compiled_circuit():
+    out, _ = eliminate_measurements(append_cleanup(forced_circuit(2, 2, 3, True)))
+    assert out.params.n >= 1152
+    return out
+
+
+ENDS = {
+    "MATINV+ cycle end": _matinv_plus_cycle_end,
+    "DET+ cycle end": _det_plus_cycle_end,
+    "compiled h=2 circuit": _compiled_circuit,
+}
+
+
+@pytest.fixture(scope="module", params=list(ENDS))
+def end_instance(request):
+    return ENDS[request.param]()
+
+
+def test_end_matrices_take_the_sparse_path(end_instance):
+    sp = sparse_form(end_instance.matrix)
+    assert sp is not None
+    assert sp.nnz == np.count_nonzero(end_instance.matrix)
+    assert np.array_equal(sp.toarray(), end_instance.matrix)
+
+
+def test_inverse_entry_matches_dense(end_instance):
+    a = end_instance.matrix
+    n = a.shape[0]
+    # the designated entry where there is one, and diagonal entries, which
+    # are nonzero here (most off-diagonal ones are zero by block structure)
+    pairs = [(1, 1), (n // 2, n // 2), (n, n)]
+    if end_instance.s is not None:
+        pairs.append((end_instance.s, end_instance.t))
+    for s, t in pairs:
+        want = _dense_inverse_entry(a, s, t)
+        got = inverse_entry(a, s, t)
+        assert want != 0
+        assert abs(got - want) <= ENTRY_RTOL * abs(want), (s, t, got, want)
+
+
+def test_log_abs_det_matches_dense(end_instance):
+    a = end_instance.matrix
+    want = float(np.linalg.slogdet(a)[1])
+    got = log_abs_det(a)
+    assert abs(got - want) <= LOGDET_RTOL * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_gram_matches_dense_and_is_hermitian(end_instance, left):
+    a = end_instance.matrix
+    want = a.conj().T @ a if left else a @ a.conj().T
+    got = gram(a, left=left)
+    assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.array_equal(got, got.conj().T)
+
+
+def test_small_matrices_stay_dense(rng):
+    # an invertible n x n matrix has at least n nonzeros: below n = 64 it
+    # is never sparse enough
+    assert sparse_form(np.eye(63, dtype=complex)) is None
+    assert sparse_form(np.eye(64, dtype=complex)) is not None
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    assert sparse_form(a) is None
+    g = gram(a, left=True)
+    assert np.array_equal(g, g.conj().T)
+    assert np.max(np.abs(g - a.conj().T @ a)) <= 1e-13
+
+
+def _singular_variants(a):
+    """Exactly singular copies of ``a``: a zero row, a zero column, and a
+    repeated row."""
+    zero_row = a.copy()
+    zero_row[3, :] = 0.0
+    zero_col = a.copy()
+    zero_col[:, 5] = 0.0
+    repeated = a.copy()
+    repeated[7, :] = repeated[2, :]
+    return {"zero row": zero_row, "zero column": zero_col, "repeated row": repeated}
+
+
+@pytest.mark.parametrize("size", [8, 350])
+def test_singular_matrices_behave_as_on_the_dense_path(size):
+    if size == 8:
+        a = np.eye(8, dtype=complex) + np.diag(np.full(7, 0.5), 1)
+        assert sparse_form(a) is None
+    else:
+        a = _det_plus_cycle_end().matrix
+        assert sparse_form(a) is not None
+    for label, m in _singular_variants(a).items():
+        with pytest.raises(np.linalg.LinAlgError):
+            _dense_inverse_entry(m, 1, 1)
+        with pytest.raises(np.linalg.LinAlgError):
+            inverse_entry(m, 1, 1)
+        assert np.linalg.slogdet(m)[1] == -np.inf, label
+        assert log_abs_det(m) == -np.inf, label
