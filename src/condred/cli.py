@@ -23,7 +23,6 @@ from .circuits import append_cleanup, circuit_to_itmatprod, eliminate_measuremen
 from .problems import (
     ConditionParams,
     DecisionValue,
-    InfeasibleParams,
     Kind,
     check_promise,
     gen_instance,
@@ -86,12 +85,12 @@ def _decision_json(d) -> dict:
 
 
 def cmd_gen(args) -> int:
-    params = ConditionParams(n=args.n, m=args.m, kappa=args.kappa, epsilon=args.epsilon)
     want = {"one": True, "zero": False, "auto": None}[args.decision]
     started = time.perf_counter()
     try:
+        params = ConditionParams(n=args.n, m=args.m, kappa=args.kappa, epsilon=args.epsilon)
         inst = gen_instance(Kind(args.kind), params, args.seed, want_one=want)
-    except InfeasibleParams as exc:
+    except ValueError as exc:  # invalid or infeasible parameters
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_digest = save_json(instance_to_json(inst), args.out)
@@ -150,17 +149,11 @@ def cmd_reduce(args) -> int:
     started = time.perf_counter()
     doc = load_json(args.path)
     inst = instance_from_json(doc)
-    if args.rule not in reductions.RULES:
-        print(f"error: unknown rule {args.rule!r}", file=sys.stderr)
+    try:
+        out, rec = reductions.apply_rule(args.rule, inst)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rule = reductions.RULES[args.rule]
-    if inst.kind is not rule.input_kind:
-        print(
-            f"error: rule {args.rule} expects {rule.input_kind.value}, file holds {inst.kind.value}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    out, rec = rule.apply(inst)
     if args.measure:
         rec = reductions.measure_record(rec, inst, out)
     residual = reductions.identity_residual(args.rule, inst, out)

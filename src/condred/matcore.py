@@ -67,13 +67,6 @@ def direct_sum(blocks) -> np.ndarray:
     return out
 
 
-def unit_matrix(rows: int, cols: int, r: int, c: int) -> np.ndarray:
-    """Matrix with a single 1 at 0-based position (r, c)."""
-    f = np.zeros((rows, cols), dtype=np.complex128)
-    f[r, c] = 1.0
-    return f
-
-
 def svd_values(a) -> np.ndarray:
     """Singular values in descending order; sigma_min is the last element."""
     a = as_matrix(a)
@@ -82,14 +75,6 @@ def svd_values(a) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"SVD did not converge: {exc}") from exc
     return s
-
-
-def sigma_max(a) -> float:
-    return float(svd_values(a)[0]) if min(np.shape(a)) else 0.0
-
-
-def sigma_min(a) -> float:
-    return float(svd_values(a)[-1])
 
 
 def sparse_form(a: np.ndarray):

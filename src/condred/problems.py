@@ -76,12 +76,22 @@ class ConditionParams:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.kappa) and math.isfinite(self.epsilon)):
+            raise ValueError("kappa and epsilon must be finite")
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be >= 1")
         if self.kappa < 1.0:
             raise ValueError("kappa must be >= 1")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be > 0")
+
+
+def _check_index(name: str, idx, n: int) -> None:
+    """A 1-based index must be an integer in [1, n]; a bool is not one."""
+    if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+        raise ValueError(f"{name}={idx!r} is not an integer")
+    if not 1 <= idx <= n:
+        raise ValueError(f"{name}={idx} outside [1, {n}]")
 
 
 @dataclass(frozen=True)
@@ -108,12 +118,14 @@ class ProblemInstance:
             if a.shape != (n, n):
                 raise ValueError(f"matrix shape {a.shape} does not match n={n}")
         for name, idx in (("s", self.s), ("t", self.t)):
-            if idx is not None and not (1 <= idx <= n):
-                raise ValueError(f"index {name}={idx} outside [1, {n}]")
+            if idx is not None:
+                _check_index(f"index {name}", idx, n)
         if self.E is not None:
             for pair in self.E:
-                if not (1 <= pair[0] <= n and 1 <= pair[1] <= n):
-                    raise ValueError(f"E pair {pair} outside [1, {n}]^2")
+                if len(pair) != 2:
+                    raise ValueError(f"E pair {pair!r} is not an (s, t) pair")
+                for idx in pair:
+                    _check_index("E entry", idx, n)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -171,30 +183,53 @@ def partial_products(matrices) -> dict[tuple[int, int], np.ndarray]:
 
 def product_entry(matrices, s: int, t: int) -> complex:
     """(s,t) entry of A_1 ... A_m by a single left-to-right row sweep."""
-    mats = [as_matrix(a, square=True) for a in matrices]
+    return _row_sweep([as_matrix(a, square=True) for a in matrices], s, t)
+
+
+def _row_sweep(mats, s: int, t: int) -> complex:
     row = mats[0][s - 1, :]
     for a in mats[1:]:
         row = row @ a
     return complex(row[t - 1])
 
 
-def _decision_quantity(inst: ProblemInstance) -> float | complex:
+def max_partial_sigma1(matrices) -> float:
+    """Largest sigma1 over all partial products A_{j1,j2}."""
+    return max(float(svd_values(prod)[0]) for prod in partial_products(matrices).values())
+
+
+def max_power_sigma1(a: np.ndarray, m: int) -> float:
+    """Largest sigma1 over the powers A^1 .. A^m."""
+    worst = 0.0
+    powed = np.eye(a.shape[0], dtype=np.complex128)
+    for _ in range(m):
+        powed = powed @ a
+        worst = max(worst, float(svd_values(powed)[0]))
+    return worst
+
+
+def decision_quantity(inst: ProblemInstance) -> float | complex | None:
     """The exact quantity each Output clause compares against b.
 
     DET-family returns log|det| (the comparison happens on the log scale),
     computed by triangular factorization with log-magnitude accumulation.
-    Both factorizations run sparse when the matrix is nearly empty.
+    Both factorizations run sparse when the matrix is nearly empty.  The
+    MATINV family returns None when its matrix is exactly singular: the
+    inverse entry does not exist, which breaks the promise.
     """
     kind, p = inst.kind, inst.params
     if kind in (Kind.DET, Kind.DET_PLUS):
         return log_abs_det(inst.matrix)
     if kind in (Kind.MATINV, Kind.MATINV_PLUS, Kind.V_MATINV):
-        return inverse_entry(inst.matrix, inst.s, inst.t)
+        try:
+            return inverse_entry(inst.matrix, inst.s, inst.t)
+        except np.linalg.LinAlgError:
+            return None
     if kind in (Kind.MATPOW, Kind.V_MATPOW):
         powed = np.linalg.matrix_power(inst.matrix, p.m)
         return complex(powed[inst.s - 1, inst.t - 1])
     if kind in (Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, Kind.V_ITMATPROD):
-        return product_entry(inst.matrices, inst.s, inst.t)
+        return _row_sweep(inst.matrices, inst.s, inst.t)  # matrices checked on construction
     if kind is Kind.SUMITMATPROD:
         mats = inst.matrices
         acc = mats[0].copy()
@@ -206,9 +241,11 @@ def _decision_quantity(inst: ProblemInstance) -> float | complex:
     raise ValueError(f"unknown kind {kind}")
 
 
-def _gap_checks(inst: ProblemInstance, q: float | complex, tol: float) -> list[PromiseCheck]:
+def _gap_checks(inst: ProblemInstance, q: float | complex | None, tol: float) -> list[PromiseCheck]:
     """Membership of the decision quantity in the promised two-sided gap."""
     kind, p = inst.kind, inst.params
+    if q is None:
+        return [PromiseCheck("A invertible", 1.0, 0.0, False)]
     checks: list[PromiseCheck] = []
     if kind in VERIFICATION_KINDS:
         dist = abs(q - inst.b)
@@ -253,16 +290,10 @@ def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseRep
     checks: list[PromiseCheck] = []
 
     if kind in PRODUCT_KINDS:
-        worst = 0.0
-        for prod in partial_products(inst.matrices).values():
-            worst = max(worst, float(svd_values(prod)[0]))
+        worst = max_partial_sigma1(inst.matrices)
         checks.append(PromiseCheck("sigma1(all partial products) <= kappa", p.kappa, worst, worst <= p.kappa + tol))
     elif kind in (Kind.MATPOW, Kind.V_MATPOW):
-        worst = 0.0
-        powed = np.eye(p.n, dtype=np.complex128)
-        for _ in range(p.m):
-            powed = powed @ inst.matrix
-            worst = max(worst, float(svd_values(powed)[0]))
+        worst = max_power_sigma1(inst.matrix, p.m)
         checks.append(PromiseCheck("sigma1(A^j) <= kappa for j in [m]", p.kappa, worst, worst <= p.kappa + tol))
     elif kind is Kind.SINGULAR:
         herm = float(np.max(np.abs(inst.matrix - inst.matrix.conj().T)))
@@ -283,7 +314,7 @@ def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseRep
         if kind is Kind.V_MATINV:
             checks.append(PromiseCheck("|b| <= kappa", p.kappa, abs(inst.b), abs(inst.b) <= p.kappa + tol))
 
-    q = _decision_quantity(inst)
+    q = decision_quantity(inst)
     checks.extend(_gap_checks(inst, q, tol))
     return PromiseReport(tuple(checks))
 
@@ -302,7 +333,9 @@ def oracle_decide(
     """
     if check not in ("full", "gap", "none"):
         raise ValueError("check must be 'full', 'gap' or 'none'")
-    q = _decision_quantity(inst)
+    q = decision_quantity(inst)
+    if q is None:
+        return Decision(DecisionValue.PROMISE_VIOLATED)
     if check == "full":
         report = check_promise(inst, tol)
         if not report.overall:
@@ -427,7 +460,7 @@ def gen_instance(
         else:
             a = _hermitian_posdef(n, 1.0 / kappa, hi, rng)
         inst = ProblemInstance(kind, params, (a,), b=0.0)
-        q = float(_decision_quantity(inst))
+        q = float(decision_quantity(inst))
         b = q - margin if want_one else q + eps + margin
         if b > 0:
             raise InfeasibleParams(f"computed b={b} > 0 for {kind.value}")
@@ -438,7 +471,7 @@ def gen_instance(
         s = int(rng.integers(1, n + 1))
         t = int(rng.integers(1, n + 1))
         inst = ProblemInstance(kind, params, (a,), s=s, t=t, b=0.0)
-        q = _decision_quantity(inst)
+        q = decision_quantity(inst)
         if kind is Kind.V_MATINV:
             return replace(inst, b=_place_verification_b(q, want_one, eps, cap=kappa))
         return replace(inst, b=max(0.0, _place_b(abs(q), want_one, eps)))
@@ -447,7 +480,7 @@ def gen_instance(
         h = _hermitian_posdef(n, 1.0 / kappa, 1.0, rng)
         s = t = int(rng.integers(1, n + 1))  # diagonal entry: real, >= 1
         inst = ProblemInstance(kind, params, (h,), s=s, t=t, b=0.0)
-        q = float(np.real(_decision_quantity(inst)))
+        q = float(np.real(decision_quantity(inst)))
         return replace(inst, b=max(0.0, _place_b(q, want_one, eps)))
 
     if kind in (Kind.MATPOW, Kind.V_MATPOW):
@@ -455,7 +488,7 @@ def gen_instance(
         s = int(rng.integers(1, n + 1))
         t = int(rng.integers(1, n + 1))
         inst = ProblemInstance(kind, params, (a,), s=s, t=t, b=0.0)
-        q = _decision_quantity(inst)
+        q = decision_quantity(inst)
         if kind is Kind.V_MATPOW:
             return replace(inst, b=_place_verification_b(q, want_one, eps, cap=None))
         return replace(inst, b=max(0.0, _place_b(abs(q), want_one, eps)))
@@ -477,7 +510,7 @@ def gen_instance(
             mats = head + (mid,) + tail + pad
             t = s
         inst = ProblemInstance(kind, params, mats, s=s, t=t, b=0.0)
-        q = _decision_quantity(inst)
+        q = decision_quantity(inst)
         if kind is Kind.V_ITMATPROD:
             return replace(inst, b=_place_verification_b(q, want_one, eps, cap=None))
         if kind is Kind.ITMATPROD_NONNEG:
@@ -491,7 +524,7 @@ def gen_instance(
         picks = rng.choice(len(all_pairs), size=n_pairs, replace=False)
         pairs = tuple(all_pairs[i] for i in sorted(picks))
         inst = ProblemInstance(kind, params, mats, E=pairs, b=0.0)
-        q = _decision_quantity(inst)
+        q = decision_quantity(inst)
         return replace(inst, b=max(0.0, _place_b(abs(q), want_one, eps)))
 
     if kind is Kind.SINGULAR:

@@ -8,6 +8,10 @@ rule returns the transformed instance together with a :class:`ReductionRecord`
 carrying the parameter map and the declared singular-value bounds;
 :func:`measure_record` fills in the measured values for verification.
 
+A rule is its builder, which declares each bound with the function that
+measures it, plus one :class:`Rule` entry in :data:`RULES`, which holds the
+defining identity written against :func:`condred.problems.decision_quantity`.
+
 All block constructions use the convention that ``s``, ``t`` and ``E`` are
 1-based (see :mod:`condred.problems`).
 
@@ -23,27 +27,39 @@ Two printed-form corrections are applied deliberately:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matcore import gram, hermitian_eigs, inverse_entry, log_abs_det, svd_values
+from .matcore import gram, hermitian_eigs, svd_values
 from .problems import (
     ConditionParams,
     Kind,
     ProblemInstance,
-    partial_products,
+    decision_quantity,
+    max_partial_sigma1,
+    max_power_sigma1,
 )
+from .series import log_count as _log_count
+from .series import log_series, logdet_terms, neumann_series, neumann_terms
+
+#: measures one quantity on a (source, target) pair of one application
+Measure = Callable[[ProblemInstance, ProblemInstance], float]
 
 
 @dataclass(frozen=True)
 class Bound:
-    """One declared conditioning bound; ``upper`` tells which way it points."""
+    """One declared conditioning bound; ``upper`` tells which way it points.
+
+    ``measure(src, dst)`` computes the bounded quantity of one application.
+    """
 
     quantity: str
     declared: float
     upper: bool = True
     measured: float | None = None
+    measure: Measure = field(kw_only=True, compare=False, repr=False)
 
     def holds(self, tol: float = 1e-7) -> bool:
         if self.measured is None:
@@ -63,8 +79,32 @@ class ReductionRecord:
     measured: bool = False
 
 
-def _sv_max_partial(mats) -> float:
-    return max(float(svd_values(p)[0]) for p in partial_products(mats).values())
+# measures and identity terms shared by several rules
+
+
+def _sigma1(src: ProblemInstance, dst: ProblemInstance) -> float:
+    return float(svd_values(dst.matrix)[0])
+
+
+def _sigma_min(src: ProblemInstance, dst: ProblemInstance) -> float:
+    return float(svd_values(dst.matrix)[-1])
+
+
+def _lambda_min(src: ProblemInstance, dst: ProblemInstance) -> float:
+    return float(hermitian_eigs(dst.matrix)[-1])
+
+
+def _partials_sigma1(src: ProblemInstance, dst: ProblemInstance) -> float:
+    return max_partial_sigma1(dst.matrices)
+
+
+def _off_by(dst: ProblemInstance, want: float | complex) -> float:
+    """|q - want| for the target's decision quantity q: an identity's residual."""
+    return float(abs(decision_quantity(dst) - want))
+
+
+def _quantity_difference(src: ProblemInstance, dst: ProblemInstance) -> float:
+    return _off_by(dst, decision_quantity(src))
 
 
 def _superdiag_blocks(mats, n: int) -> np.ndarray:
@@ -86,14 +126,6 @@ def _eye_minus(big: np.ndarray) -> np.ndarray:
     return big
 
 
-def _log_count(x: float) -> int:
-    """floor(1 + ln(floor(x))), the term-count device used by the series rules."""
-    fx = math.floor(x)
-    if fx < 1:
-        raise ValueError(f"log-count undefined for floor({x}) < 1")
-    return math.floor(1.0 + math.log(fx))
-
-
 # ---------------------------------------------------------------------------
 # product / powering / inversion chain
 
@@ -112,7 +144,10 @@ def reduce_itmatprod_to_matpow(inst: ProblemInstance) -> tuple[ProblemInstance, 
         input_params=p,
         output_params=out_params,
         answer_map="b_hat = b; A_hat^m[s, nm+t] = A_{1,m}[s,t]",
-        declared_bounds=(Bound("sigma1(A_hat^j), j in [m]", p.kappa),),
+        declared_bounds=(
+            Bound("sigma1(A_hat^j), j in [m]", p.kappa,
+                  measure=lambda src, dst: max_power_sigma1(dst.matrix, dst.params.m)),
+        ),
     )
     return out, rec
 
@@ -135,11 +170,17 @@ def reduce_matpow_to_matinv(inst: ProblemInstance) -> tuple[ProblemInstance, Red
         output_params=out_params,
         answer_map=f"b_hat = ceil(1+kappa)*b = {c}*b; Z_hat^-1[s, nm+t] = {c}*A^m[s,t]",
         declared_bounds=(
-            Bound("sigma1(Z_hat)", 1.0),
-            Bound("sigma1(Z_hat^-1)", (1.0 + m * p.kappa) * c),
+            Bound("sigma1(Z_hat)", 1.0, measure=_sigma1),
+            Bound("sigma1(Z_hat^-1)", (1.0 + m * p.kappa) * c,
+                  measure=lambda src, dst: 1.0 / _sigma_min(src, dst)),
         ),
     )
     return out, rec
+
+
+def _scaled_power_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
+    """Z_hat^-1[s, nm+t] = ceil(1+kappa) * A^m[s,t]."""
+    return _off_by(dst, math.ceil(1 + src.params.kappa) * decision_quantity(src))
 
 
 def reduce_matinv_to_posmatinv(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
@@ -164,8 +205,8 @@ def reduce_matinv_to_posmatinv(inst: ProblemInstance) -> tuple[ProblemInstance, 
         output_params=out_params,
         answer_map="b_hat = 3b; H_hat^-1[s, t+n] = 3*A^-1[s,t]",
         declared_bounds=(
-            Bound("sigma1(H_hat)", 1.0),
-            Bound("lambda_min(H_hat)", (3.0 * p.kappa) ** -2, upper=False),
+            Bound("sigma1(H_hat)", 1.0, measure=_sigma1),
+            Bound("lambda_min(H_hat)", (3.0 * p.kappa) ** -2, upper=False, measure=_lambda_min),
         ),
     )
     return out, rec
@@ -181,7 +222,7 @@ def reduce_posdet_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInstanc
     p = inst.params
     n, kappa, eps = p.n, p.kappa, p.epsilon
     l_hat = _log_count(kappa)
-    m_hat = math.ceil(kappa) * _log_count(2.0 * n * kappa / eps)
+    m_hat = logdet_terms(n, kappa, eps)
     x = np.eye(n, dtype=np.complex128) - inst.matrix  # I - H
     dim = n * (l_hat + m_hat)
 
@@ -212,12 +253,24 @@ def reduce_posdet_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInstanc
             "diagonal sum = n*l_hat + ln det H + tr(remainder)"
         ),
         declared_bounds=(
-            Bound("sigma1(all partial products)", 1.0),
-            Bound("series remainder (one-sided)", eps / 2.0),
-            Bound("series remainder >= 0", 0.0, upper=False),
+            Bound("sigma1(all partial products)", 1.0, measure=_partials_sigma1),
+            Bound("series remainder (one-sided)", eps / 2.0, measure=_log_remainder),
+            Bound("series remainder >= 0", 0.0, upper=False, measure=_log_remainder),
         ),
     )
     return out, rec
+
+
+def _log_series_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
+    """Diagonal sum = n*l_hat - sum_k tr((I-H)^k)/k over the target's m terms."""
+    n, kappa = src.params.n, src.params.kappa
+    return _off_by(dst, n * _log_count(kappa) - log_series(src.matrix, dst.params.m))
+
+
+def _log_remainder(src: ProblemInstance, dst: ProblemInstance) -> float:
+    """Diagonal sum minus its exact value n*l_hat + ln det H."""
+    n, kappa = src.params.n, src.params.kappa
+    return decision_quantity(dst).real - (n * _log_count(kappa) + decision_quantity(src))
 
 
 def reduce_itmatprod_to_nonneg(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
@@ -236,7 +289,7 @@ def reduce_itmatprod_to_nonneg(inst: ProblemInstance) -> tuple[ProblemInstance, 
         input_params=p,
         output_params=out_params,
         answer_map="b_hat = b^2; A_hat_{1,2m+1}[s,s] = |A_{1,m}[s,t]|^2",
-        declared_bounds=(Bound("sigma1(all partial products)", p.kappa**2),),
+        declared_bounds=(Bound("sigma1(all partial products)", p.kappa**2, measure=_partials_sigma1),),
     )
     return out, rec
 
@@ -266,11 +319,18 @@ def reduce_nonneg_itmatprod_to_det(inst: ProblemInstance) -> tuple[ProblemInstan
             "det(C) = 1 + A_{1,m}[s,t]"
         ),
         declared_bounds=(
-            Bound("sigma1(C_hat)", 1.0),
-            Bound("sigma_min(C_hat)", (2.0 + m * kappa) ** -3, upper=False),
+            Bound("sigma1(C_hat)", 1.0, measure=_sigma1),
+            Bound("sigma_min(C_hat)", (2.0 + m * kappa) ** -3, upper=False, measure=_sigma_min),
         ),
     )
     return out, rec
+
+
+def _rank_one_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
+    """ln|det C_hat| = ln(1 + A_{1,m}[s,t]) - l_hat*n*(m+1)."""
+    n, m, kappa = src.params.n, src.params.m, src.params.kappa
+    entry = float(np.real(decision_quantity(src)))
+    return _off_by(dst, math.log1p(entry) - _log_count(2.0 + kappa) * n * (m + 1))
 
 
 def reduce_det_to_posdet(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
@@ -288,8 +348,8 @@ def reduce_det_to_posdet(inst: ProblemInstance) -> tuple[ProblemInstance, Reduct
         output_params=out_params,
         answer_map="b_hat = 2b; det(H_hat) = |det A|^2 (declared gap eps/2, realized 2*eps)",
         declared_bounds=(
-            Bound("sigma1(H_hat)", 1.0),
-            Bound("lambda_min(H_hat)", p.kappa**-2, upper=False),
+            Bound("sigma1(H_hat)", 1.0, measure=_sigma1),
+            Bound("lambda_min(H_hat)", p.kappa**-2, upper=False, measure=_lambda_min),
         ),
     )
     return out, rec
@@ -300,7 +360,7 @@ def reduce_posmatinv_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInst
         raise ValueError(f"rule needs MATINV+ input, got {inst.kind.value}")
     p = inst.params
     n, kappa, eps = p.n, p.kappa, p.epsilon
-    m_hat = math.ceil(kappa) * _log_count(4.0 * kappa / eps)
+    m_hat = neumann_terms(kappa, eps)
     x = np.eye(n, dtype=np.complex128) - inst.matrix
     dim = n * (m_hat + 1)
 
@@ -326,8 +386,8 @@ def reduce_posmatinv_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInst
             "sum over E = sum_j (I-H)^j[s,t] = H^-1[s,t] + remainder"
         ),
         declared_bounds=(
-            Bound("sigma1(all partial products)", 1.0),
-            Bound("|Neumann remainder|", eps / 4.0),
+            Bound("sigma1(all partial products)", 1.0, measure=_partials_sigma1),
+            Bound("|Neumann remainder|", eps / 4.0, measure=_quantity_difference),
         ),
     )
     return out, rec
@@ -380,8 +440,8 @@ def reduce_sumitmatprod_to_itmatprod(inst: ProblemInstance) -> tuple[ProblemInst
         output_params=out_params,
         answer_map="b_hat = b; A_hat_{0,m+1}[1,1] = sum over E of A_{1,m}[s,t]",
         declared_bounds=(
-            Bound("sigma1(fan-out factor)", math.sqrt(2.0 * n_e)),
-            Bound("sigma1(all partial products)", kappa_hat),
+            Bound("sigma1(fan-out factor)", math.sqrt(2.0 * n_e), measure=_sigma1),
+            Bound("sigma1(all partial products)", kappa_hat, measure=_partials_sigma1),
         ),
     )
     return out, rec
@@ -389,6 +449,15 @@ def reduce_sumitmatprod_to_itmatprod(inst: ProblemInstance) -> tuple[ProblemInst
 
 # ---------------------------------------------------------------------------
 # verification chain
+
+
+def _singular_b(inst: ProblemInstance) -> np.ndarray:
+    """B_hat = diag(2cA, 1/(1 - b/(2c))) with c = ceil(kappa), for a vMATINV input."""
+    n, c = inst.params.n, math.ceil(inst.params.kappa)
+    b_mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    b_mat[:n, :n] = 2.0 * c * inst.matrix
+    b_mat[n, n] = 1.0 / (1.0 - complex(inst.b) / (2.0 * c))
+    return b_mat
 
 
 def reduce_vmatinv_to_singular(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
@@ -400,10 +469,7 @@ def reduce_vmatinv_to_singular(inst: ProblemInstance) -> tuple[ProblemInstance, 
     if abs(b) > kappa:
         raise ValueError(f"|b| = {abs(b):.4g} exceeds kappa; instance is promise-violating")
     c = math.ceil(kappa)
-    corner = 1.0 / (1.0 - b / (2.0 * c))
-    b_mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    b_mat[:n, :n] = 2.0 * c * inst.matrix
-    b_mat[n, n] = corner
+    b_mat = _singular_b(inst)
     u = np.zeros(n + 1, dtype=np.complex128)
     v = np.zeros(n + 1, dtype=np.complex128)
     u[inst.s - 1] = u[n] = 1.0
@@ -428,52 +494,68 @@ def reduce_vmatinv_to_singular(inst: ProblemInstance) -> tuple[ProblemInstance, 
             "det(C_hat) = (b - A^-1[s,t])/(2*ceil(kappa)) * det(B_hat)"
         ),
         declared_bounds=(
-            Bound("sigma1(H_hat)", 1.0),
-            Bound("sigma_{n+1}(B_hat)", 2.0 / 3.0, upper=False),
+            Bound("sigma1(H_hat)", 1.0, measure=_sigma1),
+            Bound("sigma_{n+1}(B_hat)", 2.0 / 3.0, upper=False,
+                  measure=lambda src, dst: float(svd_values(_singular_b(src))[-1])),
         ),
     )
     return out, rec
 
 
-def reduce_vitmatprod_to_vmatpow(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if inst.kind is not Kind.V_ITMATPROD:
-        raise ValueError(f"rule needs vITMATPROD input, got {inst.kind.value}")
-    return reduce_itmatprod_to_matpow(inst)
-
-
-def reduce_vmatpow_to_vmatinv(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if inst.kind is not Kind.V_MATPOW:
-        raise ValueError(f"rule needs vMATPOW input, got {inst.kind.value}")
-    return reduce_matpow_to_matinv(inst)
+def _singular_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
+    """det(C_hat) = (b - A^-1[s,t])/(2c) * det(B_hat), relative to max(1, |det B_hat|)."""
+    c, n = math.ceil(src.params.kappa), src.params.n
+    c_hat = dst.matrix[: n + 1, n + 1 :] * (2 * c + 1)
+    det_b = np.linalg.det(_singular_b(src))
+    want = (complex(src.b) - decision_quantity(src)) / (2 * c) * det_b
+    return float(abs(np.linalg.det(c_hat) - want) / max(1.0, abs(det_b)))
 
 
 # ---------------------------------------------------------------------------
-# registry, measurement, chaining
+# registry, chaining, measurement
 
 
 @dataclass(frozen=True)
 class Rule:
+    """A reduction: its builder, and the residual of its defining identity,
+    which evaluates the source and target decision quantities independently."""
+
     name: str
     input_kind: Kind
     output_kind: Kind
-    apply: object = field(repr=False)
+    apply: Callable[[ProblemInstance], tuple[ProblemInstance, ReductionRecord]] = field(repr=False)
+    identity: Measure = field(repr=False)
 
 
 RULES: dict[str, Rule] = {
     r.name: r
     for r in (
-        Rule("itmatprod_to_matpow", Kind.ITMATPROD, Kind.MATPOW, reduce_itmatprod_to_matpow),
-        Rule("matpow_to_matinv", Kind.MATPOW, Kind.MATINV, reduce_matpow_to_matinv),
-        Rule("matinv_to_posmatinv", Kind.MATINV, Kind.MATINV_PLUS, reduce_matinv_to_posmatinv),
-        Rule("posdet_to_sumitmatprod", Kind.DET_PLUS, Kind.SUMITMATPROD, reduce_posdet_to_sumitmatprod),
-        Rule("itmatprod_to_nonneg", Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, reduce_itmatprod_to_nonneg),
-        Rule("nonneg_to_det", Kind.ITMATPROD_NONNEG, Kind.DET, reduce_nonneg_itmatprod_to_det),
-        Rule("det_to_posdet", Kind.DET, Kind.DET_PLUS, reduce_det_to_posdet),
-        Rule("posmatinv_to_sumitmatprod", Kind.MATINV_PLUS, Kind.SUMITMATPROD, reduce_posmatinv_to_sumitmatprod),
-        Rule("sumitmatprod_to_itmatprod", Kind.SUMITMATPROD, Kind.ITMATPROD, reduce_sumitmatprod_to_itmatprod),
-        Rule("vmatinv_to_singular", Kind.V_MATINV, Kind.SINGULAR, reduce_vmatinv_to_singular),
-        Rule("vitmatprod_to_vmatpow", Kind.V_ITMATPROD, Kind.V_MATPOW, reduce_vitmatprod_to_vmatpow),
-        Rule("vmatpow_to_vmatinv", Kind.V_MATPOW, Kind.V_MATINV, reduce_vmatpow_to_vmatinv),
+        Rule("itmatprod_to_matpow", Kind.ITMATPROD, Kind.MATPOW, reduce_itmatprod_to_matpow,
+             _quantity_difference),
+        Rule("matpow_to_matinv", Kind.MATPOW, Kind.MATINV, reduce_matpow_to_matinv,
+             _scaled_power_identity),
+        Rule("matinv_to_posmatinv", Kind.MATINV, Kind.MATINV_PLUS, reduce_matinv_to_posmatinv,
+             lambda src, dst: float(abs(abs(decision_quantity(dst)) - 3 * abs(decision_quantity(src))))),
+        Rule("posdet_to_sumitmatprod", Kind.DET_PLUS, Kind.SUMITMATPROD, reduce_posdet_to_sumitmatprod,
+             _log_series_identity),
+        Rule("itmatprod_to_nonneg", Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, reduce_itmatprod_to_nonneg,
+             lambda src, dst: _off_by(dst, abs(decision_quantity(src)) ** 2)),
+        Rule("nonneg_to_det", Kind.ITMATPROD_NONNEG, Kind.DET, reduce_nonneg_itmatprod_to_det,
+             _rank_one_identity),
+        Rule("det_to_posdet", Kind.DET, Kind.DET_PLUS, reduce_det_to_posdet,
+             lambda src, dst: _off_by(dst, 2 * decision_quantity(src))),
+        Rule("posmatinv_to_sumitmatprod", Kind.MATINV_PLUS, Kind.SUMITMATPROD, reduce_posmatinv_to_sumitmatprod,
+             lambda src, dst: _off_by(dst, neumann_series(src.matrix, src.s, src.t, dst.params.m))),
+        Rule("sumitmatprod_to_itmatprod", Kind.SUMITMATPROD, Kind.ITMATPROD, reduce_sumitmatprod_to_itmatprod,
+             _quantity_difference),
+        Rule("vmatinv_to_singular", Kind.V_MATINV, Kind.SINGULAR, reduce_vmatinv_to_singular,
+             _singular_identity),
+        # the verification variants reuse the base builders, which keep the
+        # v-kinds and name the record after the variant
+        Rule("vitmatprod_to_vmatpow", Kind.V_ITMATPROD, Kind.V_MATPOW, reduce_itmatprod_to_matpow,
+             _quantity_difference),
+        Rule("vmatpow_to_vmatinv", Kind.V_MATPOW, Kind.V_MATINV, reduce_matpow_to_matinv,
+             _scaled_power_identity),
     )
 }
 
@@ -529,144 +611,15 @@ def chain(
     return current, records
 
 
-# ---------------------------------------------------------------------------
-# identity and bound measurement
-
-
-def _product_entry(mats, s: int, t: int) -> complex:
-    row = mats[0][s - 1, :]
-    for a in mats[1:]:
-        row = row @ a
-    return complex(row[t - 1])
-
-
-def _sum_over_e(inst: ProblemInstance) -> complex:
-    acc = inst.matrices[0].copy()
-    for a in inst.matrices[1:]:
-        acc = acc @ a
-    return complex(sum(acc[s - 1, t - 1] for (s, t) in inst.E))
-
-
 def identity_residual(rule: str, src: ProblemInstance, dst: ProblemInstance) -> float:
     """Residual of the rule's defining algebraic identity, evaluating the
     source and target decision quantities independently."""
-    if rule in ("itmatprod_to_matpow", "vitmatprod_to_vmatpow"):
-        want = _product_entry(src.matrices, src.s, src.t)
-        got = np.linalg.matrix_power(dst.matrix, dst.params.m)[dst.s - 1, dst.t - 1]
-        return float(abs(got - want))
-    if rule in ("matpow_to_matinv", "vmatpow_to_vmatinv"):
-        c = math.ceil(1 + src.params.kappa)
-        want = c * np.linalg.matrix_power(src.matrix, src.params.m)[src.s - 1, src.t - 1]
-        return float(abs(inverse_entry(dst.matrix, dst.s, dst.t) - want))
-    if rule == "matinv_to_posmatinv":
-        want = 3 * abs(inverse_entry(src.matrix, src.s, src.t))
-        return float(abs(abs(inverse_entry(dst.matrix, dst.s, dst.t)) - want))
-    if rule == "posdet_to_sumitmatprod":
-        n, kappa = src.params.n, src.params.kappa
-        l_hat = _log_count(kappa)
-        x = np.eye(n) - src.matrix
-        power = np.eye(n, dtype=np.complex128)
-        series = 0.0
-        for k in range(1, dst.params.m + 1):
-            power = power @ x
-            series += float(np.real(np.trace(power))) / k
-        return float(abs(_sum_over_e(dst) - (n * l_hat - series)))
-    if rule == "posmatinv_to_sumitmatprod":
-        n = src.params.n
-        x = np.eye(n) - src.matrix
-        power = np.eye(n, dtype=np.complex128)
-        series = complex(power[src.s - 1, src.t - 1])
-        for _ in range(dst.params.m):
-            power = power @ x
-            series += complex(power[src.s - 1, src.t - 1])
-        return float(abs(_sum_over_e(dst) - series))
-    if rule == "itmatprod_to_nonneg":
-        want = abs(_product_entry(src.matrices, src.s, src.t)) ** 2
-        return float(abs(_product_entry(dst.matrices, dst.s, dst.t) - want))
-    if rule == "nonneg_to_det":
-        entry = float(np.real(_product_entry(src.matrices, src.s, src.t)))
-        n, m, kappa = src.params.n, src.params.m, src.params.kappa
-        l_hat = _log_count(2.0 + kappa)
-        logdet = log_abs_det(dst.matrix)
-        return float(abs(logdet - (math.log1p(entry) - l_hat * n * (m + 1))))
-    if rule == "det_to_posdet":
-        return float(abs(log_abs_det(dst.matrix) - 2 * log_abs_det(src.matrix)))
-    if rule == "sumitmatprod_to_itmatprod":
-        return float(abs(_product_entry(dst.matrices, 1, 1) - _sum_over_e(src)))
-    if rule == "vmatinv_to_singular":
-        c = math.ceil(src.params.kappa)
-        n = src.params.n
-        c_hat = dst.matrix[: n + 1, n + 1 :] * (2 * c + 1)
-        b_mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
-        b_mat[:n, :n] = 2 * c * src.matrix
-        b_mat[n, n] = 1.0 / (1.0 - complex(src.b) / (2 * c))
-        det_b = np.linalg.det(b_mat)
-        want = (complex(src.b) - inverse_entry(src.matrix, src.s, src.t)) / (2 * c) * det_b
-        return float(abs(np.linalg.det(c_hat) - want) / max(1.0, abs(det_b)))
-    raise KeyError(f"no identity defined for rule {rule!r}")
-
-
-def _measure_one(bound: Bound, rule: str, src: ProblemInstance, dst: ProblemInstance) -> float:
-    q = bound.quantity
-    if q == "sigma1(A_hat^j), j in [m]":
-        worst = 0.0
-        powed = np.eye(dst.params.n, dtype=np.complex128)
-        for _ in range(dst.params.m):
-            powed = powed @ dst.matrix
-            worst = max(worst, float(svd_values(powed)[0]))
-        return worst
-    if q in ("sigma1(Z_hat)", "sigma1(H_hat)", "sigma1(C_hat)"):
-        return float(svd_values(dst.matrix)[0])
-    if q == "sigma1(Z_hat^-1)":
-        return 1.0 / float(svd_values(dst.matrix)[-1])
-    if q == "lambda_min(H_hat)":
-        return float(hermitian_eigs(dst.matrix)[-1])
-    if q == "sigma_min(C_hat)":
-        return float(svd_values(dst.matrix)[-1])
-    if q == "sigma1(all partial products)":
-        return _sv_max_partial(dst.matrices)
-    if q == "sigma1(fan-out factor)":
-        return float(svd_values(dst.matrices[0])[0])
-    if q == "sigma_{n+1}(B_hat)":
-        c = math.ceil(src.params.kappa)
-        corner = 1.0 / (1.0 - complex(src.b) / (2.0 * c))
-        n = src.params.n
-        b_mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
-        b_mat[:n, :n] = 2.0 * c * src.matrix
-        b_mat[n, n] = corner
-        return float(svd_values(b_mat)[-1])
-    if q in ("series remainder (one-sided)", "series remainder >= 0"):
-        logdet = log_abs_det(src.matrix)
-        acc = dst.matrices[0].copy()
-        for a in dst.matrices[1:]:
-            acc = acc @ a
-        diag_sum = float(np.real(sum(acc[s - 1, t - 1] for (s, t) in dst.E)))
-        n, kappa = src.params.n, src.params.kappa
-        l_hat = _log_count(kappa)
-        return diag_sum - (n * l_hat + logdet)
-    if q == "|Neumann remainder|":
-        exact = inverse_entry(src.matrix, src.s, src.t)
-        acc = dst.matrices[0].copy()
-        for a in dst.matrices[1:]:
-            acc = acc @ a
-        approx = complex(sum(acc[s - 1, t - 1] for (s, t) in dst.E))
-        return float(abs(approx - exact))
-    raise KeyError(f"no measurement defined for bound {q!r} of rule {rule}")
+    return RULES[rule].identity(src, dst)
 
 
 def measure_record(
     record: ReductionRecord, src: ProblemInstance, dst: ProblemInstance
 ) -> ReductionRecord:
     """Fill in measured values for every declared bound of one application."""
-    measured = tuple(
-        Bound(b.quantity, b.declared, b.upper, _measure_one(b, record.rule, src, dst))
-        for b in record.declared_bounds
-    )
-    return ReductionRecord(
-        rule=record.rule,
-        input_params=record.input_params,
-        output_params=record.output_params,
-        answer_map=record.answer_map,
-        declared_bounds=measured,
-        measured=True,
-    )
+    measured = tuple(replace(b, measured=b.measure(src, dst)) for b in record.declared_bounds)
+    return replace(record, declared_bounds=measured, measured=True)

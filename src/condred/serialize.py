@@ -110,10 +110,10 @@ def instance_from_json(obj) -> ProblemInstance:
             matrices,
             s=obj.get("s"),
             t=obj.get("t"),
-            E=tuple((int(s), int(t)) for s, t in e) if e is not None else None,
+            E=tuple(tuple(pair) for pair in e) if e is not None else None,
             b=_b_from_json(obj.get("b")),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"inconsistent instance: {exc}") from exc
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_matrix, is_hermitian, svd_values
+from .matcore import as_matrix, gram, is_hermitian, svd_values
 
 DEFAULT_TOL = 1e-9
 
@@ -34,11 +34,46 @@ class ApproxResult:
     certified_ratio: float | None = None  # multiplicative bound, >= 1
 
 
-def _log_count(x: float) -> int:
+def log_count(x: float) -> int:
+    """floor(1 + ln(floor(x))), the term-count device of both series."""
     fx = math.floor(x)
     if fx < 1:
         raise PromiseViolation(f"term-count formula needs floor({x}) >= 1")
     return math.floor(1.0 + math.log(fx))
+
+
+def logdet_terms(n: int, kappa: float, epsilon: float) -> int:
+    """Terms of the log series that certify ln det H to epsilon/2."""
+    return math.ceil(kappa) * log_count(2.0 * n * kappa / epsilon)
+
+
+def neumann_terms(kappa: float, epsilon: float) -> int:
+    """Terms of the Neumann series that certify an inverse entry to epsilon/4."""
+    return math.ceil(kappa) * log_count(4.0 * kappa / epsilon)
+
+
+def log_series(h: np.ndarray, terms: int) -> float:
+    """sum_{k=1}^{terms} Re tr((I-H)^k) / k, the truncation of -ln det H."""
+    n = h.shape[0]
+    x = np.eye(n, dtype=np.complex128) - h
+    power = np.eye(n, dtype=np.complex128)
+    total = 0.0
+    for k in range(1, terms + 1):
+        power = power @ x
+        total += float(np.real(np.trace(power))) / k
+    return total
+
+
+def neumann_series(h: np.ndarray, s: int, t: int, terms: int) -> complex:
+    """Entry (s, t), 1-based, of sum_{j=0}^{terms} (I-H)^j, the truncation of H^-1."""
+    n = h.shape[0]
+    x = np.eye(n, dtype=np.complex128) - h
+    power = np.eye(n, dtype=np.complex128)
+    acc = complex(power[s - 1, t - 1])
+    for _ in range(terms):
+        power = power @ x
+        acc += complex(power[s - 1, t - 1])
+    return acc
 
 
 def _check_posdef_contraction(h: np.ndarray, kappa: float, tol: float) -> None:
@@ -66,15 +101,8 @@ def logdet_series(h, kappa: float, epsilon: float, tol: float = DEFAULT_TOL) -> 
     if kappa < 1.0 or epsilon <= 0.0:
         raise ValueError("need kappa >= 1 and epsilon > 0")
     _check_posdef_contraction(h, kappa, tol)
-    n = h.shape[0]
-    m_hat = math.ceil(kappa) * _log_count(2.0 * n * kappa / epsilon)
-    x = np.eye(n, dtype=np.complex128) - h
-    power = np.eye(n, dtype=np.complex128)
-    total = 0.0
-    for k in range(1, m_hat + 1):
-        power = power @ x
-        total += float(np.real(np.trace(power))) / k
-    return ApproxResult(value=-total, terms_used=m_hat, certified_error=epsilon / 2.0)
+    m_hat = logdet_terms(h.shape[0], kappa, epsilon)
+    return ApproxResult(value=-log_series(h, m_hat), terms_used=m_hat, certified_error=epsilon / 2.0)
 
 
 def absdet_multiplicative(a, kappa: float, epsilon: float, tol: float = DEFAULT_TOL) -> ApproxResult:
@@ -92,9 +120,7 @@ def absdet_multiplicative(a, kappa: float, epsilon: float, tol: float = DEFAULT_
         raise PromiseViolation(f"sigma_1 = {sv[0]:.6g} exceeds 1")
     if sv[-1] < 1.0 / kappa - tol:
         raise PromiseViolation(f"sigma_min = {sv[-1]:.6g} below 1/kappa")
-    h = a @ a.conj().T
-    h = (h + h.conj().T) / 2.0
-    inner = logdet_series(h, kappa**2, 2.0 * epsilon, tol)
+    inner = logdet_series(gram(a, left=False), kappa**2, 2.0 * epsilon, tol)
     return ApproxResult(
         value=math.exp(float(np.real(inner.value)) / 2.0),
         terms_used=inner.terms_used,
@@ -117,12 +143,7 @@ def neumann_inverse_entry(
     if kappa < 1.0 or epsilon <= 0.0:
         raise ValueError("need kappa >= 1 and epsilon > 0")
     _check_posdef_contraction(h, kappa, tol)
-    m_hat = math.ceil(kappa) * _log_count(4.0 * kappa / epsilon)
-    x = np.eye(n, dtype=np.complex128) - h
-    power = np.eye(n, dtype=np.complex128)
-    acc = complex(power[s - 1, t - 1])
-    for _ in range(m_hat):
-        power = power @ x
-        acc += complex(power[s - 1, t - 1])
+    m_hat = neumann_terms(kappa, epsilon)
+    acc = neumann_series(h, s, t, m_hat)
     value = acc.real if abs(acc.imag) < tol else acc
     return ApproxResult(value=value, terms_used=m_hat, certified_error=epsilon / 4.0)

@@ -288,3 +288,47 @@ class TestCli:
         assert run("--self-test") == 0
         out = capsys.readouterr().out
         assert "5/5 self-test groups pass" in out
+
+
+def _mutated(kind, change, command):
+    """argv builder: a seeded instance of ``kind``, edited by ``change``, then ``command``."""
+    params = {Kind.MATINV: ConditionParams(3, 1, 4.0, 0.05), Kind.SUMITMATPROD: ConditionParams(2, 3, 2.0, 0.05)}
+
+    def argv(tmp_path):
+        doc = instance_to_json(gen_instance(kind, params[kind], seed=1))
+        change(doc)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        return [command, path]
+
+    return argv
+
+
+def _singular(doc):
+    doc["matrices"] = [matrix_to_json(np.diag([1.0, 1.0, 0.0]))]
+
+
+@pytest.mark.parametrize(
+    "make_argv,code",
+    [
+        pytest.param(_mutated(Kind.MATINV, lambda d: d.update(s=1.5), "solve"), 2, id="s=1.5"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d.update(s="1"), "solve"), 2, id="s='1'"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d.update(s=True), "solve"), 2, id="s=true"),
+        pytest.param(_mutated(Kind.SUMITMATPROD, lambda d: d.update(E=[[1.5, 2]]), "solve"), 2, id="E=1.5"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(kappa=math.inf), "solve"), 2,
+                     id="kappa=Infinity"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(epsilon=math.nan), "solve"), 2,
+                     id="epsilon=NaN"),
+        pytest.param(lambda tmp_path: ["gen", "--kind", "MATINV", "--n", 0, "--out", tmp_path / "o.json"], 2,
+                     id="gen --n 0"),
+        pytest.param(lambda tmp_path: ["gen", "--kind", "MATINV", "--n", 3, "--kappa", "nan",
+                                       "--out", tmp_path / "o.json"], 2, id="gen --kappa nan"),
+        pytest.param(_mutated(Kind.MATINV, _singular, "solve"), 1, id="singular MATINV solve"),
+        pytest.param(_mutated(Kind.MATINV, _singular, "verify"), 1, id="singular MATINV verify"),
+    ],
+)
+def test_bad_input_exits_without_traceback(make_argv, code, tmp_path, capsys):
+    # malformed indices and parameters are schema or usage errors (exit 2);
+    # a singular matrix is a promise violation (exit 1)
+    assert run(*make_argv(tmp_path)) == code
+    assert "Traceback" not in capsys.readouterr().err
