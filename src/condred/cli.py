@@ -6,7 +6,8 @@ Subcommands: ``gen``, ``verify``, ``reduce``, ``chain``, ``compile-circuit``,
 provenance; re-running the same command reproduces the report byte for byte
 except for the wall-time field.
 
-Exit status: 0 success, 1 promise violation detected, 2 usage/schema error.
+Exit status: 0 success, 1 promise violation detected, 2 usage/schema error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .series import PromiseViolation, logdet_series, neumann_inverse_entry
 EXIT_OK = 0
 EXIT_PROMISE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _report_checks(report) -> list[dict]:
@@ -75,6 +77,18 @@ def _emit_report(path, payload: dict, started: float) -> None:
     payload = dict(payload)
     payload["wall_time_s"] = time.perf_counter() - started
     save_json(payload, path)
+
+
+def _refused(exc: Exception) -> int:
+    """Exit status for a rule path that could not be applied: a builder's
+    refusal of a promise-violating instance is a promise violation, and an
+    unknown or ill-typed rule a usage error."""
+    if isinstance(exc, PromiseViolation):
+        print(f"promise violation: {exc}", file=sys.stderr)
+        return EXIT_PROMISE
+    # str() of a KeyError is the repr of its message
+    print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _decision_json(d) -> dict:
@@ -152,8 +166,7 @@ def cmd_reduce(args) -> int:
     try:
         out, rec = reductions.apply_rule(args.rule, inst)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refused(exc)
     if args.measure:
         rec = reductions.measure_record(rec, inst, out)
     residual = reductions.identity_residual(args.rule, inst, out)
@@ -163,7 +176,8 @@ def cmd_reduce(args) -> int:
     agree = src_dec.value == dst_dec.value
     print(
         f"{args.rule}: {inst.kind.value} (n={inst.params.n}) -> {out.kind.value} "
-        f"(n={out.params.n}); identity residual {residual:.3e}; decisions "
+        f"(n={out.params.n}); identity residual "
+        f"{'undefined' if residual is None else f'{residual:.3e}'}; decisions "
         f"{src_dec.value.value}/{dst_dec.value.value} {'agree' if agree else 'DISAGREE'}"
     )
     _emit_report(
@@ -191,8 +205,7 @@ def cmd_chain(args) -> int:
     try:
         out, records = reductions.chain(inst, path)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refused(exc)
     out_digest = save_json(instance_to_json(out), args.out)
     src_dec = oracle_decide(inst, tol=args.tol, check=args.check)
     dst_dec = oracle_decide(out, tol=args.tol, check=args.check)
@@ -400,6 +413,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, never a verdict
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,14 +7,19 @@ are stacked row-major, so ``vec(A)[r*d + c] == A[r, c]`` and
 (:func:`natural_representation`, :func:`vec_index`) and the circuit encoder
 all use this order and break if it is changed in only one place.
 
-Storage is always dense, but the reductions produce matrices that are almost
-all zeros.  The kernels :func:`inverse_entry`, :func:`log_abs_det` and
-:func:`gram` therefore compute on a sparse copy (:func:`sparse_form`)
-whenever the input is sparse enough, and on the dense array otherwise.
-SciPy is imported only on the sparse path.
+The reductions produce matrices that are almost all zeros.  Their builders
+assemble block-structured outputs in SciPy CSC form and densify each one once
+(:func:`densify`): the dense array the instance stores is read-only and keeps
+the CSC it came from, so :func:`sparse_form` hands that CSC back without
+scanning the array.  Any other array is scanned.  The kernels
+:func:`inverse_entry`, :func:`log_abs_det` and :func:`gram` compute on the
+sparse form whenever the input is sparse enough, and on the dense array
+otherwise.  SciPy is imported only on the sparse path.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -33,7 +38,7 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -77,19 +82,73 @@ def svd_values(a) -> np.ndarray:
     return s
 
 
-def sparse_form(a: np.ndarray):
-    """CSC copy of ``a`` when at most 1/64 of its entries are nonzero, else None.
+#: id of each array made by ``densify`` -> (weak reference to it, its CSC)
+_BUILT: dict[int, tuple[weakref.ref, object]] = {}
 
-    An invertible n x n matrix has at least n nonzeros, so it qualifies only
-    from n = 64 on; small instances never load SciPy.
+
+def densify(sp) -> np.ndarray:
+    """The dense array of the sparse build ``sp``, made once and read-only.
+
+    The array keeps ``sp`` (in canonical CSC form, without explicit zeros)
+    for as long as it lives, so :func:`nonzeros`, :func:`csc_form` and
+    :func:`sparse_form` on this same array object answer from it without a
+    scan.  Being read-only, the array cannot drift from its CSC; a copy or a
+    view is a different object and is scanned like any other array.
     """
-    nonzero = a != 0
-    if np.count_nonzero(nonzero) > SPARSE_DENSITY * a.size:
+    sp = sp.tocsc()
+    sp.sum_duplicates()
+    a = sp.toarray(order="C")
+    sp.eliminate_zeros()
+    for part in (a, sp.data, sp.indices, sp.indptr):
+        part.flags.writeable = False
+    key = id(a)
+    _BUILT[key] = (weakref.ref(a, lambda _, key=key: _BUILT.pop(key, None)), sp)
+    return a
+
+
+def _known(a):
+    """``a`` itself when it is SciPy sparse, the CSC that ``densify`` kept
+    for it, or None when only a scan can tell its nonzeros."""
+    if not isinstance(a, np.ndarray):
+        return a
+    entry = _BUILT.get(id(a))
+    if entry is None or entry[0]() is not a or a.flags.writeable:
         return None
+    return entry[1]
+
+
+def _scanned(a: np.ndarray, nonzero: np.ndarray):
     from scipy import sparse
 
     rows, cols = np.nonzero(nonzero)
     return sparse.csc_array((a[rows, cols], (rows, cols)), shape=a.shape)
+
+
+def nonzeros(a) -> int:
+    """Number of nonzero entries of a dense or SciPy sparse matrix."""
+    sp = _known(a)
+    return np.count_nonzero(a) if sp is None else sp.nnz
+
+
+def csc_form(a):
+    """CSC form of a dense or SciPy sparse matrix, whatever its density."""
+    sp = _known(a)
+    return _scanned(a, a != 0) if sp is None else sp.tocsc()
+
+
+def sparse_form(a):
+    """CSC form of ``a`` when at most 1/64 of its entries are nonzero, else None.
+
+    ``a`` is dense or SciPy sparse.  An invertible n x n matrix has at least
+    n nonzeros, so it qualifies only from n = 64 on; small instances never
+    load SciPy.
+    """
+    limit = SPARSE_DENSITY * a.shape[0] * a.shape[1]
+    sp = _known(a)
+    if sp is None:
+        nonzero = a != 0
+        return None if np.count_nonzero(nonzero) > limit else _scanned(a, nonzero)
+    return sp.tocsc() if sp.nnz <= limit else None
 
 
 def _splu(sp):
@@ -128,17 +187,23 @@ def log_abs_det(a: np.ndarray) -> float:
     return float(np.sum(np.log(np.abs(lu.U.diagonal()))))
 
 
-def gram(a: np.ndarray, *, left: bool) -> np.ndarray:
+def gram(a, *, left: bool):
     """A^dag A when ``left`` (the adjoint on the left), else A A^dag.
 
-    The result is exactly Hermitian: it is averaged with its own adjoint
-    before it is returned (on the sparse path, before it is densified).
+    The product is sparse when ``a`` is (:func:`sparse_form`), dense
+    otherwise, whichever form ``a`` is given in.  A dense ``a`` gives a dense
+    array; a sparse ``a`` gives a sparse result on the sparse path.  The
+    result is exactly Hermitian: it is averaged with its own adjoint before
+    it is returned (on the sparse path, before it is densified).
     """
     sp = sparse_form(a)
-    m = a if sp is None else sp
-    g = m.conj().T @ m if left else m @ m.conj().T
+    if sp is None:
+        m = a if isinstance(a, np.ndarray) else a.toarray()
+        g = m.conj().T @ m if left else m @ m.conj().T
+        return (g + g.conj().T) / 2.0
+    g = sp.conj().T @ sp if left else sp @ sp.conj().T
     g = (g + g.conj().T) / 2.0
-    return g if sp is None else g.toarray(order="C")
+    return densify(g) if isinstance(a, np.ndarray) else g
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:

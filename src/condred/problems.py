@@ -66,6 +66,11 @@ class InfeasibleParams(ValueError):
     """Requested generator parameters admit no valid instance."""
 
 
+def _is_int(x) -> bool:
+    """An integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ConditionParams:
     """(n, m, kappa, epsilon) conditioning parameters of one instance."""
@@ -76,6 +81,8 @@ class ConditionParams:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        if not (_is_int(self.n) and _is_int(self.m)):
+            raise ValueError(f"n={self.n!r} and m={self.m!r} must be integers")
         if not (math.isfinite(self.kappa) and math.isfinite(self.epsilon)):
             raise ValueError("kappa and epsilon must be finite")
         if self.n < 1 or self.m < 1:
@@ -88,7 +95,7 @@ class ConditionParams:
 
 def _check_index(name: str, idx, n: int) -> None:
     """A 1-based index must be an integer in [1, n]; a bool is not one."""
-    if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+    if not _is_int(idx):
         raise ValueError(f"{name}={idx!r} is not an integer")
     if not 1 <= idx <= n:
         raise ValueError(f"{name}={idx} outside [1, {n}]")

@@ -32,7 +32,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matcore import gram, hermitian_eigs, svd_values
+from .matcore import (
+    SPARSE_DENSITY,
+    csc_form,
+    densify,
+    gram,
+    hermitian_eigs,
+    nonzeros,
+    svd_values,
+)
 from .problems import (
     ConditionParams,
     Kind,
@@ -41,8 +49,8 @@ from .problems import (
     max_partial_sigma1,
     max_power_sigma1,
 )
+from .series import PromiseViolation, log_series, logdet_terms, neumann_series, neumann_terms
 from .series import log_count as _log_count
-from .series import log_series, logdet_terms, neumann_series, neumann_terms
 
 #: measures one quantity on a (source, target) pair of one application
 Measure = Callable[[ProblemInstance, ProblemInstance], float]
@@ -98,13 +106,24 @@ def _partials_sigma1(src: ProblemInstance, dst: ProblemInstance) -> float:
     return max_partial_sigma1(dst.matrices)
 
 
+class _Undefined(Exception):
+    """A decision quantity does not exist: its matrix is exactly singular."""
+
+
+def _quantity(inst: ProblemInstance) -> float | complex:
+    q = decision_quantity(inst)
+    if q is None:
+        raise _Undefined
+    return q
+
+
 def _off_by(dst: ProblemInstance, want: float | complex) -> float:
     """|q - want| for the target's decision quantity q: an identity's residual."""
-    return float(abs(decision_quantity(dst) - want))
+    return float(abs(_quantity(dst) - want))
 
 
 def _quantity_difference(src: ProblemInstance, dst: ProblemInstance) -> float:
-    return _off_by(dst, decision_quantity(src))
+    return _off_by(dst, _quantity(src))
 
 
 def _superdiag_blocks(mats, n: int) -> np.ndarray:
@@ -116,14 +135,63 @@ def _superdiag_blocks(mats, n: int) -> np.ndarray:
     return big
 
 
-def _eye_minus(big: np.ndarray) -> np.ndarray:
-    """I - big in place, for a ``big`` with a zero diagonal.
+#: one n x n block of a layout: (block row, block column, sign, block), where
+#: the block is a number c, standing for c*I, or a matrix (dense or sparse)
+Block = tuple[int, int, int, object]
 
-    ``0 - x`` rather than ``-x`` keeps the signed zeros of ``np.eye - big``.
+
+def _block_matrix(
+    n: int,
+    k: int,
+    sources: tuple[np.ndarray, ...],
+    layout: Callable[..., list[Block]],
+    *,
+    scale: tuple[np.ufunc, float],
+) -> np.ndarray:
+    """The kn x kn matrix ``ufunc(B, c)``, for ``scale`` = (ufunc, c), of the
+    block matrix B that ``layout(*sources)`` lists.
+
+    The blocks do not overlap.  Each is added to zero at its block position,
+    or subtracted from zero where its sign is negative (``0 - x``, not ``-x``,
+    so zero parts stay +0.0).  When the sources and the diagonal together
+    fill at most 1/64 of the output, ``layout`` receives the sources in CSC
+    form and B is built in CSC and densified once (:func:`densify`);
+    otherwise it is built in one dense buffer.  Both give the same bytes.
     """
-    np.subtract(0.0, big, out=big)
-    np.fill_diagonal(big, 1.0)
-    return big
+    dim = n * k
+    sparse = dim + sum(nonzeros(a) for a in sources) <= SPARSE_DENSITY * dim * dim
+    blocks = layout(*(csc_form(a) for a in sources) if sparse else sources)
+    ufunc, c = scale
+    if not sparse:
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        for i, j, sign, block in blocks:
+            view = out[i * n : (i + 1) * n, j * n : (j + 1) * n]
+            if np.isscalar(block):
+                np.fill_diagonal(view, block)
+            elif sign < 0:
+                np.subtract(0.0, block, out=view)
+            else:
+                view += block
+        return ufunc(out, c, out=out)
+    rows, cols, vals = [], [], []
+    for i, j, sign, block in blocks:
+        if np.isscalar(block):
+            r = col = np.arange(n)
+            v = np.full(n, block, dtype=np.complex128)
+        else:
+            coo = csc_form(block).tocoo()
+            r, col, v = coo.row, coo.col, coo.data
+        rows.append(r + i * n)
+        cols.append(col + j * n)
+        vals.append(np.subtract(0.0, v) if sign < 0 else v)
+    from scipy import sparse as sps
+
+    built = sps.csc_array(
+        (np.concatenate(vals, dtype=np.complex128), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
+    ufunc(built.data, c, out=built.data)
+    return densify(built)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +226,11 @@ def reduce_matpow_to_matinv(inst: ProblemInstance) -> tuple[ProblemInstance, Red
     p = inst.params
     n, m = p.n, p.m
     c = math.ceil(1.0 + p.kappa)
-    # (I - superdiag) / c, built in the one buffer
-    z = _eye_minus(_superdiag_blocks([inst.matrix] * m, n))
-    z /= c
+    # Z = (I - superdiag(A, ..., A)) / c
+    z = _block_matrix(
+        n, m + 1, (inst.matrix,), scale=(np.divide, c),
+        layout=lambda a: [(r, r, 1, 1.0) for r in range(m + 1)] + [(r, r + 1, -1, a) for r in range(m)],
+    )
     out_kind = Kind.MATINV if inst.kind is Kind.MATPOW else Kind.V_MATINV
     out_params = ConditionParams(n * (m + 1), 1, (1.0 + m * p.kappa) * c, c * p.epsilon)
     out = ProblemInstance(out_kind, out_params, (z,), s=inst.s, t=n * m + inst.t, b=c * inst.b)
@@ -180,7 +250,7 @@ def reduce_matpow_to_matinv(inst: ProblemInstance) -> tuple[ProblemInstance, Red
 
 def _scaled_power_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
     """Z_hat^-1[s, nm+t] = ceil(1+kappa) * A^m[s,t]."""
-    return _off_by(dst, math.ceil(1 + src.params.kappa) * decision_quantity(src))
+    return _off_by(dst, math.ceil(1 + src.params.kappa) * _quantity(src))
 
 
 def reduce_matinv_to_posmatinv(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
@@ -188,13 +258,13 @@ def reduce_matinv_to_posmatinv(inst: ProblemInstance) -> tuple[ProblemInstance, 
         raise ValueError(f"rule needs MATINV input, got {inst.kind.value}")
     p = inst.params
     n = p.n
-    a = inst.matrix
-    h = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    h[:n, :n] = gram(a, left=True)
-    h[:n, n:] = -a.conj().T
-    h[n:, :n] = -a
-    h[n:, n:] = 2.0 * np.eye(n)
-    h /= 3.0
+    # H = [[A^dag A, -A^dag], [-A, 2I]] / 3
+    h = _block_matrix(
+        n, 2, (inst.matrix,), scale=(np.divide, 3.0),
+        layout=lambda a: [
+            (0, 0, 1, gram(a, left=True)), (0, 1, -1, a.conj().T), (1, 0, -1, a), (1, 1, 1, 2.0),
+        ],
+    )
     out_params = ConditionParams(2 * n, 1, (3.0 * p.kappa) ** 2, 3.0 * p.epsilon)
     out = ProblemInstance(
         Kind.MATINV_PLUS, out_params, (h,), s=inst.s, t=inst.t + n, b=3.0 * float(np.real(inst.b))
@@ -270,7 +340,7 @@ def _log_series_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
 def _log_remainder(src: ProblemInstance, dst: ProblemInstance) -> float:
     """Diagonal sum minus its exact value n*l_hat + ln det H."""
     n, kappa = src.params.n, src.params.kappa
-    return decision_quantity(dst).real - (n * _log_count(kappa) + decision_quantity(src))
+    return _quantity(dst).real - (n * _log_count(kappa) + _quantity(src))
 
 
 def reduce_itmatprod_to_nonneg(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
@@ -300,10 +370,15 @@ def reduce_nonneg_itmatprod_to_det(inst: ProblemInstance) -> tuple[ProblemInstan
     p = inst.params
     n, m, kappa = p.n, p.m, p.kappa
     big_n = n * (m + 1)
-    c_hat = _eye_minus(_superdiag_blocks(inst.matrices, n))
-    c_hat[n * m + inst.t - 1, inst.s - 1] += 1.0  # rank-one bump |nm+t><s|
     l_hat = _log_count(2.0 + kappa)
-    c_hat *= math.exp(-l_hat)
+    bump = np.zeros((n, n), dtype=np.complex128)
+    bump[inst.t - 1, inst.s - 1] = 1.0
+    # C = exp(-l_hat) (I - superdiag(A_1, ..., A_m) + |nm+t><s|)
+    c_hat = _block_matrix(
+        n, m + 1, inst.matrices, scale=(np.multiply, math.exp(-l_hat)),
+        layout=lambda *a: [(r, r, 1, 1.0) for r in range(m + 1)]
+        + [(r, r + 1, -1, a[r]) for r in range(m)] + [(m, 0, 1, bump)],
+    )
     b = float(np.real(inst.b))
     b_hat = math.log1p(b) - l_hat * big_n
     if b_hat > 0:
@@ -329,7 +404,7 @@ def reduce_nonneg_itmatprod_to_det(inst: ProblemInstance) -> tuple[ProblemInstan
 def _rank_one_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
     """ln|det C_hat| = ln(1 + A_{1,m}[s,t]) - l_hat*n*(m+1)."""
     n, m, kappa = src.params.n, src.params.m, src.params.kappa
-    entry = float(np.real(decision_quantity(src)))
+    entry = float(np.real(_quantity(src)))
     return _off_by(dst, math.log1p(entry) - _log_count(2.0 + kappa) * n * (m + 1))
 
 
@@ -467,7 +542,7 @@ def reduce_vmatinv_to_singular(inst: ProblemInstance) -> tuple[ProblemInstance, 
     n, kappa = p.n, p.kappa
     b = complex(inst.b)
     if abs(b) > kappa:
-        raise ValueError(f"|b| = {abs(b):.4g} exceeds kappa; instance is promise-violating")
+        raise PromiseViolation(f"|b| = {abs(b):.4g} exceeds kappa; instance is promise-violating")
     c = math.ceil(kappa)
     b_mat = _singular_b(inst)
     u = np.zeros(n + 1, dtype=np.complex128)
@@ -507,7 +582,7 @@ def _singular_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
     c, n = math.ceil(src.params.kappa), src.params.n
     c_hat = dst.matrix[: n + 1, n + 1 :] * (2 * c + 1)
     det_b = np.linalg.det(_singular_b(src))
-    want = (complex(src.b) - decision_quantity(src)) / (2 * c) * det_b
+    want = (complex(src.b) - _quantity(src)) / (2 * c) * det_b
     return float(abs(np.linalg.det(c_hat) - want) / max(1.0, abs(det_b)))
 
 
@@ -535,15 +610,15 @@ RULES: dict[str, Rule] = {
         Rule("matpow_to_matinv", Kind.MATPOW, Kind.MATINV, reduce_matpow_to_matinv,
              _scaled_power_identity),
         Rule("matinv_to_posmatinv", Kind.MATINV, Kind.MATINV_PLUS, reduce_matinv_to_posmatinv,
-             lambda src, dst: float(abs(abs(decision_quantity(dst)) - 3 * abs(decision_quantity(src))))),
+             lambda src, dst: float(abs(abs(_quantity(dst)) - 3 * abs(_quantity(src))))),
         Rule("posdet_to_sumitmatprod", Kind.DET_PLUS, Kind.SUMITMATPROD, reduce_posdet_to_sumitmatprod,
              _log_series_identity),
         Rule("itmatprod_to_nonneg", Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, reduce_itmatprod_to_nonneg,
-             lambda src, dst: _off_by(dst, abs(decision_quantity(src)) ** 2)),
+             lambda src, dst: _off_by(dst, abs(_quantity(src)) ** 2)),
         Rule("nonneg_to_det", Kind.ITMATPROD_NONNEG, Kind.DET, reduce_nonneg_itmatprod_to_det,
              _rank_one_identity),
         Rule("det_to_posdet", Kind.DET, Kind.DET_PLUS, reduce_det_to_posdet,
-             lambda src, dst: _off_by(dst, 2 * decision_quantity(src))),
+             lambda src, dst: _off_by(dst, 2 * _quantity(src))),
         Rule("posmatinv_to_sumitmatprod", Kind.MATINV_PLUS, Kind.SUMITMATPROD, reduce_posmatinv_to_sumitmatprod,
              lambda src, dst: _off_by(dst, neumann_series(src.matrix, src.s, src.t, dst.params.m))),
         Rule("sumitmatprod_to_itmatprod", Kind.SUMITMATPROD, Kind.ITMATPROD, reduce_sumitmatprod_to_itmatprod,
@@ -611,15 +686,24 @@ def chain(
     return current, records
 
 
-def identity_residual(rule: str, src: ProblemInstance, dst: ProblemInstance) -> float:
+def identity_residual(rule: str, src: ProblemInstance, dst: ProblemInstance) -> float | None:
     """Residual of the rule's defining algebraic identity, evaluating the
-    source and target decision quantities independently."""
-    return RULES[rule].identity(src, dst)
+    source and target decision quantities independently; None when one of
+    them does not exist (an exactly singular matrix)."""
+    return _defined(RULES[rule].identity, src, dst)
+
+
+def _defined(measure: Measure, src: ProblemInstance, dst: ProblemInstance) -> float | None:
+    try:
+        return measure(src, dst)
+    except _Undefined:
+        return None
 
 
 def measure_record(
     record: ReductionRecord, src: ProblemInstance, dst: ProblemInstance
 ) -> ReductionRecord:
-    """Fill in measured values for every declared bound of one application."""
-    measured = tuple(replace(b, measured=b.measure(src, dst)) for b in record.declared_bounds)
+    """Fill in measured values for every declared bound of one application
+    (None where the bound needs a decision quantity that does not exist)."""
+    measured = tuple(replace(b, measured=_defined(b.measure, src, dst)) for b in record.declared_bounds)
     return replace(record, declared_bounds=measured, measured=True)

@@ -97,7 +97,7 @@ def instance_from_json(obj) -> ProblemInstance:
         kind = Kind(obj["type"])
         p = obj["params"]
         params = ConditionParams(
-            n=int(p["n"]), m=int(p["m"]), kappa=float(p["kappa"]), epsilon=float(p["epsilon"])
+            n=p["n"], m=p["m"], kappa=float(p["kappa"]), epsilon=float(p["epsilon"])
         )
         matrices = tuple(matrix_from_json(m) for m in obj["matrices"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -23,7 +23,8 @@ DEFAULT_TOL = 1e-9
 
 
 class PromiseViolation(ValueError):
-    """Input outside the well-conditioned promise the certificate needs."""
+    """Input outside the well-conditioned promise that a certificate or a
+    reduction needs."""
 
 
 @dataclass(frozen=True)

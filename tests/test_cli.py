@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condred.circuits import GeneralCircuit, append_cleanup, simulate_acceptance, unitary_gate
+from condred import cli
 from condred.cli import main
 from condred.problems import ConditionParams, Kind, gen_instance
 import condred
@@ -261,8 +262,8 @@ class TestCli:
         assert run("verify", tmp_path / "nope.json") == 2
 
     def test_small_commands_stay_scipy_free(self, tmp_path):
-        # the sparse kernels import SciPy only for large, nearly empty
-        # matrices; gen and solve on n = 4 must not load it
+        # the sparse kernels and builds import SciPy only for large, nearly
+        # empty matrices; gen, solve and reduce on n = 4 must not load it
         script = "\n".join(
             [
                 "import sys",
@@ -273,6 +274,8 @@ class TestCli:
                 "    assert main(['gen', '--kind', kind, '--n', '4', '--kappa', '4',",
                 "                 '--epsilon', '0.05', '--seed', '3', '--out', out]) == 0",
                 "    assert main(['solve', out, '--report', out + '.report']) == 0",
+                "assert main(['reduce', f'{d}/MATINV.json', '--rule', 'matinv_to_posmatinv',",
+                "             '--out', f'{d}/plus.json']) == 0",
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
             ]
         )
@@ -290,16 +293,19 @@ class TestCli:
         assert "5/5 self-test groups pass" in out
 
 
-def _mutated(kind, change, command):
-    """argv builder: a seeded instance of ``kind``, edited by ``change``, then ``command``."""
-    params = {Kind.MATINV: ConditionParams(3, 1, 4.0, 0.05), Kind.SUMITMATPROD: ConditionParams(2, 3, 2.0, 0.05)}
+def _mutated(kind, change, command, *options):
+    """argv builder: a seeded instance of ``kind``, edited by ``change``, then
+    ``command`` with ``options`` (where "{tmp}" stands for the test's directory)."""
+    small = ConditionParams(3, 1, 4.0, 0.05)
+    params = {Kind.MATINV: small, Kind.MATINV_PLUS: small, Kind.V_MATINV: small,
+              Kind.SUMITMATPROD: ConditionParams(2, 3, 2.0, 0.05)}
 
     def argv(tmp_path):
         doc = instance_to_json(gen_instance(kind, params[kind], seed=1))
         change(doc)
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(doc))
-        return [command, path]
+        return [command, path, *(o.format(tmp=tmp_path) for o in options)]
 
     return argv
 
@@ -325,6 +331,22 @@ def _singular(doc):
                                        "--out", tmp_path / "o.json"], 2, id="gen --kappa nan"),
         pytest.param(_mutated(Kind.MATINV, _singular, "solve"), 1, id="singular MATINV solve"),
         pytest.param(_mutated(Kind.MATINV, _singular, "verify"), 1, id="singular MATINV verify"),
+        pytest.param(_mutated(Kind.MATINV, _singular, "reduce", "--rule", "matinv_to_posmatinv",
+                              "--out", "{tmp}/out.json"), 1, id="singular MATINV reduce"),
+        pytest.param(_mutated(Kind.MATINV, _singular, "reduce", "--rule", "matinv_to_posmatinv", "--measure",
+                              "--out", "{tmp}/out.json"), 1, id="singular MATINV reduce --measure"),
+        pytest.param(_mutated(Kind.V_MATINV, _singular, "reduce", "--rule", "vmatinv_to_singular",
+                              "--out", "{tmp}/out.json"), 1, id="singular vMATINV reduce"),
+        pytest.param(_mutated(Kind.MATINV_PLUS, _singular, "reduce", "--rule", "posmatinv_to_sumitmatprod",
+                              "--measure", "--out", "{tmp}/out.json"), 1, id="singular MATINV+ reduce --measure"),
+        pytest.param(_mutated(Kind.V_MATINV, lambda d: d.update(b=9.0), "reduce", "--rule", "vmatinv_to_singular",
+                              "--out", "{tmp}/out.json"), 1, id="vMATINV |b| > kappa reduce"),
+        pytest.param(_mutated(Kind.V_MATINV, lambda d: d.update(b=9.0), "chain", "--rules", "vmatinv_to_singular",
+                              "--out", "{tmp}/out.json"), 1, id="vMATINV |b| > kappa chain"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(n=3.7), "solve"), 2, id="n=3.7"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(n=3.0), "solve"), 2, id="n=3.0"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(m=True), "solve"), 2, id="m=true"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(m="1"), "solve"), 2, id="m='1'"),
     ],
 )
 def test_bad_input_exits_without_traceback(make_argv, code, tmp_path, capsys):
@@ -332,3 +354,41 @@ def test_bad_input_exits_without_traceback(make_argv, code, tmp_path, capsys):
     # a singular matrix is a promise violation (exit 1)
     assert run(*make_argv(tmp_path)) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_singular_reduce_reports_promise_violated(tmp_path, capsys):
+    argv = _mutated(Kind.MATINV, _singular, "reduce", "--rule", "matinv_to_posmatinv",
+                    "--out", "{tmp}/out.json", "--report", "{tmp}/r.json")(tmp_path)
+    assert run(*argv) == 1
+    assert "identity residual undefined" in capsys.readouterr().out
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["identity_residual"] is None
+    assert report["decisions"]["source"] == {"value": "PromiseViolated", "witness_value": None}
+
+
+@pytest.mark.parametrize("command", ["reduce", "chain"])
+def test_builder_refusal_is_a_promise_violation(command, tmp_path, capsys):
+    flag = "--rule" if command == "reduce" else "--rules"
+    argv = _mutated(Kind.V_MATINV, lambda d: d.update(b=9.0), command, flag, "vmatinv_to_singular",
+                    "--out", "{tmp}/out.json")(tmp_path)
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("promise violation: |b| = 9 exceeds kappa")
+    # and solve reports the same file the same way
+    assert run("solve", argv[1]) == 1
+
+
+@pytest.mark.parametrize("command", ["reduce", "chain"])
+def test_unknown_rule_message_has_no_repr_quotes(command, inst_file, tmp_path, capsys):
+    flag = "--rule" if command == "reduce" else "--rules"
+    assert run(command, inst_file, flag, "nope", "--out", tmp_path / "o.json") == 2
+    assert capsys.readouterr().err.startswith("error: unknown rule 'nope'")
+
+
+def test_internal_error_exits_3_in_one_line(inst_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken\noracle")
+
+    monkeypatch.setattr(cli, "oracle_decide", broken)
+    assert run("solve", inst_file) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: broken oracle\n"
