@@ -1,6 +1,6 @@
 """Dense complex linear algebra used throughout the package.
 
-Everything operates on plain ``numpy`` complex arrays.  The one convention
+Most of it operates on plain ``numpy`` complex arrays.  The one convention
 that the rest of the package depends on is the vectorization order: matrices
 are stacked row-major, so ``vec(A)[r*d + c] == A[r, c]`` and
 ``vec(A @ rho @ B) == kron(A, B.T) @ vec(rho)``.  The superoperator helpers
@@ -8,18 +8,18 @@ are stacked row-major, so ``vec(A)[r*d + c] == A[r, c]`` and
 all use this order and break if it is changed in only one place.
 
 The reductions produce matrices that are almost all zeros.  Their builders
-assemble block-structured outputs in SciPy CSC form and densify each one once
-(:func:`densify`): the dense array the instance stores is read-only and keeps
-the CSC it came from, so :func:`sparse_form` hands that CSC back without
-scanning the array.  Any other array is scanned.  The kernels
-:func:`inverse_entry`, :func:`log_abs_det` and :func:`gram` compute on the
-sparse form whenever the input is sparse enough, and on the dense array
-otherwise.  SciPy is imported only on the sparse path.
+assemble block-structured outputs in SciPy CSC form, and an instance keeps
+that form (:func:`as_form`); it densifies only when its dense ``matrices``
+are read (:func:`dense_form`).  The kernels :func:`inverse_entry`,
+:func:`log_abs_det` and :func:`gram` take a dense or a sparse matrix as
+given, and compute on the sparse form whenever at most 1/64 of the entries
+are nonzero (:func:`sparse_form`), with dense LAPACK otherwise.  SciPy is
+imported only on the sparse path.
 """
 
 from __future__ import annotations
 
-import weakref
+import sys
 
 import numpy as np
 
@@ -82,39 +82,37 @@ def svd_values(a) -> np.ndarray:
     return s
 
 
-#: id of each array made by ``densify`` -> (weak reference to it, its CSC)
-_BUILT: dict[int, tuple[weakref.ref, object]] = {}
+def as_form(a, *, square: bool = False):
+    """:func:`as_matrix` for a dense matrix; a SciPy sparse one becomes its
+    canonical CSC form.
 
-
-def densify(sp) -> np.ndarray:
-    """The dense array of the sparse build ``sp``, made once and read-only.
-
-    The array keeps ``sp`` (in canonical CSC form, without explicit zeros)
-    for as long as it lives, so :func:`nonzeros`, :func:`csc_form` and
-    :func:`sparse_form` on this same array object answer from it without a
-    scan.  Being read-only, the array cannot drift from its CSC; a copy or a
-    view is a different object and is scanned like any other array.
+    Canonical means a complex128 copy with duplicates summed, no explicit
+    zeros and read-only parts.  Shape and finiteness are checked on the
+    stored entries, without densifying.
     """
-    sp = sp.tocsc()
+    sparse = sys.modules.get("scipy.sparse")  # not loaded: ``a`` cannot be sparse
+    if sparse is None or not sparse.issparse(a):
+        return as_matrix(a, square=square)
+    sp = sparse.csc_array(a, dtype=np.complex128, copy=True)
+    if square and sp.shape[0] != sp.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {sp.shape}")
     sp.sum_duplicates()
-    a = sp.toarray(order="C")
+    if not np.isfinite(sp.data).all():
+        raise ValueError("matrix entries must be finite")
     sp.eliminate_zeros()
-    for part in (a, sp.data, sp.indices, sp.indptr):
+    for part in (sp.data, sp.indices, sp.indptr):
         part.flags.writeable = False
-    key = id(a)
-    _BUILT[key] = (weakref.ref(a, lambda _, key=key: _BUILT.pop(key, None)), sp)
-    return a
+    return sp
 
 
-def _known(a):
-    """``a`` itself when it is SciPy sparse, the CSC that ``densify`` kept
-    for it, or None when only a scan can tell its nonzeros."""
-    if not isinstance(a, np.ndarray):
+def dense_form(a) -> np.ndarray:
+    """``a`` itself when it is a dense array; else its entries in a new
+    read-only C-ordered array."""
+    if isinstance(a, np.ndarray):
         return a
-    entry = _BUILT.get(id(a))
-    if entry is None or entry[0]() is not a or a.flags.writeable:
-        return None
-    return entry[1]
+    out = a.toarray(order="C")
+    out.flags.writeable = False
+    return out
 
 
 def _scanned(a: np.ndarray, nonzero: np.ndarray):
@@ -126,29 +124,21 @@ def _scanned(a: np.ndarray, nonzero: np.ndarray):
 
 def nonzeros(a) -> int:
     """Number of nonzero entries of a dense or SciPy sparse matrix."""
-    sp = _known(a)
-    return np.count_nonzero(a) if sp is None else sp.nnz
-
-
-def csc_form(a):
-    """CSC form of a dense or SciPy sparse matrix, whatever its density."""
-    sp = _known(a)
-    return _scanned(a, a != 0) if sp is None else sp.tocsc()
+    return np.count_nonzero(a) if isinstance(a, np.ndarray) else a.count_nonzero()
 
 
 def sparse_form(a):
     """CSC form of ``a`` when at most 1/64 of its entries are nonzero, else None.
 
-    ``a`` is dense or SciPy sparse.  An invertible n x n matrix has at least
-    n nonzeros, so it qualifies only from n = 64 on; small instances never
-    load SciPy.
+    ``a`` is dense, and then scanned, or SciPy sparse.  An invertible n x n
+    matrix has at least n nonzeros, so it qualifies only from n = 64 on;
+    small dense instances never load SciPy.
     """
     limit = SPARSE_DENSITY * a.shape[0] * a.shape[1]
-    sp = _known(a)
-    if sp is None:
-        nonzero = a != 0
-        return None if np.count_nonzero(nonzero) > limit else _scanned(a, nonzero)
-    return sp.tocsc() if sp.nnz <= limit else None
+    if not isinstance(a, np.ndarray):
+        return a.tocsc() if a.count_nonzero() <= limit else None
+    nonzero = a != 0
+    return None if np.count_nonzero(nonzero) > limit else _scanned(a, nonzero)
 
 
 def _splu(sp):
@@ -162,23 +152,25 @@ def _splu(sp):
         raise np.linalg.LinAlgError(f"Singular matrix: {exc}") from exc
 
 
-def inverse_entry(a: np.ndarray, s: int, t: int) -> complex:
-    """Entry (s, t) of a^-1, 1-based, from one column solve.
+def inverse_entry(a, s: int, t: int) -> complex:
+    """Entry (s, t) of a^-1, 1-based, from one column solve; ``a`` is dense
+    or SciPy sparse.
 
     Raises ``np.linalg.LinAlgError`` when ``a`` is exactly singular.
     """
     rhs = np.zeros(a.shape[0], dtype=np.complex128)
     rhs[t - 1] = 1.0
     sp = sparse_form(a)
-    col = np.linalg.solve(a, rhs) if sp is None else _splu(sp).solve(rhs)
+    col = np.linalg.solve(dense_form(a), rhs) if sp is None else _splu(sp).solve(rhs)
     return complex(col[s - 1])
 
 
-def log_abs_det(a: np.ndarray) -> float:
-    """ln|det a| by triangular factorization; -inf when ``a`` is singular."""
+def log_abs_det(a) -> float:
+    """ln|det a| by triangular factorization; -inf when ``a`` is singular.
+    ``a`` is dense or SciPy sparse."""
     sp = sparse_form(a)
     if sp is None:
-        return float(np.linalg.slogdet(a)[1])
+        return float(np.linalg.slogdet(dense_form(a))[1])
     try:
         lu = _splu(sp)
     except np.linalg.LinAlgError:
@@ -191,19 +183,20 @@ def gram(a, *, left: bool):
     """A^dag A when ``left`` (the adjoint on the left), else A A^dag.
 
     The product is sparse when ``a`` is (:func:`sparse_form`), dense
-    otherwise, whichever form ``a`` is given in.  A dense ``a`` gives a dense
-    array; a sparse ``a`` gives a sparse result on the sparse path.  The
-    result is exactly Hermitian: it is averaged with its own adjoint before
-    it is returned (on the sparse path, before it is densified).
+    otherwise, whichever form ``a`` is given in.  A dense ``a`` gives a
+    C-ordered array, a sparse ``a`` a SciPy sparse result.  The result is
+    exactly Hermitian: it is averaged with its own adjoint before it is
+    returned.
     """
     sp = sparse_form(a)
     if sp is None:
-        m = a if isinstance(a, np.ndarray) else a.toarray()
+        m = dense_form(a)
         g = m.conj().T @ m if left else m @ m.conj().T
-        return (g + g.conj().T) / 2.0
+        g = (g + g.conj().T) / 2.0
+        return g if isinstance(a, np.ndarray) else _scanned(g, g != 0)
     g = sp.conj().T @ sp if left else sp @ sp.conj().T
     g = (g + g.conj().T) / 2.0
-    return densify(g) if isinstance(a, np.ndarray) else g
+    return g.toarray(order="C") if isinstance(a, np.ndarray) else g
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:

@@ -16,11 +16,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .matcore import (
+    as_form,
     as_matrix,
+    dense_form,
     hermitian_eigs,
     inverse_entry,
     log_abs_det,
@@ -103,25 +106,26 @@ def _check_index(name: str, idx, n: int) -> None:
 
 @dataclass(frozen=True)
 class ProblemInstance:
+    """``forms`` holds each matrix as given: a dense array, or a SciPy sparse
+    matrix in canonical CSC form (:func:`condred.matcore.as_form`)."""
+
     kind: Kind
     params: ConditionParams
-    matrices: tuple[np.ndarray, ...]
+    forms: tuple
     s: int | None = None
     t: int | None = None
     E: tuple[tuple[int, int], ...] | None = None
     b: float | complex | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "matrices", tuple(as_matrix(a, square=True) for a in self.matrices)
-        )
+        object.__setattr__(self, "forms", tuple(as_form(a, square=True) for a in self.forms))
         n = self.params.n
         expected = self.params.m if self.kind in PRODUCT_KINDS else 1
-        if len(self.matrices) != expected:
+        if len(self.forms) != expected:
             raise ValueError(
-                f"{self.kind.value} expects {expected} matrices, got {len(self.matrices)}"
+                f"{self.kind.value} expects {expected} matrices, got {len(self.forms)}"
             )
-        for a in self.matrices:
+        for a in self.forms:
             if a.shape != (n, n):
                 raise ValueError(f"matrix shape {a.shape} does not match n={n}")
         for name, idx in (("s", self.s), ("t", self.t)):
@@ -133,6 +137,11 @@ class ProblemInstance:
                     raise ValueError(f"E pair {pair!r} is not an (s, t) pair")
                 for idx in pair:
                     _check_index("E entry", idx, n)
+
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """Dense view of ``forms``, made on first read (a sparse form read-only)."""
+        return tuple(dense_form(a) for a in self.forms)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -220,16 +229,16 @@ def decision_quantity(inst: ProblemInstance) -> float | complex | None:
 
     DET-family returns log|det| (the comparison happens on the log scale),
     computed by triangular factorization with log-magnitude accumulation.
-    Both factorizations run sparse when the matrix is nearly empty.  The
+    Both read the stored form and run sparse when it is nearly empty.  The
     MATINV family returns None when its matrix is exactly singular: the
     inverse entry does not exist, which breaks the promise.
     """
     kind, p = inst.kind, inst.params
     if kind in (Kind.DET, Kind.DET_PLUS):
-        return log_abs_det(inst.matrix)
+        return log_abs_det(inst.forms[0])
     if kind in (Kind.MATINV, Kind.MATINV_PLUS, Kind.V_MATINV):
         try:
-            return inverse_entry(inst.matrix, inst.s, inst.t)
+            return inverse_entry(inst.forms[0], inst.s, inst.t)
         except np.linalg.LinAlgError:
             return None
     if kind in (Kind.MATPOW, Kind.V_MATPOW):
@@ -293,6 +302,11 @@ def _gap_checks(inst: ProblemInstance, q: float | complex | None, tol: float) ->
 
 def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseReport:
     """Measure every Promise clause of the instance's problem definition."""
+    return _promise_report(inst, decision_quantity(inst), tol)
+
+
+def _promise_report(inst: ProblemInstance, q: float | complex | None, tol: float) -> PromiseReport:
+    """Every Promise clause, given the instance's decision quantity ``q``."""
     kind, p = inst.kind, inst.params
     checks: list[PromiseCheck] = []
 
@@ -321,7 +335,6 @@ def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseRep
         if kind is Kind.V_MATINV:
             checks.append(PromiseCheck("|b| <= kappa", p.kappa, abs(inst.b), abs(inst.b) <= p.kappa + tol))
 
-    q = decision_quantity(inst)
     checks.extend(_gap_checks(inst, q, tol))
     return PromiseReport(tuple(checks))
 
@@ -344,8 +357,7 @@ def oracle_decide(
     if q is None:
         return Decision(DecisionValue.PROMISE_VIOLATED)
     if check == "full":
-        report = check_promise(inst, tol)
-        if not report.overall:
+        if not _promise_report(inst, q, tol).overall:
             return Decision(DecisionValue.PROMISE_VIOLATED, q)
     elif check == "gap":
         if not all(c.passed for c in _gap_checks(inst, q, tol)):

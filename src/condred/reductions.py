@@ -32,15 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matcore import (
-    SPARSE_DENSITY,
-    csc_form,
-    densify,
-    gram,
-    hermitian_eigs,
-    nonzeros,
-    svd_values,
-)
+from .matcore import SPARSE_DENSITY, gram, hermitian_eigs, nonzeros, sparse_form, svd_values
 from .problems import (
     ConditionParams,
     Kind,
@@ -143,55 +135,47 @@ Block = tuple[int, int, int, object]
 def _block_matrix(
     n: int,
     k: int,
-    sources: tuple[np.ndarray, ...],
+    sources: tuple,
     layout: Callable[..., list[Block]],
     *,
     scale: tuple[np.ufunc, float],
-) -> np.ndarray:
+):
     """The kn x kn matrix ``ufunc(B, c)``, for ``scale`` = (ufunc, c), of the
     block matrix B that ``layout(*sources)`` lists.
 
     The blocks do not overlap.  Each is added to zero at its block position,
     or subtracted from zero where its sign is negative (``0 - x``, not ``-x``,
-    so zero parts stay +0.0).  When the sources and the diagonal together
-    fill at most 1/64 of the output, ``layout`` receives the sources in CSC
-    form and B is built in CSC and densified once (:func:`densify`);
-    otherwise it is built in one dense buffer.  Both give the same bytes.
+    so zero parts stay +0.0); only the nonzero entries of a block are placed.
+    When the sources and the diagonal together fill at most 1/64 of the
+    output, B comes back in CSC form; otherwise as a dense array.  Both hold
+    the same entries, bit for bit.
     """
     dim = n * k
-    sparse = dim + sum(nonzeros(a) for a in sources) <= SPARSE_DENSITY * dim * dim
-    blocks = layout(*(csc_form(a) for a in sources) if sparse else sources)
-    ufunc, c = scale
-    if not sparse:
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for i, j, sign, block in blocks:
-            view = out[i * n : (i + 1) * n, j * n : (j + 1) * n]
-            if np.isscalar(block):
-                np.fill_diagonal(view, block)
-            elif sign < 0:
-                np.subtract(0.0, block, out=view)
-            else:
-                view += block
-        return ufunc(out, c, out=out)
     rows, cols, vals = [], [], []
-    for i, j, sign, block in blocks:
+    for i, j, sign, block in layout(*sources):
         if np.isscalar(block):
             r = col = np.arange(n)
             v = np.full(n, block, dtype=np.complex128)
+        elif isinstance(block, np.ndarray):
+            r, col = np.nonzero(block)
+            v = block[r, col]
         else:
-            coo = csc_form(block).tocoo()
+            coo = block.tocoo()
             r, col, v = coo.row, coo.col, coo.data
         rows.append(r + i * n)
         cols.append(col + j * n)
-        vals.append(np.subtract(0.0, v) if sign < 0 else v)
-    from scipy import sparse as sps
+        vals.append(np.subtract(0.0, v) if sign < 0 else np.add(0.0, v))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.concatenate(vals, dtype=np.complex128)
+    ufunc, c = scale
+    ufunc(vals, c, out=vals)
+    if dim + sum(nonzeros(a) for a in sources) > SPARSE_DENSITY * dim * dim:
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        out[rows, cols] = vals
+        return out
+    from scipy import sparse
 
-    built = sps.csc_array(
-        (np.concatenate(vals, dtype=np.complex128), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    ufunc(built.data, c, out=built.data)
-    return densify(built)
+    return sparse.csc_array((vals, (rows, cols)), shape=(dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +212,7 @@ def reduce_matpow_to_matinv(inst: ProblemInstance) -> tuple[ProblemInstance, Red
     c = math.ceil(1.0 + p.kappa)
     # Z = (I - superdiag(A, ..., A)) / c
     z = _block_matrix(
-        n, m + 1, (inst.matrix,), scale=(np.divide, c),
+        n, m + 1, inst.forms, scale=(np.divide, c),
         layout=lambda a: [(r, r, 1, 1.0) for r in range(m + 1)] + [(r, r + 1, -1, a) for r in range(m)],
     )
     out_kind = Kind.MATINV if inst.kind is Kind.MATPOW else Kind.V_MATINV
@@ -260,7 +244,7 @@ def reduce_matinv_to_posmatinv(inst: ProblemInstance) -> tuple[ProblemInstance, 
     n = p.n
     # H = [[A^dag A, -A^dag], [-A, 2I]] / 3
     h = _block_matrix(
-        n, 2, (inst.matrix,), scale=(np.divide, 3.0),
+        n, 2, inst.forms, scale=(np.divide, 3.0),
         layout=lambda a: [
             (0, 0, 1, gram(a, left=True)), (0, 1, -1, a.conj().T), (1, 0, -1, a), (1, 1, 1, 2.0),
         ],
@@ -375,7 +359,7 @@ def reduce_nonneg_itmatprod_to_det(inst: ProblemInstance) -> tuple[ProblemInstan
     bump[inst.t - 1, inst.s - 1] = 1.0
     # C = exp(-l_hat) (I - superdiag(A_1, ..., A_m) + |nm+t><s|)
     c_hat = _block_matrix(
-        n, m + 1, inst.matrices, scale=(np.multiply, math.exp(-l_hat)),
+        n, m + 1, inst.forms, scale=(np.multiply, math.exp(-l_hat)),
         layout=lambda *a: [(r, r, 1, 1.0) for r in range(m + 1)]
         + [(r, r + 1, -1, a[r]) for r in range(m)] + [(m, 0, 1, bump)],
     )
@@ -412,7 +396,9 @@ def reduce_det_to_posdet(inst: ProblemInstance) -> tuple[ProblemInstance, Reduct
     if inst.kind is not Kind.DET:
         raise ValueError(f"rule needs DET input, got {inst.kind.value}")
     p = inst.params
-    h = gram(inst.matrix, left=False)
+    a = inst.forms[0]
+    sp = sparse_form(a)  # a nearly empty A gives a sparse H, whatever A's form
+    h = gram(a if sp is None else sp, left=False)
     # the declared gap parameter is eps/2 although squaring the
     # determinant doubles the realized log gap; the record carries both
     out_params = ConditionParams(p.n, 1, p.kappa**2, p.epsilon / 2.0)

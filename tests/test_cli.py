@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condred.circuits import GeneralCircuit, append_cleanup, simulate_acceptance, unitary_gate
-from condred import cli
+from condred import cli, problems
 from condred.cli import main
 from condred.problems import ConditionParams, Kind, gen_instance
 import condred
@@ -286,6 +286,17 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_each_decision_quantity_is_computed_once(self, inst_file, tmp_path, monkeypatch):
+        calls = []
+        entry = problems.inverse_entry
+        monkeypatch.setattr(problems, "inverse_entry", lambda *args: calls.append(args) or entry(*args))
+        assert run("solve", inst_file) == 0
+        assert len(calls) == 1
+        calls.clear()
+        assert run("reduce", inst_file, "--rule", "matinv_to_posmatinv", "--out", tmp_path / "o.json") == 0
+        # the identity residual reads both quantities, then each decision its own
+        assert len(calls) == 4
 
     def test_self_test_flag(self, capsys):
         assert run("--self-test") == 0

@@ -1,15 +1,19 @@
-"""The block builders assemble sparse and densify once.
+"""The block builders assemble sparse, and instances keep what they built.
 
 ``matpow_to_matinv``, ``nonneg_to_det`` and ``matinv_to_posmatinv`` place
-their blocks with one helper: in CSC when the output is nearly empty, then
-densified once into a read-only array that keeps its CSC; in one dense buffer
-otherwise.  ``det_to_posdet`` densifies its sparse Gram product the same way.
-Here every output is compared with the dense textbook formula, on the ends
-of both reduction cycles, on a compiled h = 2 circuit and on instances on
-each side of the cutoff, and the kept CSC is checked against a fresh scan.
+their blocks with one helper: in CSC when the output is nearly empty, as a
+dense array otherwise.  ``det_to_posdet`` keeps the sparse Gram product of a
+sparse source.  The output instance stores that form and densifies it only
+when its ``matrices`` are read.  Here every output's dense view is compared
+with the dense textbook formula, on the ends of both reduction cycles, on a
+compiled h = 2 circuit and on instances on each side of the cutoff; the
+stored CSC is checked against a fresh scan of the view; and the decision at
+a cycle end is shown to read the stored CSC and never densify.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +21,9 @@ from scipy import sparse
 
 from condred import matcore
 from condred.circuits import append_cleanup, circuit_to_itmatprod
-from condred.matcore import densify, nonzeros, sparse_form
-from condred.problems import ConditionParams, Kind, ProblemInstance
-from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, RULES, _log_count, _superdiag_blocks
+from condred.matcore import sparse_form
+from condred.problems import ConditionParams, DecisionValue, Kind, ProblemInstance, oracle_decide
+from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, RULES, _log_count, _superdiag_blocks, chain
 from test_acceptance import _det_plus_cycle_instance, _matinv_plus_cycle_instance
 from test_circuits import forced_circuit
 
@@ -129,8 +133,9 @@ def test_builds_equal_the_textbook_formulas(case, rng):
 def test_cutoff_decides_the_path(rng):
     for rule in BUILDERS:
         below, above = _cutoff_pair(rule, rng)
-        assert RULES[rule].apply(below)[0].matrix.flags.writeable, rule
-        assert not RULES[rule].apply(above)[0].matrix.flags.writeable, rule
+        assert isinstance(RULES[rule].apply(below)[0].forms[0], np.ndarray), rule
+        stored = RULES[rule].apply(above)[0].forms[0]
+        assert sparse.issparse(stored) and stored.format == "csc", rule
 
 
 @pytest.fixture(scope="module")
@@ -141,41 +146,57 @@ def cycle_ends():
     det_end, _ = RULES["det_to_posdet"].apply(
         _applications(_det_plus_cycle_instance(0, True), DET_PLUS_CYCLE)[-1][1]
     )
-    return {"MATINV+": matinv_end.matrix, "DET+": det_end.matrix}
+    return {"MATINV+": matinv_end, "DET+": det_end}
 
 
 @pytest.mark.parametrize("end", ["MATINV+", "DET+"])
 def test_sparse_form_returns_the_kept_csc_without_a_scan(cycle_ends, end, monkeypatch):
-    a = cycle_ends[end]
-    assert not a.flags.writeable
-    with pytest.raises(ValueError):
-        a[0, 0] = 1.0
+    inst = dataclasses.replace(cycle_ends[end])  # a fresh instance: no dense view yet
 
     def no_scan(*args):
-        raise AssertionError("scanned a densified array")
+        raise AssertionError("scanned a dense array")
 
     monkeypatch.setattr(matcore, "_scanned", no_scan)
-    sp = sparse_form(a)
-    assert sp is not None and sparse_form(a) is sp
-    assert nonzeros(a) == sp.nnz == np.count_nonzero(a)
-    assert np.array_equal(sp.toarray(), a)
+    stored = inst.forms[0]
+    assert sparse_form(stored) is stored
+    assert oracle_decide(inst, check="gap").value is DecisionValue.ONE
+    assert "matrices" not in vars(inst), "the dense view was materialised"
 
 
 @pytest.mark.parametrize("end", ["MATINV+", "DET+"])
 def test_copies_and_views_are_scanned(cycle_ends, end):
-    a = cycle_ends[end]
-    kept = sparse_form(a)
-    for other in (a.copy(), a[:, :]):
+    inst = cycle_ends[end]
+    stored, a = inst.forms[0], inst.matrix
+    for other in (a, a.copy(), a[:, :]):
         scanned = sparse_form(other)
-        assert scanned is not kept
-        # the kept CSC is exactly what a scan finds, byte for byte
+        assert scanned is not stored
+        # byte for byte: canonical order, no explicit zeros
         for part in ("data", "indices", "indptr"):
-            assert getattr(scanned, part).tobytes() == getattr(kept, part).tobytes(), part
+            assert getattr(scanned, part).tobytes() == getattr(stored, part).tobytes(), part
 
 
-def test_a_made_writeable_array_is_scanned_again():
-    a = densify(sparse.eye_array(80, dtype=np.complex128, format="csc"))
-    assert sparse_form(a).nnz == 80
-    a.flags.writeable = True
-    a[0, 1] = 2.0
-    assert sparse_form(a).nnz == 81
+@pytest.mark.parametrize("end", ["MATINV+", "DET+"])
+def test_the_dense_view_and_the_csc_parts_are_read_only(cycle_ends, end):
+    inst = cycle_ends[end]
+    a = inst.matrix
+    assert inst.matrices[0] is a  # densified once, then kept
+    assert a.flags.c_contiguous
+    for part in (a, inst.forms[0].data, inst.forms[0].indices, inst.forms[0].indptr):
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part.flat[0] = part.flat[0]
+
+
+def test_a_det_plus_cycle_decides_without_a_dense_copy():
+    # one dense 3528 x 3528 complex array is 199 MB
+    src = _det_plus_cycle_instance(5, True)
+    tracemalloc.start()
+    try:
+        end, _ = chain(src, DET_PLUS_CYCLE)
+        decision = oracle_decide(end, check="gap")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert end.params.n == 3528
+    assert decision.value is DecisionValue.ONE
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"

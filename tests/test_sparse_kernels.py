@@ -1,17 +1,22 @@
 """The matcore kernels on the reductions' nearly empty matrices.
 
-``inverse_entry``, ``log_abs_det`` and ``gram`` compute on a sparse copy
-when at most 1/64 of the matrix is nonzero.  Here they are checked against
-dense LAPACK on the largest matrices the package builds: the ends of both
-reduction cycles and a compiled h = 2 circuit.
+``inverse_entry``, ``log_abs_det`` and ``gram`` take a dense array or a
+SciPy sparse matrix, and compute on the sparse form when at most 1/64 of
+the matrix is nonzero.  Here they are checked against dense LAPACK on the
+largest matrices the package builds, both as the instance stores them and
+as dense arrays: the ends of both reduction cycles and a compiled h = 2
+circuit; and on either form of small matrices on each side of the cutoff.
 """
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from condred.circuits import append_cleanup, eliminate_measurements
 from condred.matcore import gram, inverse_entry, log_abs_det, sparse_form
+from condred.problems import ConditionParams, Kind, ProblemInstance
 from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, chain
+from conftest import random_complex
 from test_acceptance import _det_plus_cycle_instance, _matinv_plus_cycle_instance
 from test_circuits import forced_circuit
 
@@ -56,6 +61,7 @@ def end_instance(request):
 
 
 def test_end_matrices_take_the_sparse_path(end_instance):
+    assert sparse.issparse(end_instance.forms[0])
     sp = sparse_form(end_instance.matrix)
     assert sp is not None
     assert sp.nnz == np.count_nonzero(end_instance.matrix)
@@ -72,16 +78,18 @@ def test_inverse_entry_matches_dense(end_instance):
         pairs.append((end_instance.s, end_instance.t))
     for s, t in pairs:
         want = _dense_inverse_entry(a, s, t)
-        got = inverse_entry(a, s, t)
         assert want != 0
-        assert abs(got - want) <= ENTRY_RTOL * abs(want), (s, t, got, want)
+        for form in (a, end_instance.forms[0]):
+            got = inverse_entry(form, s, t)
+            assert abs(got - want) <= ENTRY_RTOL * abs(want), (s, t, got, want)
 
 
 def test_log_abs_det_matches_dense(end_instance):
     a = end_instance.matrix
     want = float(np.linalg.slogdet(a)[1])
-    got = log_abs_det(a)
-    assert abs(got - want) <= LOGDET_RTOL * abs(want), (got, want)
+    for form in (a, end_instance.forms[0]):
+        got = log_abs_det(form)
+        assert abs(got - want) <= LOGDET_RTOL * abs(want), (got, want)
 
 
 @pytest.mark.parametrize("left", [True, False])
@@ -92,6 +100,72 @@ def test_gram_matches_dense_and_is_hermitian(end_instance, left):
     assert isinstance(got, np.ndarray) and got.flags.c_contiguous
     assert np.max(np.abs(got - want)) <= 1e-13
     assert np.array_equal(got, got.conj().T)
+    kept = gram(end_instance.forms[0], left=left)
+    assert sparse.issparse(kept)
+    assert np.array_equal(kept.toarray(), got)
+
+
+N = 80
+
+
+def _nearly_empty(rng):
+    """The diagonal and at most 20 more entries: at most N^2/64 nonzeros."""
+    a = np.diag(1.0 + rng.uniform(size=N)).astype(complex)
+    rows, cols = rng.integers(0, N, size=(2, 20))
+    a[rows, cols] += 0.3 * random_complex(rng, 1, 20)[0]
+    return a
+
+
+def _denser(rng):
+    """About a third of the entries nonzero."""
+    return np.eye(N) + random_complex(rng, N, N) * (rng.uniform(size=(N, N)) < 0.3) / N
+
+
+@pytest.mark.parametrize("make", [_nearly_empty, _denser])
+@pytest.mark.parametrize("form", ["dense", "csc"])
+def test_kernels_take_either_form_on_either_side_of_the_cutoff(rng, make, form):
+    a = make(rng)
+    assert (sparse_form(a) is None) == (make is _denser)
+    m = a if form == "dense" else sparse.csc_array(a)
+    for s, t in ((1, 1), (3, 70), (N, 2)):
+        want = _dense_inverse_entry(a, s, t)
+        assert abs(inverse_entry(m, s, t) - want) <= 1e-10 * max(1.0, abs(want)), (s, t)
+    want = float(np.linalg.slogdet(a)[1])
+    assert abs(log_abs_det(m) - want) <= 1e-10 * max(1.0, abs(want))
+    for left in (True, False):
+        g = gram(m, left=left)
+        if form == "dense":
+            assert isinstance(g, np.ndarray) and g.flags.c_contiguous
+        else:
+            assert sparse.issparse(g)
+            g = g.toarray()
+        assert np.max(np.abs(g - (a.conj().T @ a if left else a @ a.conj().T))) <= 1e-10
+        assert np.array_equal(g, g.conj().T)
+
+
+def test_an_instance_keeps_a_sparse_matrix_in_canonical_csc():
+    # a duplicate at (0, 0), an explicit zero at (2, 1), real entries
+    coo = sparse.coo_array(([1.0, 0.5, 2.0, 3.0, 0.0], ([0, 0, 1, 2, 2], [0, 0, 1, 2, 1])), shape=(3, 3))
+    inst = ProblemInstance(Kind.DET, ConditionParams(3, 1, 4.0, 0.1), (coo,), b=-1.0)
+    stored = inst.forms[0]
+    assert stored.format == "csc" and stored.dtype == np.complex128 and stored.nnz == 3
+    assert not any(p.flags.writeable for p in (stored.data, stored.indices, stored.indptr))
+    assert np.array_equal(inst.matrix, coo.toarray())
+    assert inst.matrix.flags.c_contiguous and not inst.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_a_sparse_matrix_with_a_non_finite_entry_is_refused(bad):
+    a = sparse.csc_array(np.diag(np.linspace(0.5, 1.0, N)).astype(complex))
+    a.data[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ProblemInstance(Kind.DET, ConditionParams(N, 1, 4.0, 0.1), (a,), b=-1.0)
+
+
+def test_a_non_square_sparse_matrix_is_refused():
+    a = sparse.csc_array(np.eye(N, N + 1, dtype=complex))
+    with pytest.raises(ValueError, match="square"):
+        ProblemInstance(Kind.DET, ConditionParams(N, 1, 4.0, 0.1), (a,), b=-1.0)
 
 
 def test_small_matrices_stay_dense(rng):
