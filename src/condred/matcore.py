@@ -82,6 +82,12 @@ def svd_values(a) -> np.ndarray:
     return s
 
 
+def is_sparse(a) -> bool:
+    """Whether ``a`` is a SciPy sparse matrix; never imports SciPy."""
+    sparse = sys.modules.get("scipy.sparse")  # not loaded: ``a`` cannot be sparse
+    return sparse is not None and sparse.issparse(a)
+
+
 def as_form(a, *, square: bool = False):
     """:func:`as_matrix` for a dense matrix; a SciPy sparse one becomes its
     canonical CSC form.
@@ -90,9 +96,10 @@ def as_form(a, *, square: bool = False):
     zeros and read-only parts.  Shape and finiteness are checked on the
     stored entries, without densifying.
     """
-    sparse = sys.modules.get("scipy.sparse")  # not loaded: ``a`` cannot be sparse
-    if sparse is None or not sparse.issparse(a):
+    if not is_sparse(a):
         return as_matrix(a, square=square)
+    from scipy import sparse
+
     sp = sparse.csc_array(a, dtype=np.complex128, copy=True)
     if square and sp.shape[0] != sp.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {sp.shape}")

@@ -147,6 +147,11 @@ class ProblemInstance:
     def matrix(self) -> np.ndarray:
         return self.matrices[0]
 
+    @cached_property
+    def quantity(self) -> float | complex | None:
+        """:func:`decision_quantity`, computed on first read and kept."""
+        return _quantity(self)
+
 
 class DecisionValue(str, enum.Enum):
     ONE = "One"
@@ -232,7 +237,15 @@ def decision_quantity(inst: ProblemInstance) -> float | complex | None:
     Both read the stored form and run sparse when it is nearly empty.  The
     MATINV family returns None when its matrix is exactly singular: the
     inverse entry does not exist, which breaks the promise.
+
+    An instance is immutable, so its quantity is computed once and kept on
+    it (``inst.quantity``), as its dense view is: the identity residual, the
+    promise check and the oracle of one command share one factorization.
     """
+    return inst.quantity
+
+
+def _quantity(inst: ProblemInstance) -> float | complex | None:
     kind, p = inst.kind, inst.params
     if kind in (Kind.DET, Kind.DET_PLUS):
         return log_abs_det(inst.forms[0])
@@ -302,11 +315,6 @@ def _gap_checks(inst: ProblemInstance, q: float | complex | None, tol: float) ->
 
 def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseReport:
     """Measure every Promise clause of the instance's problem definition."""
-    return _promise_report(inst, decision_quantity(inst), tol)
-
-
-def _promise_report(inst: ProblemInstance, q: float | complex | None, tol: float) -> PromiseReport:
-    """Every Promise clause, given the instance's decision quantity ``q``."""
     kind, p = inst.kind, inst.params
     checks: list[PromiseCheck] = []
 
@@ -335,7 +343,7 @@ def _promise_report(inst: ProblemInstance, q: float | complex | None, tol: float
         if kind is Kind.V_MATINV:
             checks.append(PromiseCheck("|b| <= kappa", p.kappa, abs(inst.b), abs(inst.b) <= p.kappa + tol))
 
-    checks.extend(_gap_checks(inst, q, tol))
+    checks.extend(_gap_checks(inst, decision_quantity(inst), tol))
     return PromiseReport(tuple(checks))
 
 
@@ -357,7 +365,7 @@ def oracle_decide(
     if q is None:
         return Decision(DecisionValue.PROMISE_VIOLATED)
     if check == "full":
-        if not _promise_report(inst, q, tol).overall:
+        if not check_promise(inst, tol).overall:
             return Decision(DecisionValue.PROMISE_VIOLATED, q)
     elif check == "gap":
         if not all(c.passed for c in _gap_checks(inst, q, tol)):

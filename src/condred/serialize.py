@@ -3,15 +3,24 @@
 Schemas (field names are load-bearing, consumed by the CLI and the tests):
 
 * matrix:   {"rows": r, "cols": c, "data": [[re, im], ...]} row-major
+* sparse:   {"format": "coo", "rows": r, "cols": c,
+             "entries": [[i, j, re, im], ...]}; indices 0-based, each
+             position at most once, written in row-major order
 * instance: {"type", "params": {"n", "m", "kappa", "epsilon"},
              "matrices": [...], "s", "t", "E", "b"}; "b" is a number or
-             [re, im]; "s"/"t"/"E" appear only when the problem uses them
+             [re, im]; "s"/"t"/"E" appear only when the problem uses them.
+             A matrix the instance stores sparse (CSC) is written as COO,
+             a dense one in the dense schema; reading gives back the form
+             it was written from.
 * circuit:  {"qubits", "merlin_qubits", "gates": [{"kind": "unitary" |
              "kraus" | "measure" | "reset", "targets": [...],
-             "matrices": [...]}]}
+             "matrices": [...]}]}; gate matrices use the dense schema
 
 Floats are emitted as Python's shortest round-trip decimal form, which is
 exact for double precision and keeps equal inputs byte-identical on disk.
+Sizes, indices and qubit numbers must be JSON integers and matrix values
+finite numbers; anything else is a :class:`SchemaError`.  A COO matrix's
+shape is checked against ``params.n`` before anything of that size is built.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import json
 import numpy as np
 
 from .circuits import ChannelGate, GeneralCircuit, kraus_gate, measure_gate, reset_gate, unitary_gate
+from .matcore import as_form, is_sparse
 from .problems import ConditionParams, Kind, ProblemInstance
 
 
@@ -30,24 +40,112 @@ class SchemaError(ValueError):
     """Malformed document for one of the package's JSON schemas."""
 
 
-def matrix_to_json(a: np.ndarray) -> dict:
+def _integer(x, what: str) -> int:
+    """A JSON integer; a float, a string or a bool is not one."""
+    if type(x) is not int:
+        raise SchemaError(f"{what} {x!r} is not an integer")
+    return x
+
+
+def _parts(v: np.ndarray) -> tuple[list, list]:
+    return v.real.tolist(), v.imag.tolist()
+
+
+def matrix_to_json(a) -> dict:
+    """The dense schema for an array; the COO schema for a SciPy sparse
+    matrix, which is never densified."""
+    if is_sparse(a):
+        coo = as_form(a).tocoo()  # canonical: no repeated positions, no zeros
+        order = np.lexsort((coo.col, coo.row))
+        return {
+            "format": "coo",
+            "rows": int(coo.shape[0]),
+            "cols": int(coo.shape[1]),
+            "entries": [
+                list(e)
+                for e in zip(coo.row[order].tolist(), coo.col[order].tolist(), *_parts(coo.data[order]))
+            ],
+        }
     a = np.asarray(a, dtype=np.complex128)
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "data": [[float(x.real), float(x.imag)] for x in a.reshape(-1)],
+        "data": [list(p) for p in zip(*_parts(a.reshape(-1)))],
     }
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def _values(re: list, im: list) -> np.ndarray:
+    """complex128 array from parallel lists of finite JSON numbers."""
+    if not all(type(x) in (int, float) for x in itertools.chain(re, im)):
+        raise SchemaError("matrix values must be numbers")
+    out = np.empty(len(re), dtype=np.complex128)
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        out.real, out.imag = re, im
+    except OverflowError as exc:
+        raise SchemaError(f"matrix value out of range: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise SchemaError("matrix values must be finite")
+    return out
+
+
+def _shape(obj) -> tuple[int, int]:
+    rows, cols = _integer(obj["rows"], "rows"), _integer(obj["cols"], "cols")
+    if rows < 0 or cols < 0:
+        raise SchemaError(f"negative matrix shape {rows}x{cols}")
+    return rows, cols
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    """A matrix in the dense schema."""
+    try:
+        if "format" in obj:
+            raise SchemaError(f"expected the dense matrix schema, got format {obj['format']!r}")
+        rows, cols = _shape(obj)
+        data = obj["data"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad matrix object: {exc}") from exc
-    if len(data) != rows * cols:
-        raise SchemaError(f"matrix data length {len(data)} != {rows}*{cols}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    return flat.reshape(rows, cols)
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise SchemaError(f"matrix data is not a list of {rows}*{cols} entries")
+    if not all(isinstance(p, list) and len(p) == 2 for p in data):
+        raise SchemaError("dense matrix entries must be [re, im] pairs")
+    return _values([p[0] for p in data], [p[1] for p in data]).reshape(rows, cols)
+
+
+def _coo_from_json(obj, n: int):
+    """An n x n matrix in the COO schema, as a SciPy sparse matrix.  Every
+    entry is checked before anything of the named shape is built."""
+    try:
+        shape = _shape(obj)
+        entries = obj["entries"]
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"bad matrix object: {exc}") from exc
+    if shape != (n, n):
+        raise SchemaError(f"COO matrix is {shape[0]}x{shape[1]}, but params.n = {n}")
+    if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 4 for e in entries):
+        raise SchemaError("COO entries must be [i, j, re, im] lists")
+    i, j, re, im = (list(c) for c in zip(*entries)) if entries else ([], [], [], [])
+    for x in itertools.chain(i, j):
+        if type(x) is not int or not 0 <= x < n:
+            raise SchemaError(f"COO index {x!r} is not an integer in [0, {n})")
+    values = _values(re, im)
+    i, j = np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
+    order = np.lexsort((j, i))
+    i, j = i[order], j[order]
+    if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
+        raise SchemaError("COO matrix repeats a position")
+    from scipy import sparse
+
+    return sparse.coo_array((values[order], (i, j)), shape=shape)
+
+
+def _instance_matrix(obj, n: int):
+    """An instance matrix in the dense or the COO schema."""
+    fmt = obj.get("format") if isinstance(obj, dict) else None
+    if fmt is None:
+        return matrix_from_json(obj)
+    if fmt != "coo":
+        raise SchemaError(f"unknown matrix format {fmt!r}")
+    return _coo_from_json(obj, n)
 
 
 def _b_to_json(b):
@@ -79,7 +177,7 @@ def instance_to_json(inst: ProblemInstance) -> dict:
             "kappa": inst.params.kappa,
             "epsilon": inst.params.epsilon,
         },
-        "matrices": [matrix_to_json(a) for a in inst.matrices],
+        "matrices": [matrix_to_json(a) for a in inst.forms],
     }
     if inst.s is not None:
         out["s"] = inst.s
@@ -99,7 +197,9 @@ def instance_from_json(obj) -> ProblemInstance:
         params = ConditionParams(
             n=p["n"], m=p["m"], kappa=float(p["kappa"]), epsilon=float(p["epsilon"])
         )
-        matrices = tuple(matrix_from_json(m) for m in obj["matrices"])
+        matrices = tuple(_instance_matrix(m, params.n) for m in obj["matrices"])
+    except SchemaError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad instance object: {exc}") from exc
     e = obj.get("E")
@@ -133,37 +233,42 @@ def circuit_to_json(circ: GeneralCircuit) -> dict:
 def gate_from_json(obj, h: int) -> ChannelGate:
     try:
         kind = obj["kind"]
-        targets = tuple(int(q) for q in obj.get("targets", ()))
-    except (KeyError, TypeError) as exc:
+        targets = tuple(_integer(q, "target") for q in obj.get("targets", ()))
+        mats = [matrix_from_json(m) for m in obj.get("matrices", ())]
+    except (KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"bad gate object: {exc}") from exc
-    if kind == "unitary":
-        mats = [matrix_from_json(m) for m in obj.get("matrices", ())]
-        if len(mats) != 1:
-            raise SchemaError("unitary gate needs exactly one matrix")
-        return unitary_gate(mats[0], targets, h)
-    if kind == "kraus":
-        mats = [matrix_from_json(m) for m in obj.get("matrices", ())]
-        if not mats:
-            raise SchemaError("kraus gate needs at least one matrix")
-        return kraus_gate(mats, targets, h)
-    if kind == "measure":
-        if len(targets) != 1:
-            raise SchemaError("measure gate acts on exactly one qubit")
-        return measure_gate(targets[0], h)
-    if kind == "reset":
-        if len(targets) != 1:
-            raise SchemaError("reset gate acts on exactly one qubit")
-        return reset_gate(targets[0], h)
+    if kind == "unitary" and len(mats) != 1:
+        raise SchemaError("unitary gate needs exactly one matrix")
+    if kind == "kraus" and not mats:
+        raise SchemaError("kraus gate needs at least one matrix")
+    if kind in ("measure", "reset") and len(targets) != 1:
+        raise SchemaError(f"{kind} gate acts on exactly one qubit")
+    try:
+        if kind == "unitary":
+            return unitary_gate(mats[0], targets, h)
+        if kind == "kraus":
+            return kraus_gate(mats, targets, h)
+        if kind == "measure":
+            return measure_gate(targets[0], h)
+        if kind == "reset":
+            return reset_gate(targets[0], h)
+    except ValueError as exc:  # targets outside 1..h, a shape or a Kraus set that does not fit
+        raise SchemaError(f"bad {kind} gate: {exc}") from exc
     raise SchemaError(f"unknown gate kind {kind!r}")
 
 
 def circuit_from_json(obj) -> GeneralCircuit:
     try:
-        h = int(obj["qubits"])
-        merlin = int(obj.get("merlin_qubits", 0))
-        gates = tuple(gate_from_json(g, h) for g in obj["gates"])
-    except (KeyError, TypeError) as exc:
+        h = _integer(obj["qubits"], "qubits")
+        merlin = _integer(obj.get("merlin_qubits", 0), "merlin_qubits")
+        docs = obj["gates"]
+    except (KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"bad circuit object: {exc}") from exc
+    if h < 1:
+        raise SchemaError(f"qubits = {h}; a circuit needs at least one qubit")
+    if not isinstance(docs, list):
+        raise SchemaError("gates must be a list")
+    gates = tuple(gate_from_json(g, h) for g in docs)
     try:
         return GeneralCircuit(h, gates, merlin)
     except ValueError as exc:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import sparse
 from hypothesis import strategies as st
 
 from condred.circuits import GeneralCircuit, append_cleanup, simulate_acceptance, unitary_gate
@@ -171,17 +172,21 @@ class TestCli:
                    "--out", tmp_path / "o.json") == 2
 
     def test_chain_equals_repeated_reduce(self, tmp_path):
-        src = tmp_path / "pow.json"
-        run("gen", "--kind", "MATPOW", "--n", 2, "--m", 3, "--kappa", 2,
-            "--epsilon", 0.02, "--seed", 3, "--decision", "one", "--out", src)
-        step1 = tmp_path / "s1.json"
-        step2 = tmp_path / "s2.json"
-        assert run("reduce", src, "--rule", "matpow_to_matinv", "--out", step1) == 0
-        assert run("reduce", step1, "--rule", "matinv_to_posmatinv", "--out", step2) == 0
-        chained = tmp_path / "chained.json"
-        assert run("chain", src, "--rules", "matpow_to_matinv,matinv_to_posmatinv",
-                   "--out", chained) == 0
-        assert chained.read_bytes() == step2.read_bytes()
+        # n = 8, m = 15 builds the intermediate MATINV (n = 128) above the
+        # 1/64 cutoff, so the file between the two reduce calls is COO
+        for n, m, schema in ((2, 3, "data"), (8, 15, "entries")):
+            src = tmp_path / f"pow{n}.json"
+            run("gen", "--kind", "MATPOW", "--n", n, "--m", m, "--kappa", 2,
+                "--epsilon", 0.02, "--seed", 3, "--decision", "one", "--out", src)
+            step1 = tmp_path / f"s1_{n}.json"
+            step2 = tmp_path / f"s2_{n}.json"
+            assert run("reduce", src, "--rule", "matpow_to_matinv", "--out", step1) == 0
+            assert schema in json.loads(step1.read_text())["matrices"][0]
+            assert run("reduce", step1, "--rule", "matinv_to_posmatinv", "--out", step2) == 0
+            chained = tmp_path / f"chained{n}.json"
+            assert run("chain", src, "--rules", "matpow_to_matinv,matinv_to_posmatinv",
+                       "--out", chained) == 0
+            assert chained.read_bytes() == step2.read_bytes()
 
     def test_chain_ill_typed(self, inst_file, tmp_path):
         assert run("chain", inst_file, "--rules", "det_to_posdet",
@@ -295,8 +300,9 @@ class TestCli:
         assert len(calls) == 1
         calls.clear()
         assert run("reduce", inst_file, "--rule", "matinv_to_posmatinv", "--out", tmp_path / "o.json") == 0
-        # the identity residual reads both quantities, then each decision its own
-        assert len(calls) == 4
+        # one per instance: the identity residual, the promise checks and the
+        # decisions share the quantity kept on each instance
+        assert len(calls) == 2
 
     def test_self_test_flag(self, capsys):
         assert run("--self-test") == 0
@@ -323,6 +329,27 @@ def _mutated(kind, change, command, *options):
 
 def _singular(doc):
     doc["matrices"] = [matrix_to_json(np.diag([1.0, 1.0, 0.0]))]
+
+
+def _coo(change):
+    """Write the instance's 3 x 3 matrix as COO, then ``change`` that object."""
+
+    def edit(doc):
+        doc["matrices"] = [matrix_to_json(sparse.csc_array(matrix_from_json(doc["matrices"][0])))]
+        change(doc["matrices"][0])
+
+    return edit
+
+
+def _entry(k, value):
+    """Item ``k`` of the first COO entry set to ``value``, and the other
+    entries dropped, so that no other entry can sit where it points."""
+
+    def edit(m):
+        m["entries"][0][k] = value
+        del m["entries"][1:]
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -358,6 +385,32 @@ def _singular(doc):
         pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(n=3.0), "solve"), 2, id="n=3.0"),
         pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(m=True), "solve"), 2, id="m=true"),
         pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(m="1"), "solve"), 2, id="m='1'"),
+        pytest.param(_mutated(Kind.MATINV, _coo(lambda m: None), "solve"), 0, id="COO unchanged reads back"),
+        pytest.param(_mutated(Kind.MATINV, _coo(_entry(0, 1.5)), "solve"), 2, id="COO index 1.5"),
+        pytest.param(_mutated(Kind.MATINV, _coo(_entry(1, True)), "solve"), 2, id="COO index true"),
+        pytest.param(_mutated(Kind.MATINV, _coo(_entry(1, "0")), "solve"), 2, id="COO index '0'"),
+        pytest.param(_mutated(Kind.MATINV, _coo(_entry(0, 3)), "solve"), 2, id="COO index n"),
+        pytest.param(_mutated(Kind.MATINV, _coo(_entry(1, -1)), "solve"), 2, id="COO index -1"),
+        pytest.param(_mutated(Kind.MATINV, _coo(lambda m: m["entries"].append(list(m["entries"][1]))), "solve"), 2,
+                     id="COO repeated position"),
+        pytest.param(_mutated(Kind.MATINV, _coo(lambda m: m["entries"][0].pop()), "solve"), 2, id="COO entry of 3"),
+        pytest.param(_mutated(Kind.MATINV, _coo(lambda m: m["entries"][0].append(0.0)), "solve"), 2,
+                     id="COO entry of 5"),
+        pytest.param(_mutated(Kind.MATINV, _coo(_entry(2, math.nan)), "solve"), 2, id="COO NaN"),
+        pytest.param(_mutated(Kind.MATINV, _coo(_entry(3, -math.inf)), "solve"), 2, id="COO -Infinity"),
+        pytest.param(_mutated(Kind.MATINV, _coo(_entry(2, "1")), "solve"), 2, id="COO value '1'"),
+        pytest.param(_mutated(Kind.MATINV, _coo(lambda m: m.update(format="csr")), "solve"), 2, id="format csr"),
+        pytest.param(_mutated(Kind.MATINV, _coo(lambda m: m.update(rows=4, cols=4)), "solve"), 2, id="COO 4x4, n=3"),
+        pytest.param(_mutated(Kind.MATINV, _coo(lambda m: m.update(rows=2**40, cols=2**40)), "solve"), 2,
+                     id="COO 2^40 x 2^40, n=3"),
+        pytest.param(_mutated(Kind.MATINV, _coo(lambda m: m.update(rows=3.0)), "solve"), 2, id="COO rows 3.0"),
+        pytest.param(_mutated(Kind.MATINV, _coo(lambda m: m.update(entries={})), "solve"), 2, id="COO entries {}"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d["matrices"][0].update(rows=1.5), "solve"), 2,
+                     id="dense rows 1.5"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d["matrices"][0]["data"].__setitem__(0, [1]), "solve"), 2,
+                     id="dense entry [1]"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d["matrices"][0]["data"].__setitem__(0, [10**400, 0]),
+                              "solve"), 2, id="dense entry 1e400"),
     ],
 )
 def test_bad_input_exits_without_traceback(make_argv, code, tmp_path, capsys):
@@ -365,6 +418,43 @@ def test_bad_input_exits_without_traceback(make_argv, code, tmp_path, capsys):
     # a singular matrix is a promise violation (exit 1)
     assert run(*make_argv(tmp_path)) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _matrix(**fields):
+    """X in the dense schema, with ``fields`` replaced."""
+    return {"rows": 2, "cols": 2, "data": [[0, 0], [1, 0], [1, 0], [0, 0]], **fields}
+
+
+def _circuit(qubits=1, **gate):
+    """A one-gate circuit document: X on qubit 1, with ``gate``'s fields."""
+    return {"qubits": qubits, "merlin_qubits": 0,
+            "gates": [{"kind": "unitary", "targets": [1], "matrices": [_matrix()], **gate}]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param(_circuit(matrices=[_matrix(data=[[0, 0], [1], [1, 0], [0, 0]])]), id="entry [1]"),
+        pytest.param(_circuit(matrices=[_matrix(data=[[0, 0], [math.nan, 0], [1, 0], [0, 0]])]), id="NaN entry"),
+        pytest.param(_circuit(targets=[5]), id="target 5, h=1"),
+        pytest.param(_circuit(targets=[0]), id="target 0"),
+        pytest.param(_circuit(targets=[1.5]), id="target 1.5"),
+        pytest.param(_circuit(targets=[True]), id="target true"),
+        pytest.param(_circuit(qubits=0), id="qubits 0"),
+        pytest.param(_circuit(qubits="1"), id="qubits '1'"),
+        pytest.param(_circuit(matrices=[_matrix(rows=2.5)]), id="rows 2.5"),
+        pytest.param(_circuit(kind="kraus", matrices=[_matrix(data=[[0.5, 0], [0, 0], [0, 0], [0.5, 0]])]),
+                     id="not trace preserving"),
+        pytest.param(_circuit(matrices=[{"format": "coo", "rows": 2, "cols": 2,
+                                         "entries": [[0, 1, 1.0, 0.0], [1, 0, 1.0, 0.0]]}]), id="COO gate matrix"),
+    ],
+)
+def test_bad_circuit_exits_without_traceback(doc, tmp_path, capsys):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc))
+    assert run("compile-circuit", path, "--out", tmp_path / "out.json") == 2
+    assert capsys.readouterr().err.startswith("schema error: ")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_singular_reduce_reports_promise_violated(tmp_path, capsys):
