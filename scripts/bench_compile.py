@@ -12,7 +12,7 @@ instance it wrote, its dimension and the decision line it printed.
 
 Usage (from the root of a checkout):
 
-    python scripts/bench_compile.py --out bench/BENCH_compile.json [--qubits 2 3 4]
+    python scripts/bench_compile.py --out bench/BENCH_compile.json
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from condred.serialize import circuit_to_json, save_json  # noqa: E402
 
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+QUBITS = (2, 3, 4)
 
 
 def forced_circuit(h: int, accept: bool) -> GeneralCircuit:
@@ -113,11 +114,10 @@ def compile_once(h: int, accept: bool, workdir: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="where to write the JSON result")
-    parser.add_argument("--qubits", type=int, nargs="+", default=[2, 3, 4])
     args = parser.parse_args()
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-compile-") as tmp:
-        for h in args.qubits:
+        for h in QUBITS:
             for accept in (True, False):
                 record = compile_once(h, accept, Path(tmp))
                 runs.append(record)
