@@ -159,6 +159,33 @@ def cmd_verify(args) -> int:
     return EXIT_PROMISE if any_fail else EXIT_OK
 
 
+def _decide_ends(args, started, doc, inst, out, records, command, head: str, extra: dict) -> int:
+    """The tail shared by ``reduce`` and ``chain``: save ``out``, decide both
+    ends, print ``head`` followed by the two decisions, and write the report
+    (``extra`` goes before the decisions).  Exit 1 when the source violates
+    its promise or the decisions disagree."""
+    out_digest = save_json(instance_to_json(out), args.out)
+    src_dec = oracle_decide(inst, tol=args.tol, check=args.check)
+    dst_dec = oracle_decide(out, tol=args.tol, check=args.check)
+    agree = src_dec.value == dst_dec.value
+    print(f"{head}decisions {src_dec.value.value}/{dst_dec.value.value} {'agree' if agree else 'DISAGREE'}")
+    _emit_report(
+        args.report,
+        {
+            "command": command,
+            "input_digest": digest(doc),
+            "output_digest": out_digest,
+            **extra,
+            "decisions": {"source": _decision_json(src_dec), "target": _decision_json(dst_dec)},
+            "provenance": [_record_to_json(r) for r in records],
+        },
+        started,
+    )
+    if src_dec.value is DecisionValue.PROMISE_VIOLATED or not agree:
+        return EXIT_PROMISE
+    return EXIT_OK
+
+
 def cmd_reduce(args) -> int:
     started = time.perf_counter()
     doc = load_json(args.path)
@@ -170,31 +197,13 @@ def cmd_reduce(args) -> int:
     if args.measure:
         rec = reductions.measure_record(rec, inst, out)
     residual = reductions.identity_residual(args.rule, inst, out)
-    out_digest = save_json(instance_to_json(out), args.out)
-    src_dec = oracle_decide(inst, tol=args.tol, check=args.check)
-    dst_dec = oracle_decide(out, tol=args.tol, check=args.check)
-    agree = src_dec.value == dst_dec.value
-    print(
+    head = (
         f"{args.rule}: {inst.kind.value} (n={inst.params.n}) -> {out.kind.value} "
         f"(n={out.params.n}); identity residual "
-        f"{'undefined' if residual is None else f'{residual:.3e}'}; decisions "
-        f"{src_dec.value.value}/{dst_dec.value.value} {'agree' if agree else 'DISAGREE'}"
+        f"{'undefined' if residual is None else f'{residual:.3e}'}; "
     )
-    _emit_report(
-        args.report,
-        {
-            "command": ["reduce", args.rule],
-            "input_digest": digest(doc),
-            "output_digest": out_digest,
-            "identity_residual": residual,
-            "decisions": {"source": _decision_json(src_dec), "target": _decision_json(dst_dec)},
-            "provenance": [_record_to_json(rec)],
-        },
-        started,
-    )
-    if src_dec.value is DecisionValue.PROMISE_VIOLATED or not agree:
-        return EXIT_PROMISE
-    return EXIT_OK
+    return _decide_ends(args, started, doc, inst, out, [rec], ["reduce", args.rule], head,
+                        {"identity_residual": residual})
 
 
 def cmd_chain(args) -> int:
@@ -206,28 +215,8 @@ def cmd_chain(args) -> int:
         out, records = reductions.chain(inst, path)
     except (KeyError, ValueError) as exc:
         return _refused(exc)
-    out_digest = save_json(instance_to_json(out), args.out)
-    src_dec = oracle_decide(inst, tol=args.tol, check=args.check)
-    dst_dec = oracle_decide(out, tol=args.tol, check=args.check)
-    agree = src_dec.value == dst_dec.value
-    print(
-        f"chain of {len(path)} rules: {inst.kind.value} -> {out.kind.value} (n={out.params.n}); "
-        f"decisions {src_dec.value.value}/{dst_dec.value.value} {'agree' if agree else 'DISAGREE'}"
-    )
-    _emit_report(
-        args.report,
-        {
-            "command": ["chain", args.rules],
-            "input_digest": digest(doc),
-            "output_digest": out_digest,
-            "decisions": {"source": _decision_json(src_dec), "target": _decision_json(dst_dec)},
-            "provenance": [_record_to_json(r) for r in records],
-        },
-        started,
-    )
-    if src_dec.value is DecisionValue.PROMISE_VIOLATED or not agree:
-        return EXIT_PROMISE
-    return EXIT_OK
+    head = f"chain of {len(path)} rules: {inst.kind.value} -> {out.kind.value} (n={out.params.n}); "
+    return _decide_ends(args, started, doc, inst, out, records, ["chain", args.rules], head, {})
 
 
 def cmd_compile_circuit(args) -> int:

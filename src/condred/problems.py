@@ -457,6 +457,14 @@ def _place_b(q: float, want_one: bool, epsilon: float) -> float:
     return q + epsilon + margin
 
 
+def _with_b(inst: ProblemInstance, b: float | complex) -> ProblemInstance:
+    """``inst`` with threshold ``b``; it keeps the decision quantity computed
+    on ``inst``, which does not depend on b."""
+    out = replace(inst, b=b)
+    vars(out)["quantity"] = inst.quantity
+    return out
+
+
 def gen_instance(
     kind: Kind | str,
     params: ConditionParams,
@@ -491,7 +499,7 @@ def gen_instance(
         b = q - margin if want_one else q + eps + margin
         if b > 0:
             raise InfeasibleParams(f"computed b={b} > 0 for {kind.value}")
-        return replace(inst, b=b)
+        return _with_b(inst, b)
 
     if kind in (Kind.MATINV, Kind.V_MATINV):
         a = _conditioned(n, 1.0 / kappa, 1.0, rng)
@@ -500,15 +508,15 @@ def gen_instance(
         inst = ProblemInstance(kind, params, (a,), s=s, t=t, b=0.0)
         q = decision_quantity(inst)
         if kind is Kind.V_MATINV:
-            return replace(inst, b=_place_verification_b(q, want_one, eps, cap=kappa))
-        return replace(inst, b=max(0.0, _place_b(abs(q), want_one, eps)))
+            return _with_b(inst, _place_verification_b(q, want_one, eps, cap=kappa))
+        return _with_b(inst, max(0.0, _place_b(abs(q), want_one, eps)))
 
     if kind is Kind.MATINV_PLUS:
         h = _hermitian_posdef(n, 1.0 / kappa, 1.0, rng)
         s = t = int(rng.integers(1, n + 1))  # diagonal entry: real, >= 1
         inst = ProblemInstance(kind, params, (h,), s=s, t=t, b=0.0)
         q = float(np.real(decision_quantity(inst)))
-        return replace(inst, b=max(0.0, _place_b(q, want_one, eps)))
+        return _with_b(inst, max(0.0, _place_b(q, want_one, eps)))
 
     if kind in (Kind.MATPOW, Kind.V_MATPOW):
         a = _contraction(n, rng)
@@ -517,8 +525,8 @@ def gen_instance(
         inst = ProblemInstance(kind, params, (a,), s=s, t=t, b=0.0)
         q = decision_quantity(inst)
         if kind is Kind.V_MATPOW:
-            return replace(inst, b=_place_verification_b(q, want_one, eps, cap=None))
-        return replace(inst, b=max(0.0, _place_b(abs(q), want_one, eps)))
+            return _with_b(inst, _place_verification_b(q, want_one, eps, cap=None))
+        return _with_b(inst, max(0.0, _place_b(abs(q), want_one, eps)))
 
     if kind in (Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, Kind.V_ITMATPROD):
         mats = tuple(_contraction(n, rng) for _ in range(m))
@@ -539,10 +547,10 @@ def gen_instance(
         inst = ProblemInstance(kind, params, mats, s=s, t=t, b=0.0)
         q = decision_quantity(inst)
         if kind is Kind.V_ITMATPROD:
-            return replace(inst, b=_place_verification_b(q, want_one, eps, cap=None))
+            return _with_b(inst, _place_verification_b(q, want_one, eps, cap=None))
         if kind is Kind.ITMATPROD_NONNEG:
-            return replace(inst, b=max(0.0, _place_b(float(np.real(q)), want_one, eps)))
-        return replace(inst, b=max(0.0, _place_b(abs(q), want_one, eps)))
+            return _with_b(inst, max(0.0, _place_b(float(np.real(q)), want_one, eps)))
+        return _with_b(inst, max(0.0, _place_b(abs(q), want_one, eps)))
 
     if kind is Kind.SUMITMATPROD:
         mats = tuple(_contraction(n, rng) for _ in range(m))
@@ -552,7 +560,7 @@ def gen_instance(
         pairs = tuple(all_pairs[i] for i in sorted(picks))
         inst = ProblemInstance(kind, params, mats, E=pairs, b=0.0)
         q = decision_quantity(inst)
-        return replace(inst, b=max(0.0, _place_b(abs(q), want_one, eps)))
+        return _with_b(inst, max(0.0, _place_b(abs(q), want_one, eps)))
 
     if kind is Kind.SINGULAR:
         u = random_unitary(n, rng)

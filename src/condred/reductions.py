@@ -12,8 +12,12 @@ A rule is its builder, which declares each bound with the function that
 measures it, plus one :class:`Rule` entry in :data:`RULES`, which holds the
 defining identity written against :func:`condred.problems.decision_quantity`.
 
-All block constructions use the convention that ``s``, ``t`` and ``E`` are
-1-based (see :mod:`condred.problems`).
+Every block matrix a rule builds out of its input's matrices, identities
+and scalars is stated as a layout, a list of blocks and their positions, and
+assembled by one helper, :func:`_block_matrix`, in SciPy CSC form when it is
+nearly empty and as a dense array otherwise.  All block constructions use
+the convention that ``s``, ``t`` and ``E`` are 1-based (see
+:mod:`condred.problems`).
 
 Two printed-form corrections are applied deliberately:
 
@@ -118,15 +122,6 @@ def _quantity_difference(src: ProblemInstance, dst: ProblemInstance) -> float:
     return _off_by(dst, _quantity(src))
 
 
-def _superdiag_blocks(mats, n: int) -> np.ndarray:
-    """Block matrix with A_1..A_m immediately above the diagonal blocks."""
-    m = len(mats)
-    big = np.zeros((n * (m + 1), n * (m + 1)), dtype=np.complex128)
-    for r, a in enumerate(mats):
-        big[r * n : (r + 1) * n, (r + 1) * n : (r + 2) * n] = a
-    return big
-
-
 #: one n x n block of a layout: (block row, block column, sign, block), where
 #: the block is a number c, standing for c*I, or a matrix (dense or sparse)
 Block = tuple[int, int, int, object]
@@ -138,17 +133,18 @@ def _block_matrix(
     sources: tuple,
     layout: Callable[..., list[Block]],
     *,
-    scale: tuple[np.ufunc, float],
+    scale: tuple[np.ufunc, float] | None = None,
 ):
-    """The kn x kn matrix ``ufunc(B, c)``, for ``scale`` = (ufunc, c), of the
-    block matrix B that ``layout(*sources)`` lists.
+    """The kn x kn block matrix B that ``layout(*sources)`` lists, or
+    ``ufunc(B, c)`` for ``scale`` = (ufunc, c).
 
     The blocks do not overlap.  Each is added to zero at its block position,
     or subtracted from zero where its sign is negative (``0 - x``, not ``-x``,
     so zero parts stay +0.0); only the nonzero entries of a block are placed.
-    When the sources and the diagonal together fill at most 1/64 of the
-    output, B comes back in CSC form; otherwise as a dense array.  Both hold
-    the same entries, bit for bit.
+    When the sources, each counted once however often the layout places it,
+    and the diagonal together fill at most 1/64 of the output, B comes back
+    in CSC form; otherwise as a dense array.  Both hold the same entries,
+    bit for bit.
     """
     dim = n * k
     rows, cols, vals = [], [], []
@@ -167,8 +163,9 @@ def _block_matrix(
         vals.append(np.subtract(0.0, v) if sign < 0 else np.add(0.0, v))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     vals = np.concatenate(vals, dtype=np.complex128)
-    ufunc, c = scale
-    ufunc(vals, c, out=vals)
+    if scale is not None:
+        ufunc, c = scale
+        ufunc(vals, c, out=vals)
     if dim + sum(nonzeros(a) for a in sources) > SPARSE_DENSITY * dim * dim:
         out = np.zeros((dim, dim), dtype=np.complex128)
         out[rows, cols] = vals
@@ -187,7 +184,8 @@ def reduce_itmatprod_to_matpow(inst: ProblemInstance) -> tuple[ProblemInstance, 
         raise ValueError(f"rule needs ITMATPROD input, got {inst.kind.value}")
     p = inst.params
     n, m = p.n, p.m
-    big = _superdiag_blocks(inst.matrices, n)
+    # A_1, ..., A_m immediately above the diagonal blocks
+    big = _block_matrix(n, m + 1, inst.forms, layout=lambda *a: [(r, r + 1, 1, a[r]) for r in range(m)])
     out_kind = Kind.MATPOW if inst.kind is Kind.ITMATPROD else Kind.V_MATPOW
     out_params = ConditionParams(n * (m + 1), m, p.kappa, p.epsilon)
     out = ProblemInstance(out_kind, out_params, (big,), s=inst.s, t=n * m + inst.t, b=inst.b)
@@ -279,21 +277,20 @@ def reduce_posdet_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInstanc
     m_hat = logdet_terms(n, kappa, eps)
     x = np.eye(n, dtype=np.complex128) - inst.matrix  # I - H
     dim = n * (l_hat + m_hat)
-
-    def block(k: int) -> np.ndarray:
-        # k-th factor: identity on the first l_hat + (k-1) block rows, then
-        # (I-H) on the rest; the first factor additionally carries the -1/k
-        # weights of the log series
-        out = np.eye(dim, dtype=np.complex128)
-        for j in range(m_hat):
-            lo = n * (l_hat + j)
-            if k == 1:
-                out[lo : lo + n, lo : lo + n] = -x / (j + 1)
-            elif j >= k - 1:
-                out[lo : lo + n, lo : lo + n] = x
-        return out
-
-    mats = tuple(block(k) for k in range(1, m_hat + 1))
+    # k-th factor: identity on the first l_hat + (k-1) diagonal blocks, then
+    # I - H on the rest; the first factor instead carries -(I-H)/(j+1) in
+    # block l_hat + j, the weights of the log series
+    mats = tuple(
+        _block_matrix(
+            n, l_hat + m_hat, (x,),
+            layout=lambda x: [(r, r, 1, 1.0) for r in range(l_hat)] + [
+                (l_hat + j, l_hat + j, -1, x / (j + 1)) if k == 1
+                else (l_hat + j, l_hat + j, 1, x if j >= k - 1 else 1.0)
+                for j in range(m_hat)
+            ],
+        )
+        for k in range(1, m_hat + 1)
+    )
     pairs = tuple((d, d) for d in range(1, dim + 1))
     b_hat = n * l_hat + float(np.real(inst.b))
     out_params = ConditionParams(dim, m_hat, 1.0, eps / 2.0)
@@ -332,9 +329,9 @@ def reduce_itmatprod_to_nonneg(inst: ProblemInstance) -> tuple[ProblemInstance, 
         raise ValueError(f"rule needs ITMATPROD input, got {inst.kind.value}")
     p = inst.params
     n, m = p.n, p.m
-    mid = np.zeros((n, n), dtype=np.complex128)
-    mid[inst.t - 1, inst.t - 1] = 1.0
-    mats = inst.matrices + (mid,) + tuple(a.conj().T for a in reversed(inst.matrices))
+    # |t><t|, laid out in n blocks of size 1
+    mid = _block_matrix(1, n, (), layout=lambda: [(inst.t - 1, inst.t - 1, 1, 1.0)])
+    mats = inst.forms + (mid,) + tuple(a.conj().T for a in reversed(inst.forms))
     out_params = ConditionParams(n, 2 * m + 1, p.kappa**2, p.epsilon**2)
     b = float(np.real(inst.b))
     out = ProblemInstance(Kind.ITMATPROD_NONNEG, out_params, mats, s=inst.s, t=inst.s, b=b * b)
@@ -424,15 +421,13 @@ def reduce_posmatinv_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInst
     m_hat = neumann_terms(kappa, eps)
     x = np.eye(n, dtype=np.complex128) - inst.matrix
     dim = n * (m_hat + 1)
-
-    def factor(j: int) -> np.ndarray:
-        out = np.eye(dim, dtype=np.complex128)
-        for blockpos in range(j, m_hat + 1):
-            lo = n * blockpos
-            out[lo : lo + n, lo : lo + n] = x
-        return out
-
-    mats = tuple(factor(j) for j in range(1, m_hat + 1))
+    # j-th factor: identity on the first j diagonal blocks, then I - H
+    mats = tuple(
+        _block_matrix(
+            n, m_hat + 1, (x,), layout=lambda x: [(r, r, 1, 1.0 if r < j else x) for r in range(m_hat + 1)]
+        )
+        for j in range(1, m_hat + 1)
+    )
     # j = 0 included so the diagonal picks up the identity term of the series
     pairs = tuple((inst.s + j * n, inst.t + j * n) for j in range(m_hat + 1))
     b_hat = float(np.real(inst.b)) - eps / 4.0
@@ -454,11 +449,11 @@ def reduce_posmatinv_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInst
     return out, rec
 
 
-def _swap_perm(n: int, a: int, b: int) -> np.ndarray:
-    perm = np.eye(n, dtype=np.complex128)
-    if a != b:
-        perm[[a - 1, b - 1]] = perm[[b - 1, a - 1]]
-    return perm
+def _exchanged(n: int, a: int) -> np.ndarray:
+    """The indices 0..n-1 with 0 and a - 1 exchanged: T_{1,a} as an index permutation."""
+    idx = np.arange(n)
+    idx[[0, a - 1]] = a - 1, 0
+    return idx
 
 
 def reduce_sumitmatprod_to_itmatprod(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
@@ -470,26 +465,20 @@ def reduce_sumitmatprod_to_itmatprod(inst: ProblemInstance) -> tuple[ProblemInst
     n, m = p.n, p.m
     n_e = len(inst.E)
 
-    def routed(j: int) -> np.ndarray:
-        # route entry (s,t) of each summand to (1,1): conjugate the first
-        # factor by T_{1,s} on the left and the last by T_{1,t} on the right
-        blocks = []
-        for (s, t) in inst.E:
-            g = inst.matrices[j - 1]
-            if j == 1:
-                g = _swap_perm(n, 1, s) @ g
-            if j == m:
-                g = g @ _swap_perm(n, 1, t)
-            blocks.append(g)
-        out = np.zeros((n * n_e, n * n_e), dtype=np.complex128)
-        for i, g in enumerate(blocks):
-            out[i * n : (i + 1) * n, i * n : (i + 1) * n] = g
-        return out
-
-    r = np.eye(n_e, dtype=np.complex128)
-    r[0, :] = 1.0
-    fan = np.kron(r, np.eye(n, dtype=np.complex128))
-    mats = (fan,) + tuple(routed(j) for j in range(1, m + 1)) + (fan.conj().T,)
+    # fan-out R (x) I, with R the identity plus ones along its first row, and its adjoint
+    diag = [(i, i, 1, 1.0) for i in range(n_e)]
+    fan = _block_matrix(n, n_e, (), layout=lambda: diag + [(0, i, 1, 1.0) for i in range(1, n_e)])
+    fan_adj = _block_matrix(n, n_e, (), layout=lambda: diag + [(i, 0, 1, 1.0) for i in range(1, n_e)])
+    # route entry (s,t) of each summand to (1,1): exchange rows 1 and s of its
+    # first factor and columns 1 and t of its last
+    summands = [list(inst.forms) for _ in inst.E]
+    for g, (s, t) in zip(summands, inst.E):
+        g[0] = g[0][_exchanged(n, s)]
+        g[-1] = g[-1][:, _exchanged(n, t)]
+    mats = (fan,) + tuple(
+        _block_matrix(n, n_e, (a,), layout=lambda _: [(i, i, 1, g[j]) for i, g in enumerate(summands)])
+        for j, a in enumerate(inst.forms)
+    ) + (fan_adj,)
     kappa_hat = 2.0 * n_e * p.kappa
     out_params = ConditionParams(n * n_e, m + 2, kappa_hat, p.epsilon)
     out = ProblemInstance(

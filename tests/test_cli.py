@@ -303,6 +303,10 @@ class TestCli:
         # one per instance: the identity residual, the promise checks and the
         # decisions share the quantity kept on each instance
         assert len(calls) == 2
+        calls.clear()
+        # gen places b against the quantity, then checks the promise with it
+        assert run("gen", "--kind", "MATINV", "--n", 4, "--out", tmp_path / "g.json") == 0
+        assert len(calls) == 1
 
     def test_self_test_flag(self, capsys):
         assert run("--self-test") == 0

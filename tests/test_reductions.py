@@ -25,7 +25,6 @@ from condred.reductions import (
     MATINV_PLUS_CYCLE,
     RULES,
     _log_count,
-    _superdiag_blocks,
     apply_rule,
     chain,
     measure_record,
@@ -40,6 +39,7 @@ from condred.reductions import (
     reduce_sumitmatprod_to_itmatprod,
     reduce_vmatinv_to_singular,
 )
+from test_sparse_builds import _superdiag_blocks
 
 GEN_PARAMS = {
     Kind.DET: ConditionParams(3, 1, 4.0, 0.2),

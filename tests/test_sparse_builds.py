@@ -1,14 +1,16 @@
 """The block builders assemble sparse, and instances keep what they built.
 
-``matpow_to_matinv``, ``nonneg_to_det`` and ``matinv_to_posmatinv`` place
-their blocks with one helper: in CSC when the output is nearly empty, as a
-dense array otherwise.  ``det_to_posdet`` keeps the sparse Gram product of a
-sparse source.  The output instance stores that form and densifies it only
-when its ``matrices`` are read.  Here every output's dense view is compared
-with the dense textbook formula, on the ends of both reduction cycles, on a
-compiled h = 2 circuit and on instances on each side of the cutoff; the
-stored CSC is checked against a fresh scan of the view; and the decision at
-a cycle end is shown to read the stored CSC and never densify.
+Every rule that builds a block matrix out of its input's matrices,
+identities and scalars places its blocks with one helper: in CSC when the
+output is nearly empty, as a dense array otherwise.  ``det_to_posdet`` keeps
+the sparse Gram product of a sparse source.  The output instance stores that
+form and densifies it only when its ``matrices`` are read.  Here every
+output's dense view is compared with the dense textbook formula, kept below
+as a reference, on both reduction cycles, on a compiled h = 2 circuit and on
+instances on each side of the cutoff; no nearly empty output along the
+cycles is stored dense; the stored CSC is checked against a fresh scan of
+the view; and the decision at a cycle end is shown to read the stored CSC
+and never densify.
 """
 
 import dataclasses
@@ -23,11 +25,30 @@ from condred import matcore
 from condred.circuits import append_cleanup, circuit_to_itmatprod
 from condred.matcore import sparse_form
 from condred.problems import ConditionParams, DecisionValue, Kind, ProblemInstance, oracle_decide
-from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, RULES, _log_count, _superdiag_blocks, chain
+from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, RULES, _log_count, chain
+from condred.series import logdet_terms, neumann_terms
 from test_acceptance import _det_plus_cycle_instance, _matinv_plus_cycle_instance
 from test_circuits import forced_circuit
 
+#: the builders whose choice of dense or CSC depends on their source's density
 BUILDERS = ("matpow_to_matinv", "nonneg_to_det", "matinv_to_posmatinv", "det_to_posdet")
+
+
+def _superdiag_blocks(mats, n):
+    """Block matrix with A_1..A_m immediately above the diagonal blocks."""
+    m = len(mats)
+    big = np.zeros((n * (m + 1), n * (m + 1)), dtype=np.complex128)
+    for r, a in enumerate(mats):
+        big[r * n : (r + 1) * n, (r + 1) * n : (r + 2) * n] = a
+    return big
+
+
+def _swap_perm(n, a, b):
+    """The permutation matrix T_{a,b} exchanging basis vectors a and b (1-based)."""
+    perm = np.eye(n, dtype=np.complex128)
+    if a != b:
+        perm[[a - 1, b - 1]] = perm[[b - 1, a - 1]]
+    return perm
 
 
 def _textbook_gram(a, left):
@@ -65,19 +86,88 @@ def _matinv_to_posmatinv(inst):
     return h
 
 
+def _itmatprod_to_matpow(inst):
+    return _superdiag_blocks(inst.matrices, inst.params.n)
+
+
+def _posdet_to_sumitmatprod(inst):
+    p = inst.params
+    n, l_hat, m_hat = p.n, _log_count(p.kappa), logdet_terms(p.n, p.kappa, p.epsilon)
+    x = np.eye(n, dtype=np.complex128) - inst.matrix
+    dim = n * (l_hat + m_hat)
+    mats = []
+    for k in range(1, m_hat + 1):
+        # identity on the first l_hat + (k-1) diagonal blocks, then I - H; the
+        # first factor carries -(I-H)/(j+1) instead
+        out = np.eye(dim, dtype=np.complex128)
+        for j in range(m_hat):
+            lo = n * (l_hat + j)
+            if k == 1:
+                out[lo : lo + n, lo : lo + n] = -x / (j + 1)
+            elif j >= k - 1:
+                out[lo : lo + n, lo : lo + n] = x
+        mats.append(out)
+    return tuple(mats)
+
+
+def _posmatinv_to_sumitmatprod(inst):
+    n, m_hat = inst.params.n, neumann_terms(inst.params.kappa, inst.params.epsilon)
+    x = np.eye(n, dtype=np.complex128) - inst.matrix
+    mats = []
+    for j in range(1, m_hat + 1):
+        out = np.eye(n * (m_hat + 1), dtype=np.complex128)
+        for blockpos in range(j, m_hat + 1):
+            out[n * blockpos : n * (blockpos + 1), n * blockpos : n * (blockpos + 1)] = x
+        mats.append(out)
+    return tuple(mats)
+
+
+def _itmatprod_to_nonneg(inst):
+    n = inst.params.n
+    mid = np.zeros((n, n), dtype=np.complex128)
+    mid[inst.t - 1, inst.t - 1] = 1.0
+    return inst.matrices + (mid,) + tuple(a.conj().T for a in reversed(inst.matrices))
+
+
+def _sumitmatprod_to_itmatprod(inst):
+    n, m, n_e = inst.params.n, inst.params.m, len(inst.E)
+    routed = []
+    for j in range(1, m + 1):
+        out = np.zeros((n * n_e, n * n_e), dtype=np.complex128)
+        for i, (s, t) in enumerate(inst.E):
+            g = inst.matrices[j - 1]
+            if j == 1:
+                g = _swap_perm(n, 1, s) @ g
+            if j == m:
+                g = g @ _swap_perm(n, 1, t)
+            out[i * n : (i + 1) * n, i * n : (i + 1) * n] = g
+        routed.append(out)
+    r = np.eye(n_e, dtype=np.complex128)
+    r[0, :] = 1.0
+    fan = np.kron(r, np.eye(n, dtype=np.complex128))
+    return (fan, *routed, fan.conj().T)
+
+
+#: the dense textbook formula of each block-building rule: its output's
+#: matrices, or its one matrix
 TEXTBOOK = {
     "matpow_to_matinv": _matpow_to_matinv,
     "nonneg_to_det": _nonneg_to_det,
     "matinv_to_posmatinv": _matinv_to_posmatinv,
     "det_to_posdet": lambda inst: _textbook_gram(inst.matrix, left=False),
+    "itmatprod_to_matpow": _itmatprod_to_matpow,
+    "posdet_to_sumitmatprod": _posdet_to_sumitmatprod,
+    "posmatinv_to_sumitmatprod": _posmatinv_to_sumitmatprod,
+    "itmatprod_to_nonneg": _itmatprod_to_nonneg,
+    "sumitmatprod_to_itmatprod": _sumitmatprod_to_itmatprod,
 }
 
 
 def _applications(inst, path):
-    """(rule, source) for each step of ``path`` that is one of the builders."""
+    """(rule, source) for each step of ``path`` that has a textbook formula."""
     found = []
     for name in path:
-        if name in BUILDERS:
+        if name in TEXTBOOK:
             found.append((name, inst))
         inst, _ = RULES[name].apply(inst)
     return found
@@ -119,15 +209,38 @@ def test_builds_equal_the_textbook_formulas(case, rng):
     for rule, src in CASES[case](rng):
         out, _ = RULES[rule].apply(src)
         want = TEXTBOOK[rule](src)
-        got = out.matrix
-        assert got.flags.c_contiguous
-        assert np.array_equal(got, want), rule
-        if rule == "matinv_to_posmatinv":
-            # its blocks are placed as 0 - x: equal bytes once the textbook's
-            # negative zeros are made positive
-            assert got.tobytes() == (want + 0.0).tobytes(), rule
-        else:
-            assert got.tobytes() == want.tobytes(), rule
+        if rule in BUILDERS:
+            got = out.matrix
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want), rule
+            if rule == "matinv_to_posmatinv":
+                # its blocks are placed as 0 - x: equal bytes once the
+                # textbook's negative zeros are made positive
+                assert got.tobytes() == (want + 0.0).tobytes(), rule
+            else:
+                assert got.tobytes() == want.tobytes(), rule
+            continue
+        want = want if isinstance(want, tuple) else (want,)
+        assert len(out.matrices) == len(want), rule
+        for got, ref in zip(out.matrices, want):
+            assert np.array_equal(got, ref), rule
+            # a layout places 0 + x, the textbook x or a product that may
+            # give -0.0: equal bytes once negative zeros are made positive
+            assert (got + 0.0).tobytes() == (ref + 0.0).tobytes(), rule
+
+
+def test_nearly_empty_outputs_are_stored_sparse():
+    # the criterion-3 cycle instances: outputs up to n = 2450 and n = 3528
+    dense = []
+    for src, path in ((_matinv_plus_cycle_instance(0, True), MATINV_PLUS_CYCLE),
+                      (_det_plus_cycle_instance(0, True), DET_PLUS_CYCLE),
+                      (_det_plus_cycle_instance(5, True), DET_PLUS_CYCLE)):
+        for name in path:
+            src, _ = RULES[name].apply(src)
+            dense += [(name, a.shape[0]) for a in src.forms
+                      if isinstance(a, np.ndarray) and a.shape[0] >= 64
+                      and np.count_nonzero(a) <= a.size / 64]
+    assert dense == []
 
 
 def test_cutoff_decides_the_path(rng):
