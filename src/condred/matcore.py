@@ -14,7 +14,8 @@ are read (:func:`dense_form`).  The kernels :func:`inverse_entry`,
 :func:`log_abs_det` and :func:`gram` take a dense or a sparse matrix as
 given, and compute on the sparse form whenever at most 1/64 of the entries
 are nonzero (:func:`sparse_form`), with dense LAPACK otherwise.  SciPy is
-imported only on the sparse path.
+imported only on the sparse path.  Every iterated product sweeps a dense
+block of rows through the stored factors (:func:`running_products`).
 """
 
 from __future__ import annotations
@@ -204,6 +205,14 @@ def gram(a, *, left: bool):
     g = sp.conj().T @ sp if left else sp @ sp.conj().T
     g = (g + g.conj().T) / 2.0
     return g.toarray(order="C") if isinstance(a, np.ndarray) else g
+
+
+def running_products(start: np.ndarray, factors):
+    """Yield start @ F1, start @ F1 @ F2, ... for a dense block of rows
+    ``start`` and dense or SciPy sparse factors; each product is dense."""
+    for f in factors:
+        start = start @ f
+        yield start
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:

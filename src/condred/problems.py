@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -22,12 +23,12 @@ import numpy as np
 
 from .matcore import (
     as_form,
-    as_matrix,
     dense_form,
     hermitian_eigs,
     inverse_entry,
     log_abs_det,
     random_unitary,
+    running_products,
     svd_values,
 )
 
@@ -61,6 +62,11 @@ PRODUCT_KINDS = frozenset(
 )
 #: kinds whose decision is "quantity equals b" versus "at least epsilon away"
 VERIFICATION_KINDS = frozenset({Kind.V_MATINV, Kind.V_MATPOW, Kind.V_ITMATPROD})
+#: kinds whose decision quantity is the entry (s, t) of a matrix
+INDEXED_KINDS = frozenset(
+    {Kind.MATINV, Kind.MATINV_PLUS, Kind.V_MATINV, Kind.MATPOW, Kind.V_MATPOW,
+     Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, Kind.V_ITMATPROD}
+)
 #: kinds requiring a positive definite Hermitian input
 POSITIVE_KINDS = frozenset({Kind.DET_PLUS, Kind.MATINV_PLUS})
 
@@ -128,6 +134,11 @@ class ProblemInstance:
         for a in self.forms:
             if a.shape != (n, n):
                 raise ValueError(f"matrix shape {a.shape} does not match n={n}")
+        needed = (("s", self.kind in INDEXED_KINDS), ("t", self.kind in INDEXED_KINDS),
+                  ("E", self.kind is Kind.SUMITMATPROD), ("b", self.kind is not Kind.SINGULAR))
+        missing = [name for name, need in needed if need and getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"{self.kind.value} needs {' and '.join(missing)}")
         for name, idx in (("s", self.s), ("t", self.t)):
             if idx is not None:
                 _check_index(f"index {name}", idx, n)
@@ -146,6 +157,14 @@ class ProblemInstance:
     @property
     def matrix(self) -> np.ndarray:
         return self.matrices[0]
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of ``matrix``, descending, computed on first read
+        and kept (read-only)."""
+        sv = svd_values(self.matrix)
+        sv.flags.writeable = False
+        return sv
 
     @cached_property
     def quantity(self) -> float | complex | None:
@@ -188,45 +207,40 @@ class PromiseReport:
         return [c.name for c in self.checks if not c.passed]
 
 
+def _partials(forms):
+    """((j1, j2), A_{j1,j2}) for all 1 <= j1 <= j2 <= m, by prefix extension."""
+    eye = np.eye(forms[0].shape[0], dtype=np.complex128)
+    for j1 in range(1, len(forms) + 1):
+        for j2, prod in enumerate(running_products(eye, forms[j1 - 1 :]), j1):
+            yield (j1, j2), prod
+
+
 def partial_products(matrices) -> dict[tuple[int, int], np.ndarray]:
     """All A_{j1,j2} = A_{j1} ... A_{j2} by prefix extension, 1-based keys."""
-    mats = [as_matrix(a, square=True) for a in matrices]
-    m = len(mats)
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for j1 in range(1, m + 1):
-        acc = mats[j1 - 1]
-        out[(j1, j1)] = acc
-        for j2 in range(j1 + 1, m + 1):
-            acc = acc @ mats[j2 - 1]
-            out[(j1, j2)] = acc
-    return out
+    return dict(_partials([as_form(a, square=True) for a in matrices]))
+
+
+def _rows_of_product(forms, rows) -> np.ndarray:
+    """Rows ``rows`` (1-based) of the product of ``forms``, by a row sweep."""
+    start = np.zeros((len(rows), forms[0].shape[0]), dtype=np.complex128)
+    start[range(len(rows)), np.subtract(rows, 1)] = 1.0
+    return deque(running_products(start, forms), maxlen=1)[0]
 
 
 def product_entry(matrices, s: int, t: int) -> complex:
     """(s,t) entry of A_1 ... A_m by a single left-to-right row sweep."""
-    return _row_sweep([as_matrix(a, square=True) for a in matrices], s, t)
+    return complex(_rows_of_product([as_form(a, square=True) for a in matrices], [s])[0, t - 1])
 
 
-def _row_sweep(mats, s: int, t: int) -> complex:
-    row = mats[0][s - 1, :]
-    for a in mats[1:]:
-        row = row @ a
-    return complex(row[t - 1])
-
-
-def max_partial_sigma1(matrices) -> float:
+def max_partial_sigma1(forms) -> float:
     """Largest sigma1 over all partial products A_{j1,j2}."""
-    return max(float(svd_values(prod)[0]) for prod in partial_products(matrices).values())
+    return max(float(svd_values(prod)[0]) for _, prod in _partials(forms))
 
 
-def max_power_sigma1(a: np.ndarray, m: int) -> float:
-    """Largest sigma1 over the powers A^1 .. A^m."""
-    worst = 0.0
-    powed = np.eye(a.shape[0], dtype=np.complex128)
-    for _ in range(m):
-        powed = powed @ a
-        worst = max(worst, float(svd_values(powed)[0]))
-    return worst
+def max_power_sigma1(a, m: int) -> float:
+    """Largest sigma1 over the powers A^1 .. A^m; ``a`` is dense or sparse."""
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    return max(float(svd_values(powed)[0]) for powed in running_products(eye, (a,) * m))
 
 
 def decision_quantity(inst: ProblemInstance) -> float | complex | None:
@@ -234,9 +248,10 @@ def decision_quantity(inst: ProblemInstance) -> float | complex | None:
 
     DET-family returns log|det| (the comparison happens on the log scale),
     computed by triangular factorization with log-magnitude accumulation.
-    Both read the stored form and run sparse when it is nearly empty.  The
-    MATINV family returns None when its matrix is exactly singular: the
-    inverse entry does not exist, which breaks the promise.
+    Powers, product entries and sums over E sweep row s, or the rows of E,
+    through the stored factors (:func:`condred.matcore.running_products`);
+    only SINGULAR reads the dense view.  The MATINV family returns None when
+    its matrix is exactly singular (no inverse entry: the promise breaks).
 
     An instance is immutable, so its quantity is computed once and kept on
     it (``inst.quantity``), as its dense view is: the identity residual, the
@@ -255,18 +270,15 @@ def _quantity(inst: ProblemInstance) -> float | complex | None:
         except np.linalg.LinAlgError:
             return None
     if kind in (Kind.MATPOW, Kind.V_MATPOW):
-        powed = np.linalg.matrix_power(inst.matrix, p.m)
-        return complex(powed[inst.s - 1, inst.t - 1])
+        return complex(_rows_of_product((inst.forms[0],) * p.m, [inst.s])[0, inst.t - 1])
     if kind in (Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, Kind.V_ITMATPROD):
-        return _row_sweep(inst.matrices, inst.s, inst.t)  # matrices checked on construction
+        return complex(_rows_of_product(inst.forms, [inst.s])[0, inst.t - 1])
     if kind is Kind.SUMITMATPROD:
-        mats = inst.matrices
-        acc = mats[0].copy()
-        for a in mats[1:]:
-            acc = acc @ a
-        return complex(sum(acc[s - 1, t - 1] for (s, t) in inst.E))
+        rows = np.unique([s for s, _ in inst.E])
+        prod = _rows_of_product(inst.forms, rows)
+        return complex(sum(prod[np.searchsorted(rows, s), t - 1] for s, t in inst.E))
     if kind is Kind.SINGULAR:
-        return float(svd_values(inst.matrix)[-1])
+        return float(inst.singular_values[-1])
     raise ValueError(f"unknown kind {kind}")
 
 
@@ -319,19 +331,18 @@ def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseRep
     checks: list[PromiseCheck] = []
 
     if kind in PRODUCT_KINDS:
-        worst = max_partial_sigma1(inst.matrices)
+        worst = max_partial_sigma1(inst.forms)
         checks.append(PromiseCheck("sigma1(all partial products) <= kappa", p.kappa, worst, worst <= p.kappa + tol))
     elif kind in (Kind.MATPOW, Kind.V_MATPOW):
-        worst = max_power_sigma1(inst.matrix, p.m)
+        worst = max_power_sigma1(inst.forms[0], p.m)
         checks.append(PromiseCheck("sigma1(A^j) <= kappa for j in [m]", p.kappa, worst, worst <= p.kappa + tol))
     elif kind is Kind.SINGULAR:
         herm = float(np.max(np.abs(inst.matrix - inst.matrix.conj().T)))
         checks.append(PromiseCheck("A Hermitian", tol, herm, herm <= tol))
-        s1 = float(svd_values(inst.matrix)[0])
+        s1 = float(inst.singular_values[0])
         checks.append(PromiseCheck("sigma1 <= 1", 1.0, s1, s1 <= 1 + tol))
     else:
-        sv = svd_values(inst.matrix)
-        s1, sn = float(sv[0]), float(sv[-1])
+        s1, sn = float(inst.singular_values[0]), float(inst.singular_values[-1])
         checks.append(PromiseCheck("sigma1 <= 1", 1.0, s1, s1 <= 1 + tol))
         checks.append(PromiseCheck("sigma_min >= 1/kappa", 1.0 / p.kappa, sn, sn >= 1.0 / p.kappa - tol))
         if kind in POSITIVE_KINDS:

@@ -87,11 +87,11 @@ class ReductionRecord:
 
 
 def _sigma1(src: ProblemInstance, dst: ProblemInstance) -> float:
-    return float(svd_values(dst.matrix)[0])
+    return float(dst.singular_values[0])
 
 
 def _sigma_min(src: ProblemInstance, dst: ProblemInstance) -> float:
-    return float(svd_values(dst.matrix)[-1])
+    return float(dst.singular_values[-1])
 
 
 def _lambda_min(src: ProblemInstance, dst: ProblemInstance) -> float:
@@ -99,7 +99,7 @@ def _lambda_min(src: ProblemInstance, dst: ProblemInstance) -> float:
 
 
 def _partials_sigma1(src: ProblemInstance, dst: ProblemInstance) -> float:
-    return max_partial_sigma1(dst.matrices)
+    return max_partial_sigma1(dst.forms)
 
 
 class _Undefined(Exception):
@@ -196,7 +196,7 @@ def reduce_itmatprod_to_matpow(inst: ProblemInstance) -> tuple[ProblemInstance, 
         answer_map="b_hat = b; A_hat^m[s, nm+t] = A_{1,m}[s,t]",
         declared_bounds=(
             Bound("sigma1(A_hat^j), j in [m]", p.kappa,
-                  measure=lambda src, dst: max_power_sigma1(dst.matrix, dst.params.m)),
+                  measure=lambda src, dst: max_power_sigma1(dst.forms[0], dst.params.m)),
         ),
     )
     return out, rec

@@ -6,18 +6,20 @@ claim here is the certificate, not speed: the term counts come from closed
 forms in (n, kappa, epsilon) and the measured error must sit inside the
 certified bound on every valid input.
 
-The series are evaluated by iterated multiplication with a running power;
-the eigensolver is reserved for the verification oracles in the tests.
+Both series run on :func:`condred.matcore.running_products`: the log series
+traces each full power of I - H, the Neumann entry sweeps row s through
+I - H.  The eigensolver is reserved for the verification oracles in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .matcore import as_matrix, gram, is_hermitian, svd_values
+from .matcore import as_matrix, gram, is_hermitian, running_products, svd_values
 
 DEFAULT_TOL = 1e-9
 
@@ -55,26 +57,17 @@ def neumann_terms(kappa: float, epsilon: float) -> int:
 
 def log_series(h: np.ndarray, terms: int) -> float:
     """sum_{k=1}^{terms} Re tr((I-H)^k) / k, the truncation of -ln det H."""
-    n = h.shape[0]
-    x = np.eye(n, dtype=np.complex128) - h
-    power = np.eye(n, dtype=np.complex128)
-    total = 0.0
-    for k in range(1, terms + 1):
-        power = power @ x
-        total += float(np.real(np.trace(power))) / k
-    return total
+    eye = np.eye(h.shape[0], dtype=np.complex128)
+    powers = running_products(eye, repeat(eye - h, terms))
+    return sum((float(np.real(np.trace(power))) / k for k, power in enumerate(powers, 1)), 0.0)
 
 
 def neumann_series(h: np.ndarray, s: int, t: int, terms: int) -> complex:
-    """Entry (s, t), 1-based, of sum_{j=0}^{terms} (I-H)^j, the truncation of H^-1."""
-    n = h.shape[0]
-    x = np.eye(n, dtype=np.complex128) - h
-    power = np.eye(n, dtype=np.complex128)
-    acc = complex(power[s - 1, t - 1])
-    for _ in range(terms):
-        power = power @ x
-        acc += complex(power[s - 1, t - 1])
-    return acc
+    """Entry (s, t), 1-based, of sum_{j=0}^{terms} (I-H)^j, the truncation of
+    H^-1, by a sweep of row s: O(n^2) per term."""
+    eye = np.eye(h.shape[0], dtype=np.complex128)
+    sweep = running_products(eye[s - 1], repeat(eye - h, terms))
+    return complex(sum((row[t - 1] for row in sweep), eye[s - 1, t - 1]))
 
 
 def _check_posdef_contraction(h: np.ndarray, kappa: float, tol: float) -> None:

@@ -296,6 +296,9 @@ class TestCli:
         calls = []
         entry = problems.inverse_entry
         monkeypatch.setattr(problems, "inverse_entry", lambda *args: calls.append(args) or entry(*args))
+        svds = []
+        svd = problems.svd_values
+        monkeypatch.setattr(problems, "svd_values", lambda a: svds.append(a.shape[0]) or svd(a))
         assert run("solve", inst_file) == 0
         assert len(calls) == 1
         calls.clear()
@@ -307,6 +310,19 @@ class TestCli:
         # gen places b against the quantity, then checks the promise with it
         assert run("gen", "--kind", "MATINV", "--n", 4, "--out", tmp_path / "g.json") == 0
         assert len(calls) == 1
+        # the singular values of an instance are kept on it as well: the
+        # target's two measured bounds and its promise check share one SVD
+        pow_file = tmp_path / "pow.json"
+        assert run("gen", "--kind", "MATPOW", "--n", 3, "--m", 2, "--kappa", 2, "--out", pow_file) == 0
+        svds.clear()
+        assert run("reduce", pow_file, "--rule", "matpow_to_matinv", "--measure",
+                   "--out", tmp_path / "inv.json") == 0
+        assert svds.count(9) == 1
+        sing_file = tmp_path / "sing.json"
+        assert run("gen", "--kind", "SINGULAR", "--n", 4, "--epsilon", 0.2, "--out", sing_file) == 0
+        svds.clear()
+        assert run("solve", sing_file) == 0
+        assert svds == [4]
 
     def test_self_test_flag(self, capsys):
         assert run("--self-test") == 0
@@ -356,9 +372,22 @@ def _entry(k, value):
     return edit
 
 
+def _without(name):
+    """Drop the instance field ``name``."""
+    return lambda doc: doc.pop(name)
+
+
+_REDUCE = ("--rule", "matinv_to_posmatinv", "--out", "{tmp}/out.json")
+
+
 @pytest.mark.parametrize(
     "make_argv,code",
     [
+        *(pytest.param(_mutated(Kind.SUMITMATPROD, _without("E"), command), 2, id=f"SUMITMATPROD no E {command}")
+          for command in ("solve", "verify")),
+        *(pytest.param(_mutated(Kind.MATINV, _without(name), command, *options), 2,
+                       id=f"MATINV no {name} {command}")
+          for name in "stb" for command, options in (("solve", ()), ("verify", ()), ("reduce", _REDUCE))),
         pytest.param(_mutated(Kind.MATINV, lambda d: d.update(s=1.5), "solve"), 2, id="s=1.5"),
         pytest.param(_mutated(Kind.MATINV, lambda d: d.update(s="1"), "solve"), 2, id="s='1'"),
         pytest.param(_mutated(Kind.MATINV, lambda d: d.update(s=True), "solve"), 2, id="s=true"),
