@@ -167,6 +167,15 @@ class ProblemInstance:
         return sv
 
     @cached_property
+    def hermitian_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of ``matrix`` taken as Hermitian, descending, computed
+        on first read and kept (read-only).  Each reader first tests that the
+        matrix is Hermitian, with its own tolerance."""
+        w = hermitian_eigs(self.matrix, tol=math.inf)
+        w.flags.writeable = False
+        return w
+
+    @cached_property
     def quantity(self) -> float | complex | None:
         """:func:`decision_quantity`, computed on first read and kept."""
         return _quantity(self)
@@ -282,47 +291,86 @@ def _quantity(inst: ProblemInstance) -> float | complex | None:
     raise ValueError(f"unknown kind {kind}")
 
 
+@dataclass(frozen=True)
+class Output:
+    """One kind's Output clause, read on one instance.
+
+    ``value`` is the number the kind compares with b.  The instance is a
+    One-instance when ``value`` lies in the closed interval ``one`` and a
+    Zero-instance when it lies in ``zero``; nothing lies in between.  b
+    itself lies in ``b_range``.  ``clauses`` are the promise's statements
+    about all this, as (name, declared, measured, intervals): each holds when
+    its measured number lies in one of its intervals.  Every test widens its
+    intervals by the same ``tol``.
+    """
+
+    value: float
+    one: tuple[float, float]
+    zero: tuple[float, float]
+    clauses: tuple[tuple[str, float, float, tuple[tuple[float, float], ...]], ...]
+    b_range: tuple[float, float] = (-math.inf, math.inf)
+
+    def side(self, tol: float) -> DecisionValue:
+        """One or Zero as ``value`` lies in ``one`` or ``zero``, else PromiseViolated."""
+        if _within(self.value, (self.one,), tol):
+            return DecisionValue.ONE
+        if _within(self.value, (self.zero,), tol):
+            return DecisionValue.ZERO
+        return DecisionValue.PROMISE_VIOLATED
+
+    def checks(self, tol: float) -> list[PromiseCheck]:
+        return [PromiseCheck(name, declared, measured, _within(measured, intervals, tol))
+                for name, declared, measured, intervals in self.clauses]
+
+
+def _within(x: float, intervals, tol: float) -> bool:
+    """``x`` lies in one of the closed ``intervals``, each widened by ``tol``."""
+    return any(lo - tol <= x <= hi + tol for lo, hi in intervals)
+
+
+def _output(inst: ProblemInstance, q: float | complex) -> Output:
+    """The Output clause of ``inst``'s kind at decision quantity ``q``: the
+    one place where a kind's quantity becomes the value compared with b."""
+    kind, p, inf = inst.kind, inst.params, math.inf
+    if kind is Kind.SINGULAR or kind in VERIFICATION_KINDS:
+        one, zero = (-inf, 0.0), (p.epsilon, inf)
+        if kind is Kind.SINGULAR:
+            sigma = float(q)
+            return Output(sigma, one, zero, (
+                ("sigma_min in {0} u [eps, 1]", p.epsilon, sigma, (one, (p.epsilon, 1.0))),))
+        dist = abs(q - inst.b)
+        return Output(dist, one, zero, (
+            ("|quantity - b| in {0} u [eps, 2*kappa]", p.epsilon, dist, (one, zero)),
+            ("|quantity - b| <= 2*kappa", 2 * p.kappa, dist, ((-inf, 2 * p.kappa),)),
+        ))
+    b = float(np.real(inst.b))
+    one, zero = (b, inf), (-inf, b - p.epsilon)
+    if kind in (Kind.DET, Kind.DET_PLUS):
+        logdet, b_range = float(q), (-inf, 0.0)
+        return Output(logdet, one, zero, (
+            ("b <= 0", 0.0, b, (b_range,)),
+            ("log|det| in (-inf, b-eps] u [b, 0]", b, logdet, (one, zero)),
+            ("log|det| <= 0", 0.0, logdet, ((-inf, 0.0),)),
+        ), b_range)
+    # the entry kinds compare the entry's magnitude (a reduced MATINV+ entry
+    # may carry a phase), except ITMATPROD>=0, whose entry is promised real
+    real = kind is Kind.ITMATPROD_NONNEG
+    entry = float(np.real(q)) if real else float(abs(q))
+    cap, b_range = p.kappa * (len(inst.E) if kind is Kind.SUMITMATPROD else 1), (0.0, inf)
+    realness = (("entry is real nonnegative", 0.0, float(abs(np.imag(q))), ((-inf, 0.0),)),) if real else ()
+    return Output(entry, one, zero, (
+        *realness,
+        ("b >= 0", 0.0, b, (b_range,)),
+        ("quantity in [0, b-eps] u [b, cap]", b, entry, (one, zero)),
+        ("quantity <= cap", cap, entry, ((-inf, cap),)),
+    ), b_range)
+
+
 def _gap_checks(inst: ProblemInstance, q: float | complex | None, tol: float) -> list[PromiseCheck]:
-    """Membership of the decision quantity in the promised two-sided gap."""
-    kind, p = inst.kind, inst.params
+    """The promise's statements about the instance's Output clause."""
     if q is None:
         return [PromiseCheck("A invertible", 1.0, 0.0, False)]
-    checks: list[PromiseCheck] = []
-    if kind in VERIFICATION_KINDS:
-        dist = abs(q - inst.b)
-        in_gap = dist <= tol or dist >= p.epsilon - tol
-        checks.append(PromiseCheck("|quantity - b| in {0} u [eps, 2*kappa]", p.epsilon, dist, in_gap))
-        checks.append(
-            PromiseCheck("|quantity - b| <= 2*kappa", 2 * p.kappa, dist, dist <= 2 * p.kappa + tol)
-        )
-        return checks
-    if kind is Kind.SINGULAR:
-        ok = q <= tol or p.epsilon - tol <= q <= 1 + tol
-        checks.append(PromiseCheck("sigma_min in {0} u [eps, 1]", p.epsilon, float(q), ok))
-        return checks
-    b = float(np.real(inst.b))
-    if kind in (Kind.DET, Kind.DET_PLUS):
-        checks.append(PromiseCheck("b <= 0", 0.0, b, b <= tol))
-        ok = q >= b - tol or q <= b - p.epsilon + tol
-        checks.append(PromiseCheck("log|det| in (-inf, b-eps] u [b, 0]", b, float(q), ok))
-        checks.append(PromiseCheck("log|det| <= 0", 0.0, float(q), q <= tol))
-        return checks
-    if kind is Kind.ITMATPROD_NONNEG:
-        imag = float(abs(np.imag(q)))
-        checks.append(PromiseCheck("entry is real nonnegative", 0.0, imag, imag <= tol))
-        val = float(np.real(q))
-    elif kind is Kind.MATINV_PLUS:
-        # complex entries are compared by magnitude (reduced instances may
-        # carry a phase even though the canonical problem reads a real value)
-        val = float(abs(q))
-    else:
-        val = float(abs(q))
-    cap = p.kappa * (len(inst.E) if kind is Kind.SUMITMATPROD else 1)
-    checks.append(PromiseCheck("b >= 0", 0.0, b, b >= -tol))
-    ok = val >= b - tol or val <= b - p.epsilon + tol
-    checks.append(PromiseCheck("quantity in [0, b-eps] u [b, cap]", b, val, ok))
-    checks.append(PromiseCheck("quantity <= cap", cap, val, val <= cap + tol))
-    return checks
+    return _output(inst, q).checks(tol)
 
 
 def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseReport:
@@ -349,7 +397,7 @@ def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseRep
             herm = float(np.max(np.abs(inst.matrix - inst.matrix.conj().T)))
             checks.append(PromiseCheck("H Hermitian", tol, herm, herm <= tol))
             if herm <= tol:
-                lam_min = float(hermitian_eigs(inst.matrix, tol=math.sqrt(tol))[-1])
+                lam_min = float(inst.hermitian_eigenvalues[-1])
                 checks.append(PromiseCheck("H positive definite", 0.0, lam_min, lam_min > tol))
         if kind is Kind.V_MATINV:
             checks.append(PromiseCheck("|b| <= kappa", p.kappa, abs(inst.b), abs(inst.b) <= p.kappa + tol))
@@ -361,54 +409,30 @@ def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseRep
 def oracle_decide(
     inst: ProblemInstance, tol: float = DEFAULT_TOL, check: str = "full"
 ) -> Decision:
-    """Ground-truth decision by dense algebra.
+    """Ground-truth decision: the instance's decision quantity (a sparse or
+    dense LU, or a row sweep through the stored factors; see
+    :func:`decision_quantity`) placed on its kind's Output clause, with the
+    same ``tol`` on both sides that the promise check uses.
 
     ``check`` selects how much of the promise is verified first: "full" runs
-    every clause (singular-value sweeps included), "gap" only checks that the
-    decision quantity sits in its promised two-sided interval, "none" skips
-    straight to the comparison.  Conditioning clauses of reduced instances
-    are covered by the per-rule bound suite, so chain-level callers use "gap"
-    to stay within time budgets on large compositions.
+    every clause (singular-value sweeps included), "gap" only the Output
+    clause's own statements (the decision quantity in its promised two-sided
+    interval), "none" skips straight to the comparison.  Conditioning
+    clauses of reduced instances are covered by the per-rule bound suite, so
+    chain-level callers use "gap" to stay within time budgets on large
+    compositions.
     """
     if check not in ("full", "gap", "none"):
         raise ValueError("check must be 'full', 'gap' or 'none'")
     q = decision_quantity(inst)
     if q is None:
         return Decision(DecisionValue.PROMISE_VIOLATED)
+    out = _output(inst, q)
     if check == "full":
-        if not check_promise(inst, tol).overall:
-            return Decision(DecisionValue.PROMISE_VIOLATED, q)
-    elif check == "gap":
-        if not all(c.passed for c in _gap_checks(inst, q, tol)):
-            return Decision(DecisionValue.PROMISE_VIOLATED, q)
-
-    kind, p = inst.kind, inst.params
-    if kind in VERIFICATION_KINDS:
-        dist = abs(q - inst.b)
-        if dist <= tol:
-            return Decision(DecisionValue.ONE, q)
-        if dist >= p.epsilon - tol:
-            return Decision(DecisionValue.ZERO, q)
-        return Decision(DecisionValue.PROMISE_VIOLATED, q)
-    if kind is Kind.SINGULAR:
-        if q <= tol:
-            return Decision(DecisionValue.ONE, q)
-        if q >= p.epsilon - tol:
-            return Decision(DecisionValue.ZERO, q)
-        return Decision(DecisionValue.PROMISE_VIOLATED, q)
-
-    b = float(np.real(inst.b))
-    if kind in (Kind.DET, Kind.DET_PLUS):
-        val = float(q)
-    elif kind is Kind.ITMATPROD_NONNEG:
-        val = float(np.real(q))
+        kept = check_promise(inst, tol).overall
     else:
-        val = float(abs(q))
-    if val >= b:
-        return Decision(DecisionValue.ONE, q)
-    if val <= b - p.epsilon:
-        return Decision(DecisionValue.ZERO, q)
-    return Decision(DecisionValue.PROMISE_VIOLATED, q)
+        kept = check == "none" or all(c.passed for c in out.checks(tol))
+    return Decision(out.side(tol) if kept else DecisionValue.PROMISE_VIOLATED, q)
 
 
 # ---------------------------------------------------------------------------
@@ -460,22 +484,6 @@ def _contraction(n: int, rng: np.random.Generator, top: float = 1.0) -> np.ndarr
     return g * scale
 
 
-def _place_b(q: float, want_one: bool, epsilon: float) -> float:
-    """Threshold placed against the computed quantity, with a safety margin."""
-    margin = B_MARGIN * max(1.0, abs(q), epsilon)
-    if want_one:
-        return q - margin
-    return q + epsilon + margin
-
-
-def _with_b(inst: ProblemInstance, b: float | complex) -> ProblemInstance:
-    """``inst`` with threshold ``b``; it keeps the decision quantity computed
-    on ``inst``, which does not depend on b."""
-    out = replace(inst, b=b)
-    vars(out)["quantity"] = inst.quantity
-    return out
-
-
 def gen_instance(
     kind: Kind | str,
     params: ConditionParams,
@@ -489,9 +497,24 @@ def gen_instance(
         want_one = seed % 2 == 0
     rng = np.random.default_rng((seed, 0xC0DE))
     n, m, kappa, eps = params.n, params.m, params.kappa, params.epsilon
+    margin, where = None, {}
+
+    if kind is Kind.SINGULAR:
+        u = random_unitary(n, rng)
+        mags = rng.uniform(eps, 1.0, size=n)
+        mags[0] = 1.0
+        if want_one:
+            mags[-1] = 0.0
+        elif n > 1:
+            mags[-1] = eps
+        signs = rng.choice([-1.0, 1.0], size=n)
+        h = u @ np.diag(mags * signs).astype(np.complex128) @ u.conj().T
+        h = (h + h.conj().T) / 2
+        return ProblemInstance(kind, params, (h,))
 
     if kind in (Kind.DET, Kind.DET_PLUS):
-        # b <= 0 forces Zero-instances to have log|det| <= -eps - margin
+        # b <= 0 forces Zero-instances to have log|det| <= -eps - margin, so
+        # the margin is fixed before the matrix is drawn
         margin = B_MARGIN * max(1.0, eps)
         if want_one:
             hi = 1.0
@@ -501,45 +524,17 @@ def gen_instance(
                 raise InfeasibleParams(
                     f"DET zero-instance needs eps <= n*ln(kappa); got eps={eps}, n={n}, kappa={kappa}"
                 )
-        if kind is Kind.DET:
-            a = _conditioned(n, 1.0 / kappa, hi, rng)
-        else:
-            a = _hermitian_posdef(n, 1.0 / kappa, hi, rng)
-        inst = ProblemInstance(kind, params, (a,), b=0.0)
-        q = float(decision_quantity(inst))
-        b = q - margin if want_one else q + eps + margin
-        if b > 0:
-            raise InfeasibleParams(f"computed b={b} > 0 for {kind.value}")
-        return _with_b(inst, b)
-
-    if kind in (Kind.MATINV, Kind.V_MATINV):
-        a = _conditioned(n, 1.0 / kappa, 1.0, rng)
-        s = int(rng.integers(1, n + 1))
-        t = int(rng.integers(1, n + 1))
-        inst = ProblemInstance(kind, params, (a,), s=s, t=t, b=0.0)
-        q = decision_quantity(inst)
-        if kind is Kind.V_MATINV:
-            return _with_b(inst, _place_verification_b(q, want_one, eps, cap=kappa))
-        return _with_b(inst, max(0.0, _place_b(abs(q), want_one, eps)))
-
-    if kind is Kind.MATINV_PLUS:
-        h = _hermitian_posdef(n, 1.0 / kappa, 1.0, rng)
-        s = t = int(rng.integers(1, n + 1))  # diagonal entry: real, >= 1
-        inst = ProblemInstance(kind, params, (h,), s=s, t=t, b=0.0)
-        q = float(np.real(decision_quantity(inst)))
-        return _with_b(inst, max(0.0, _place_b(q, want_one, eps)))
-
-    if kind in (Kind.MATPOW, Kind.V_MATPOW):
-        a = _contraction(n, rng)
-        s = int(rng.integers(1, n + 1))
-        t = int(rng.integers(1, n + 1))
-        inst = ProblemInstance(kind, params, (a,), s=s, t=t, b=0.0)
-        q = decision_quantity(inst)
-        if kind is Kind.V_MATPOW:
-            return _with_b(inst, _place_verification_b(q, want_one, eps, cap=None))
-        return _with_b(inst, max(0.0, _place_b(abs(q), want_one, eps)))
-
-    if kind in (Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, Kind.V_ITMATPROD):
+        draw = _conditioned if kind is Kind.DET else _hermitian_posdef
+        mats = (draw(n, 1.0 / kappa, hi, rng),)
+    elif kind in (Kind.MATINV, Kind.V_MATINV, Kind.MATPOW, Kind.V_MATPOW):
+        powered = kind in (Kind.MATPOW, Kind.V_MATPOW)
+        mats = (_contraction(n, rng) if powered else _conditioned(n, 1.0 / kappa, 1.0, rng),)
+        where = dict(s=int(rng.integers(1, n + 1)), t=int(rng.integers(1, n + 1)))
+    elif kind is Kind.MATINV_PLUS:
+        mats = (_hermitian_posdef(n, 1.0 / kappa, 1.0, rng),)
+        s = int(rng.integers(1, n + 1))  # diagonal entry: real, >= 1
+        where = dict(s=s, t=s)
+    elif kind in (Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, Kind.V_ITMATPROD):
         mats = tuple(_contraction(n, rng) for _ in range(m))
         s = int(rng.integers(1, n + 1))
         t = int(rng.integers(1, n + 1))
@@ -555,38 +550,32 @@ def gen_instance(
             pad = tuple(np.eye(n, dtype=np.complex128) for _ in range(m - 2 * k - 1))
             mats = head + (mid,) + tail + pad
             t = s
-        inst = ProblemInstance(kind, params, mats, s=s, t=t, b=0.0)
-        q = decision_quantity(inst)
-        if kind is Kind.V_ITMATPROD:
-            return _with_b(inst, _place_verification_b(q, want_one, eps, cap=None))
-        if kind is Kind.ITMATPROD_NONNEG:
-            return _with_b(inst, max(0.0, _place_b(float(np.real(q)), want_one, eps)))
-        return _with_b(inst, max(0.0, _place_b(abs(q), want_one, eps)))
-
-    if kind is Kind.SUMITMATPROD:
+        where = dict(s=s, t=t)
+    else:  # SUMITMATPROD
         mats = tuple(_contraction(n, rng) for _ in range(m))
         n_pairs = int(rng.integers(1, n * n + 1))
         all_pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         picks = rng.choice(len(all_pairs), size=n_pairs, replace=False)
-        pairs = tuple(all_pairs[i] for i in sorted(picks))
-        inst = ProblemInstance(kind, params, mats, E=pairs, b=0.0)
-        q = decision_quantity(inst)
-        return _with_b(inst, max(0.0, _place_b(abs(q), want_one, eps)))
+        where = dict(E=tuple(all_pairs[i] for i in sorted(picks)))
 
-    if kind is Kind.SINGULAR:
-        u = random_unitary(n, rng)
-        mags = rng.uniform(eps, 1.0, size=n)
-        mags[0] = 1.0
-        if want_one:
-            mags[-1] = 0.0
-        elif n > 1:
-            mags[-1] = eps
-        signs = rng.choice([-1.0, 1.0], size=n)
-        h = u @ np.diag(mags * signs).astype(np.complex128) @ u.conj().T
-        h = (h + h.conj().T) / 2
-        return ProblemInstance(kind, params, (h,))
-
-    raise ValueError(f"no generator for kind {kind}")
+    # place b against the value the kind's Output clause compares with it,
+    # on the wanted side and inside b's range; the quantity does not depend
+    # on b, so the placed instance keeps it
+    inst = ProblemInstance(kind, params, mats, b=0.0, **where)
+    q = inst.quantity
+    if kind in VERIFICATION_KINDS:
+        b = _place_verification_b(q, want_one, eps, cap=kappa if kind is Kind.V_MATINV else None)
+    else:
+        out = _output(inst, q)
+        if margin is None:
+            margin = B_MARGIN * max(1.0, abs(out.value), eps)
+        lo, hi = out.b_range
+        b = max(lo, out.value - margin) if want_one else out.value + eps + margin
+        if b > hi:
+            raise InfeasibleParams(f"computed b={b} > {hi} for {kind.value}")
+    placed = replace(inst, b=b)
+    vars(placed)["quantity"] = q
+    return placed
 
 
 def _place_verification_b(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matcore import SPARSE_DENSITY, gram, hermitian_eigs, nonzeros, sparse_form, svd_values
+from .matcore import SPARSE_DENSITY, gram, is_hermitian, nonzeros, sparse_form, svd_values
 from .problems import (
     ConditionParams,
     Kind,
@@ -95,7 +95,9 @@ def _sigma_min(src: ProblemInstance, dst: ProblemInstance) -> float:
 
 
 def _lambda_min(src: ProblemInstance, dst: ProblemInstance) -> float:
-    return float(hermitian_eigs(dst.matrix)[-1])
+    if not is_hermitian(dst.matrix):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return float(dst.hermitian_eigenvalues[-1])
 
 
 def _partials_sigma1(src: ProblemInstance, dst: ProblemInstance) -> float:

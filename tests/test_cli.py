@@ -323,6 +323,14 @@ class TestCli:
         svds.clear()
         assert run("solve", sing_file) == 0
         assert svds == [4]
+        # and so are its Hermitian eigenvalues: the lambda_min bound of the
+        # target and its "H positive definite" clause share one eigensolve
+        eigs = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigs.append(a.shape[0]) or eigvalsh(a))
+        assert run("reduce", inst_file, "--rule", "matinv_to_posmatinv", "--measure",
+                   "--out", tmp_path / "plus.json") == 0
+        assert eigs == [8]
 
     def test_self_test_flag(self, capsys):
         assert run("--self-test") == 0
@@ -372,6 +380,11 @@ def _entry(k, value):
     return edit
 
 
+def _b_just_above_entry(doc):
+    """b placed 5e-10 above |entry|, within the tolerance of the One side."""
+    doc["b"] = abs(instance_from_json(doc).quantity) + 5e-10
+
+
 def _without(name):
     """Drop the instance field ``name``."""
     return lambda doc: doc.pop(name)
@@ -400,6 +413,11 @@ _REDUCE = ("--rule", "matinv_to_posmatinv", "--out", "{tmp}/out.json")
                      id="gen --n 0"),
         pytest.param(lambda tmp_path: ["gen", "--kind", "MATINV", "--n", 3, "--kappa", "nan",
                                        "--out", tmp_path / "o.json"], 2, id="gen --kappa nan"),
+        # the promise check and the oracle apply one tolerance to the Output
+        # clause; a solve exit 0 is One here, since Zero needs |entry| <= b - eps
+        *(pytest.param(_mutated(Kind.MATINV, _b_just_above_entry, command), 0,
+                       id=f"b = |entry| + tol/2 {command}")
+          for command in ("verify", "solve")),
         pytest.param(_mutated(Kind.MATINV, _singular, "solve"), 1, id="singular MATINV solve"),
         pytest.param(_mutated(Kind.MATINV, _singular, "verify"), 1, id="singular MATINV verify"),
         pytest.param(_mutated(Kind.MATINV, _singular, "reduce", "--rule", "matinv_to_posmatinv",

@@ -1,10 +1,14 @@
 """Promise checking, the decision oracle and the instance generators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from condred.matcore import random_unitary, svd_values
 from condred.problems import (
+    DEFAULT_TOL,
+    VERIFICATION_KINDS,
     ConditionParams,
     DecisionValue,
     InfeasibleParams,
@@ -96,6 +100,28 @@ class TestOracle:
             sv = oracle_decide(inst).witness_value
             lam = hermitian_eigs(inst.matrix)
             assert abs(sv - np.min(np.abs(lam))) < 1e-9
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5], ids=["below", "above"])
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k is not Kind.SINGULAR])
+    def test_promise_and_oracle_agree_within_tol_of_b(self, kind, shift):
+        # b placed tol/2 on either side of the value the Output clause compares
+        # with it: inside the tolerance of the One side for the promise check
+        # and for both oracle checks alike
+        for seed in range(3):
+            inst = gen_instance(kind, GEN_PARAMS[kind], seed=seed)
+            q = inst.quantity
+            if kind in VERIFICATION_KINDS:
+                b = q + shift * DEFAULT_TOL
+            elif kind in (Kind.DET, Kind.DET_PLUS, Kind.ITMATPROD_NONNEG):
+                b = q.real + shift * DEFAULT_TOL
+            else:
+                b = abs(q) + shift * DEFAULT_TOL
+            moved = replace(inst, b=b)
+            holds = check_promise(moved).overall
+            for check in ("full", "gap"):
+                decided = oracle_decide(moved, check=check).value
+                assert (decided is not DecisionValue.PROMISE_VIOLATED) is holds, (kind, seed, check)
+            assert holds and oracle_decide(moved).value is DecisionValue.ONE, (kind, seed)
 
     def test_gap_interior_is_promise_violated(self):
         a = np.diag([1.0, 0.5]).astype(complex)
