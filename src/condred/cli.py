@@ -136,10 +136,10 @@ def cmd_verify(args) -> int:
     rows = []
     any_fail = False
     for path in paths:
-        inst = instance_from_json(load_json(path))
-        report = check_promise(inst, tol=args.tol)
+        doc = load_json(path)
+        report = check_promise(instance_from_json(doc), tol=args.tol)
         any_fail |= not report.overall
-        rows.append((path, digest(instance_to_json(inst)), report))
+        rows.append((path, digest(doc), report))
         verdict = "pass" if report.overall else "VIOLATED: " + ", ".join(report.failing())
         print(f"{path}: {verdict}")
     if len(rows) > 1:

@@ -357,6 +357,7 @@ def _output(inst: ProblemInstance, q: float | complex) -> Output:
     real = kind is Kind.ITMATPROD_NONNEG
     entry = float(np.real(q)) if real else float(abs(q))
     cap, b_range = p.kappa * (len(inst.E) if kind is Kind.SUMITMATPROD else 1), (0.0, inf)
+    zero = (0.0, b - p.epsilon)  # a magnitude, or the entry ITMATPROD>=0 promises nonnegative
     realness = (("entry is real nonnegative", 0.0, float(abs(np.imag(q))), ((-inf, 0.0),)),) if real else ()
     return Output(entry, one, zero, (
         *realness,

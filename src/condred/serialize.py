@@ -16,8 +16,14 @@ Schemas (field names are load-bearing, consumed by the CLI and the tests):
              "kraus" | "measure" | "reset", "targets": [...],
              "matrices": [...]}]}; gate matrices use the dense schema
 
-Floats are emitted as Python's shortest round-trip decimal form, which is
-exact for double precision and keeps equal inputs byte-identical on disk.
+Documents are written in the layout of ``json.JSONEncoder(indent=1,
+sort_keys=True)``, byte for byte (:func:`dumps`), with floats in Python's
+shortest round-trip decimal form, which is exact for double precision and
+keeps equal inputs byte-identical on disk.  A numeric table (a list of
+equal-length lists of plain ints and floats, such as a matrix's ``data``
+or ``entries``) is rendered a batch of rows at a time by string joins;
+:func:`save_json` and :func:`digest` write and hash the text in pieces of
+about 64 KB, so the whole document is never held as one string.
 Sizes, indices and qubit numbers must be JSON integers and matrix values
 finite numbers; anything else is a :class:`SchemaError`.  A COO matrix's
 shape is checked against ``params.n`` before anything of that size is built.
@@ -28,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -275,28 +282,161 @@ def circuit_from_json(obj) -> GeneralCircuit:
         raise SchemaError(f"inconsistent circuit: {exc}") from exc
 
 
-_ENCODER = json.JSONEncoder(indent=1, sort_keys=True)
-_CHUNKS = 1 << 16  # encoder chunks joined per write
+# With an indent, CPython's json encodes in pure Python, one chunk per
+# number.  The writer below gives the same text; it walks dicts and lists as
+# the stdlib does and renders numeric tables a batch of rows at a time.
+_INDENT = " "
+_BATCH = 1024  # numbers per rendered table batch, about 30 KB of text
+_WRITE = 1 << 16  # characters written and hashed at a time, about
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == math.inf:
+        return "Infinity"
+    if o == -math.inf:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _scalar(o) -> str | None:
+    """The text of a JSON scalar, tested in the stdlib's order; None for
+    anything else."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    return None
+
+
+def _enter(o, markers: set) -> None:
+    if id(o) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(o))
+
+
+def _encode(o, level: int, markers: set):
+    """The text of ``o`` at indent ``level``, in pieces."""
+    text = _scalar(o)
+    if text is not None:
+        yield text
+    elif isinstance(o, (list, tuple)):
+        yield from _encode_list(o, level, markers)
+    elif isinstance(o, dict):
+        yield from _encode_dict(o, level, markers)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _encode_list(lst, level: int, markers: set):
+    if not lst:
+        yield "[]"
+        return
+    _enter(lst, markers)
+    level += 1
+    sep = ",\n" + _INDENT * level
+    width = _table_width(lst)
+    buf = "[" + sep[1:]
+    if width:
+        step = max(1, _BATCH // width)
+        for start in range(0, len(lst), step):
+            yield buf + _rows(lst[start : start + step], width, level)
+            buf = sep
+    else:
+        for value in lst:
+            yield buf
+            yield from _encode(value, level, markers)
+            buf = sep
+    yield "\n" + _INDENT * (level - 1) + "]"
+    markers.discard(id(lst))
+
+
+def _encode_dict(dct, level: int, markers: set):
+    if not dct:
+        yield "{}"
+        return
+    _enter(dct, markers)
+    level += 1
+    sep = ",\n" + _INDENT * level
+    buf = "{" + sep[1:]
+    for key, value in sorted(dct.items()):
+        name = _scalar(key)
+        if name is None:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+        yield buf + (name if isinstance(key, str) else _quote(name)) + ": "
+        yield from _encode(value, level, markers)
+        buf = sep
+    yield "\n" + _INDENT * (level - 1) + "}"
+    markers.discard(id(dct))
+
+
+def _table_width(lst) -> int:
+    """k when ``lst`` is a numeric table, a list of lists that each hold
+    k >= 1 plain ints and floats; 0 otherwise."""
+    if set(map(type, lst)) != {list}:
+        return 0
+    widths = set(map(len, lst))
+    if len(widths) != 1 or 0 in widths:
+        return 0
+    if not set(map(type, itertools.chain.from_iterable(lst))) <= {int, float}:
+        return 0
+    return widths.pop()
+
+
+def _rows(rows: list, width: int, level: int) -> str:
+    """Table rows at indent ``level``, joined as the stdlib joins them."""
+    inner = "\n" + _INDENT * (level + 1)
+    row = "[" + inner + ("," + inner).join(["%r"] * width) + "\n" + _INDENT * level + "]"
+    text = (",\n" + _INDENT * level).join([row] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    if "n" in text:  # only nan, inf and -inf put a letter n among the numbers
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _pieces(obj):
+    """The text of ``dumps(obj)`` in pieces of about ``_WRITE`` characters."""
+    buf, size = [], 0
+    for text in _encode(obj, 0, set()):
+        buf.append(text)
+        size += len(text)
+        if size >= _WRITE:
+            yield "".join(buf)
+            buf, size = [], 0
+    yield "".join(buf)
 
 
 def dumps(obj) -> str:
-    return _ENCODER.encode(obj)
+    """``json.JSONEncoder(indent=1, sort_keys=True).encode(obj)``."""
+    return "".join(_encode(obj, 0, set()))
 
 
 def digest(obj) -> str:
-    return hashlib.sha256(dumps(obj).encode()).hexdigest()
+    """SHA-256 of ``dumps(obj)``, hashed a piece at a time."""
+    sha = hashlib.sha256()
+    for text in _pieces(obj):
+        sha.update(text.encode())
+    return sha.hexdigest()
 
 
 def save_json(obj, path) -> str:
     """Write ``dumps(obj)`` and a newline to ``path``; return ``digest(obj)``.
 
-    The text is written and hashed as the encoder produces it, so the whole
-    document is never held as one string.
+    The text is written and hashed a piece at a time, so the whole document
+    is never held as one string.
     """
     sha = hashlib.sha256()
-    chunks = _ENCODER.iterencode(obj)
     with open(path, "w") as fh:
-        while text := "".join(itertools.islice(chunks, _CHUNKS)):
+        for text in _pieces(obj):
             fh.write(text)
             sha.update(text.encode())
         fh.write("\n")

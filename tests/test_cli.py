@@ -36,6 +36,56 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
+_STANDARD = json.JSONEncoder(indent=1, sort_keys=True)
+_floats = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]))
+_plain = st.one_of(st.integers(), _floats)
+_numbers = st.one_of(_plain, _floats.map(np.float64))
+_scalars = st.one_of(st.none(), st.booleans(), st.text(), _numbers)
+# numeric tables, ragged rows, and rows that hold other values, among them
+# an np.int64 the encoders refuse
+_tables = st.one_of(
+    st.integers(1, 4).flatmap(lambda k: st.lists(st.lists(_plain, min_size=k, max_size=k), min_size=1)),
+    st.lists(st.lists(_numbers, max_size=4)),
+    st.lists(st.lists(st.one_of(_scalars, st.lists(_numbers, max_size=2), st.integers(-9, 9).map(np.int64)),
+                      max_size=4)),
+)
+# tables of 1 to 4 render batches, cycling through a few drawn rows
+_long_tables = st.tuples(
+    st.lists(st.lists(_plain, min_size=2, max_size=2), min_size=1, max_size=4),
+    st.integers(1, 4 * serialize._BATCH // 2),
+).map(lambda t: [list(t[0][i % len(t[0])]) for i in range(t[1])])
+_documents = st.recursive(
+    st.one_of(_scalars, _tables, _long_tables),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _encoded(encode, doc):
+    """The text, or the type of the exception the encoding raised."""
+    try:
+        return encode(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _circular():
+    doc = [1, [2.5]]
+    doc[1].append(doc)
+    return doc
+
+
+def _shared():
+    """A list and a dict in several places, never inside themselves: not circular."""
+    row = [1, "x"]
+    cell = {"row": row}
+    return {"a": [row, row], "b": row, "c": [cell, cell]}
+
+
 class TestRoundTrips:
     def test_matrix(self, rng):
         a = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
@@ -89,14 +139,25 @@ class TestRoundTrips:
 
     def test_save_json_streams_the_dumps_text(self, rng, tmp_path):
         small = instance_to_json(gen_instance(Kind.MATINV, ConditionParams(3, 1, 4.0, 0.05), seed=2))
-        # a document long enough that the encoder's chunks are written in
-        # several batches
+        # a document long enough that its table is rendered in several
+        # batches and its text written in several pieces
         big = {"a": matrix_to_json(rng.normal(size=(128, 128))), "b": [1, -0.0, 2.5e-310]}
-        assert sum(1 for _ in serialize._ENCODER.iterencode(big)) > serialize._CHUNKS
+        assert len(big["a"]["data"]) > serialize._BATCH
+        assert len(dumps(big)) > 2 * serialize._WRITE
         for doc in (small, big):
             path = tmp_path / "doc.json"
             assert save_json(doc, path) == digest(doc)
             assert path.read_text() == dumps(doc) + "\n"
+
+    @given(_documents)
+    @settings(max_examples=300, deadline=None)
+    def test_dumps_is_the_standard_encoding(self, doc):
+        assert _encoded(dumps, doc) == _encoded(_STANDARD.encode, doc)
+
+    @pytest.mark.parametrize("doc", [np.int64(3), [[1, np.int64(2)]], {"a": object()}, {(1, 2): 3},
+                                     {1: 2, "a": 3}, _circular(), _shared()], ids=repr)
+    def test_dumps_refuses_and_accepts_what_the_standard_encoder_does(self, doc):
+        assert _encoded(dumps, doc) == _encoded(_STANDARD.encode, doc)
 
     def test_schema_errors(self):
         with pytest.raises(SchemaError):
@@ -150,6 +211,21 @@ class TestCli:
                 "--epsilon", 0.02, "--seed", seed, "--out", tmp_path / f"i{seed}.json")
         assert run("verify", tmp_path) == 0
         assert "3/3 instances pass" in capsys.readouterr().out
+
+    def test_verify_and_solve_hash_the_same_input(self, tmp_path):
+        # written by hand: an integer b and COO entries out of row-major
+        # order, neither of which instance_to_json would write
+        doc = {"type": "MATINV", "params": {"n": 2, "m": 1, "kappa": 4.0, "epsilon": 0.1},
+               "matrices": [{"format": "coo", "rows": 2, "cols": 2,
+                             "entries": [[1, 1, 0.5, 0], [0, 0, 1, 0]]}],
+               "s": 2, "t": 2, "b": 1}
+        src = tmp_path / "hand.json"
+        src.write_text(json.dumps(doc))
+        assert run("verify", src, "--report", tmp_path / "v.json") == 0
+        assert run("solve", src, "--method", "oracle", "--report", tmp_path / "s.json") == 0
+        verified = json.loads((tmp_path / "v.json").read_text())["files"][0]["input_digest"]
+        solved = json.loads((tmp_path / "s.json").read_text())["input_digest"]
+        assert verified == solved == digest(doc)
 
     def test_reduce_and_report(self, inst_file, tmp_path):
         out = tmp_path / "out.json"

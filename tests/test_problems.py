@@ -129,6 +129,18 @@ class TestOracle:
         inst = ProblemInstance(Kind.MATINV, ConditionParams(2, 1, 2.0, 1.0), (a,), s=2, t=2, b=2.5)
         assert oracle_decide(inst).value is DecisionValue.PROMISE_VIOLATED
 
+    @pytest.mark.parametrize("entry", [-0.5, -2 * DEFAULT_TOL, -DEFAULT_TOL / 2])
+    def test_nonneg_entry_below_zero(self, entry):
+        # ITMATPROD>=0's Zero side is [0, b-eps]: an entry below -tol breaks
+        # the promise, one within tol of 0 is still Zero
+        a = np.diag([entry, 0.5]).astype(complex)
+        inst = ProblemInstance(Kind.ITMATPROD_NONNEG, ConditionParams(2, 1, 2.0, 0.1), (a,), s=1, t=1, b=0.3)
+        holds = entry >= -DEFAULT_TOL
+        assert check_promise(inst).overall is holds
+        for check in ("full", "gap"):
+            decided = oracle_decide(inst, check=check).value
+            assert decided is (DecisionValue.ZERO if holds else DecisionValue.PROMISE_VIOLATED), check
+
     def test_det_log_magnitude_equals_singular_values(self):
         for seed in range(20):
             a = gen_conditioned_matrix(4, 0.2, 1.0, seed)
