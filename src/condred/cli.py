@@ -13,6 +13,7 @@ Exit status: 0 success, 1 promise violation detected, 2 usage/schema error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -325,6 +326,9 @@ def run_self_test(tol: float) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``condred`` parser.  Each subcommand's ``func`` looks its ``cmd_*``
+    up when it is called, so a parser built once still runs a ``cmd_*``
+    replaced later (a tracer's wrapper, a test's spy)."""
     parser = argparse.ArgumentParser(
         prog="condred",
         description="well-conditioned matrix promise problems: generation, "
@@ -344,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decision", choices=["one", "zero", "auto"], default="auto")
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=lambda args: cmd_gen(args))
 
     p = sub.add_parser("verify", help="check every promise clause of an instance file or directory")
     p.add_argument("path")
     p.add_argument("--report")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=lambda args: cmd_verify(args))
 
     p = sub.add_parser("reduce", help="apply one reduction rule")
     p.add_argument("path")
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.add_argument("--measure", action="store_true", help="measure declared bounds (slower)")
     p.add_argument("--check", choices=["full", "gap", "none"], default="full")
-    p.set_defaults(func=cmd_reduce)
+    p.set_defaults(func=lambda args: cmd_reduce(args))
 
     p = sub.add_parser("chain", help="apply a comma-separated rule path")
     p.add_argument("path")
@@ -366,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--check", choices=["full", "gap", "none"], default="gap")
-    p.set_defaults(func=cmd_chain)
+    p.set_defaults(func=lambda args: cmd_chain(args))
 
     p = sub.add_parser("compile-circuit", help="compile a circuit JSON to an instance")
     p.add_argument("path")
@@ -374,20 +378,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--check", choices=["full", "gap", "none"], default="gap")
-    p.set_defaults(func=cmd_compile_circuit)
+    p.set_defaults(func=lambda args: cmd_compile_circuit(args))
 
     p = sub.add_parser("solve", help="decide an instance by oracle or certified series")
     p.add_argument("path")
     p.add_argument("--method", choices=["oracle", "series"], default="oracle")
     p.add_argument("--report")
     p.add_argument("--check", choices=["full", "gap", "none"], default="full")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=lambda args: cmd_solve(args))
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads, built on its first call and reused for
+    the rest of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.self_test:
         return run_self_test(args.tol)

@@ -176,6 +176,15 @@ class ProblemInstance:
         return w
 
     @cached_property
+    def sigma1_sweep(self) -> float:
+        """Largest sigma1 over all partial products of ``forms`` for the
+        product kinds, else over the powers A^1 .. A^m; computed on first
+        read and kept."""
+        if self.kind in PRODUCT_KINDS:
+            return max_partial_sigma1(self.forms)
+        return max_power_sigma1(self.forms[0], self.params.m)
+
+    @cached_property
     def quantity(self) -> float | complex | None:
         """:func:`decision_quantity`, computed on first read and kept."""
         return _quantity(self)
@@ -380,10 +389,10 @@ def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseRep
     checks: list[PromiseCheck] = []
 
     if kind in PRODUCT_KINDS:
-        worst = max_partial_sigma1(inst.forms)
+        worst = inst.sigma1_sweep
         checks.append(PromiseCheck("sigma1(all partial products) <= kappa", p.kappa, worst, worst <= p.kappa + tol))
     elif kind in (Kind.MATPOW, Kind.V_MATPOW):
-        worst = max_power_sigma1(inst.forms[0], p.m)
+        worst = inst.sigma1_sweep
         checks.append(PromiseCheck("sigma1(A^j) <= kappa for j in [m]", p.kappa, worst, worst <= p.kappa + tol))
     elif kind is Kind.SINGULAR:
         herm = float(np.max(np.abs(inst.matrix - inst.matrix.conj().T)))

@@ -37,14 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .matcore import SPARSE_DENSITY, gram, is_hermitian, nonzeros, sparse_form, svd_values
-from .problems import (
-    ConditionParams,
-    Kind,
-    ProblemInstance,
-    decision_quantity,
-    max_partial_sigma1,
-    max_power_sigma1,
-)
+from .problems import ConditionParams, Kind, ProblemInstance, decision_quantity
 from .series import PromiseViolation, log_series, logdet_terms, neumann_series, neumann_terms
 from .series import log_count as _log_count
 
@@ -100,8 +93,8 @@ def _lambda_min(src: ProblemInstance, dst: ProblemInstance) -> float:
     return float(dst.hermitian_eigenvalues[-1])
 
 
-def _partials_sigma1(src: ProblemInstance, dst: ProblemInstance) -> float:
-    return max_partial_sigma1(dst.forms)
+def _sigma1_sweep(src: ProblemInstance, dst: ProblemInstance) -> float:
+    return dst.sigma1_sweep
 
 
 class _Undefined(Exception):
@@ -197,8 +190,7 @@ def reduce_itmatprod_to_matpow(inst: ProblemInstance) -> tuple[ProblemInstance, 
         output_params=out_params,
         answer_map="b_hat = b; A_hat^m[s, nm+t] = A_{1,m}[s,t]",
         declared_bounds=(
-            Bound("sigma1(A_hat^j), j in [m]", p.kappa,
-                  measure=lambda src, dst: max_power_sigma1(dst.forms[0], dst.params.m)),
+            Bound("sigma1(A_hat^j), j in [m]", p.kappa, measure=_sigma1_sweep),
         ),
     )
     return out, rec
@@ -306,7 +298,7 @@ def reduce_posdet_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInstanc
             "diagonal sum = n*l_hat + ln det H + tr(remainder)"
         ),
         declared_bounds=(
-            Bound("sigma1(all partial products)", 1.0, measure=_partials_sigma1),
+            Bound("sigma1(all partial products)", 1.0, measure=_sigma1_sweep),
             Bound("series remainder (one-sided)", eps / 2.0, measure=_log_remainder),
             Bound("series remainder >= 0", 0.0, upper=False, measure=_log_remainder),
         ),
@@ -342,7 +334,7 @@ def reduce_itmatprod_to_nonneg(inst: ProblemInstance) -> tuple[ProblemInstance, 
         input_params=p,
         output_params=out_params,
         answer_map="b_hat = b^2; A_hat_{1,2m+1}[s,s] = |A_{1,m}[s,t]|^2",
-        declared_bounds=(Bound("sigma1(all partial products)", p.kappa**2, measure=_partials_sigma1),),
+        declared_bounds=(Bound("sigma1(all partial products)", p.kappa**2, measure=_sigma1_sweep),),
     )
     return out, rec
 
@@ -444,7 +436,7 @@ def reduce_posmatinv_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInst
             "sum over E = sum_j (I-H)^j[s,t] = H^-1[s,t] + remainder"
         ),
         declared_bounds=(
-            Bound("sigma1(all partial products)", 1.0, measure=_partials_sigma1),
+            Bound("sigma1(all partial products)", 1.0, measure=_sigma1_sweep),
             Bound("|Neumann remainder|", eps / 4.0, measure=_quantity_difference),
         ),
     )
@@ -493,7 +485,7 @@ def reduce_sumitmatprod_to_itmatprod(inst: ProblemInstance) -> tuple[ProblemInst
         answer_map="b_hat = b; A_hat_{0,m+1}[1,1] = sum over E of A_{1,m}[s,t]",
         declared_bounds=(
             Bound("sigma1(fan-out factor)", math.sqrt(2.0 * n_e), measure=_sigma1),
-            Bound("sigma1(all partial products)", kappa_hat, measure=_partials_sigma1),
+            Bound("sigma1(all partial products)", kappa_hat, measure=_sigma1_sweep),
         ),
     )
     return out, rec

@@ -408,6 +408,75 @@ class TestCli:
                    "--out", tmp_path / "plus.json") == 0
         assert eigs == [8]
 
+    def test_each_sigma1_sweep_is_measured_once(self, tmp_path, monkeypatch):
+        # the partial-products bound of --measure and the target's full
+        # promise check share one sweep of m(m+1)/2 SVDs, kept on the target
+        src = tmp_path / "detplus.json"
+        assert run("gen", "--kind", "DET+", "--n", 2, "--kappa", 2, "--epsilon", 0.3,
+                   "--seed", 1, "--out", src) == 0
+        svds = []
+        svd = problems.svd_values
+        monkeypatch.setattr(problems, "svd_values", lambda a: svds.append(a.shape[0]) or svd(a))
+        report = tmp_path / "r.json"
+        assert run("reduce", src, "--rule", "posdet_to_sumitmatprod", "--measure",
+                   "--out", tmp_path / "sum.json", "--report", report) == 0
+        out = json.loads(report.read_text())["provenance"][0]["output_params"]
+        assert out["n"] > 2
+        assert svds.count(out["n"]) == out["m"] * (out["m"] + 1) // 2
+
+    def test_one_parser_serves_every_call_in_a_process(self, tmp_path, monkeypatch):
+        # main builds its parser once per process; calls that follow one
+        # another in one process give what each gives in a process of its own
+        argvs = [
+            ["gen", "--kind", "MATINV+", "--n", "4", "--kappa", "4", "--epsilon", "0.05",
+             "--seed", "3", "--out", "inst.json", "--report", "gen.json"],
+            ["verify", "inst.json", "--report", "verify.json"],
+            ["reduce", "inst.json", "--rule", "posmatinv_to_sumitmatprod", "--out", "sum.json",
+             "--report", "reduce.json"],
+            ["solve", "inst.json", "--method", "series", "--report", "solve.json"],
+            ["chain", "inst.json", "--rules", "det_to_posdet", "--out", "x.json"],
+        ]
+        apart, here = tmp_path / "apart", tmp_path / "here"
+        apart.mkdir()
+        here.mkdir()
+        src = str(Path(condred.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        codes_apart = [
+            subprocess.run([sys.executable, "-m", "condred.cli", *argv], cwd=apart, env=env,
+                           capture_output=True, timeout=120).returncode
+            for argv in argvs
+        ]
+        monkeypatch.chdir(here)
+        codes_here = [main(argv) for argv in argvs]
+        assert codes_here == codes_apart == [0, 0, 0, 0, 2]
+        files = sorted(p.name for p in apart.iterdir())
+        assert files == sorted(p.name for p in here.iterdir())
+        for name in files:
+            a, b = json.loads((apart / name).read_text()), json.loads((here / name).read_text())
+            a.pop("wall_time_s", None)
+            b.pop("wall_time_s", None)
+            assert a == b, name
+
+    def test_a_replaced_command_is_the_one_that_runs(self, inst_file, monkeypatch):
+        # the parser is built by the first call; a cmd_* replaced after that
+        # (as a tracer replaces it) is still the one main reaches
+        assert run("solve", inst_file) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.path) or 7)
+        assert run("solve", inst_file) == 7
+        assert seen == [str(inst_file)]
+
+    @pytest.mark.parametrize("argv", [["solve"], ["bogus"], ["gen", "--kind", "NOPE", "--n", "2", "--out", "x"],
+                                      ["verify", "a.json", "--check", "gap"]])
+    def test_usage_errors_exit_2_on_a_built_parser(self, argv, inst_file, capsys):
+        assert run("verify", inst_file) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: condred")
+        assert main([]) == 2  # no command: the help, and the usage status
+        assert run("verify", inst_file) == 0
+
     def test_self_test_flag(self, capsys):
         assert run("--self-test") == 0
         out = capsys.readouterr().out

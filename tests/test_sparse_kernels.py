@@ -1,11 +1,13 @@
 """The matcore kernels on the reductions' nearly empty matrices.
 
 ``inverse_entry``, ``log_abs_det`` and ``gram`` take a dense array or a
-SciPy sparse matrix, and compute on the sparse form when at most 1/64 of
-the matrix is nonzero.  Here they are checked against dense LAPACK on the
-largest matrices the package builds, both as the instance stores them and
-as dense arrays: the ends of both reduction cycles and a compiled h = 2
-circuit; and on either form of small matrices on each side of the cutoff.
+SciPy sparse matrix and follow its form: a sparse matrix is computed on
+sparse, whatever its density, and a dense one only when at most 1/64 of it
+is nonzero.  Here they are checked against dense LAPACK on the largest
+matrices the package builds, both as the instance stores them and as dense
+arrays: the ends of both reduction cycles and a compiled h = 2 circuit; on
+stored CSC matrices above the cutoff, which must be decided without a dense
+copy; and on either form of small matrices on each side of the cutoff.
 """
 
 import numpy as np
@@ -13,8 +15,8 @@ import pytest
 from scipy import sparse
 
 from condred.circuits import append_cleanup, eliminate_measurements
-from condred.matcore import gram, inverse_entry, log_abs_det, sparse_form
-from condred.problems import ConditionParams, Kind, ProblemInstance
+from condred.matcore import SPARSE_DENSITY, gram, inverse_entry, log_abs_det, sparse_form
+from condred.problems import ConditionParams, DecisionValue, Kind, ProblemInstance, gen_instance, oracle_decide
 from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, chain
 from conftest import random_complex
 from test_acceptance import _det_plus_cycle_instance, _matinv_plus_cycle_instance
@@ -105,6 +107,42 @@ def test_gram_matches_dense_and_is_hermitian(end_instance, left):
     assert np.array_equal(kept.toarray(), got)
 
 
+def _matpow_matinv():
+    """A MATPOW with n = 8, m = 15 reduces to a MATINV of n = 128 that is
+    stored as CSC although 6.6% of it is nonzero."""
+    out, _ = chain(gen_instance(Kind.MATPOW, ConditionParams(8, 15, 2.0, 0.02), 1), ["matpow_to_matinv"])
+    assert out.params.n == 128
+    return out
+
+
+def _itmatprod_matinv_plus():
+    """ITMATPROD (n = 4, m = 6) to MATINV+ (n = 392, 2.3% nonzero), through a
+    MATINV of n = 196 at 2.0% whose Gram block the last rule builds."""
+    src = gen_instance(Kind.ITMATPROD, ConditionParams(4, 6, 2.0, 0.02), 0, want_one=True)
+    out, _ = chain(src, ["itmatprod_to_matpow", "matpow_to_matinv", "matinv_to_posmatinv"])
+    assert out.params.n == 392
+    return out
+
+
+def _no_dense_copy(*args, **kwargs):
+    raise AssertionError("a stored CSC was densified")
+
+
+@pytest.mark.parametrize("make, value", [(_matpow_matinv, DecisionValue.ZERO),
+                                         (_itmatprod_matinv_plus, DecisionValue.ONE)])
+def test_a_stored_csc_above_the_cutoff_is_decided_without_a_dense_copy(make, value, monkeypatch):
+    monkeypatch.setattr(sparse.csc_array, "toarray", _no_dense_copy)
+    inst = make()  # the last rule's Gram block, too, is built sparse
+    a = inst.forms[0]
+    assert sparse.issparse(a) and a.nnz > SPARSE_DENSITY * a.shape[0] * a.shape[1]
+    assert sparse_form(a) is a
+    assert oracle_decide(inst, check="gap").value is value
+    assert "matrices" not in vars(inst), "the dense view was materialised"
+    monkeypatch.undo()
+    want = _dense_inverse_entry(a.toarray(), inst.s, inst.t)
+    assert abs(inst.quantity - want) <= ENTRY_RTOL * abs(want), (inst.quantity, want)
+
+
 N = 80
 
 
@@ -192,10 +230,15 @@ def _singular_variants(a):
     return {"zero row": zero_row, "zero column": zero_col, "repeated row": repeated}
 
 
-@pytest.mark.parametrize("size", [8, 350])
+@pytest.mark.parametrize("size", [8, 128, 350])
 def test_singular_matrices_behave_as_on_the_dense_path(size):
+    # dense above the cutoff (LAPACK), dense within it (scanned), and CSC
+    # copies of each, above the cutoff for n = 8 and n = 128
     if size == 8:
         a = np.eye(8, dtype=complex) + np.diag(np.full(7, 0.5), 1)
+        assert sparse_form(a) is None
+    elif size == 128:
+        a = _matpow_matinv().matrix
         assert sparse_form(a) is None
     else:
         a = _det_plus_cycle_end().matrix
@@ -203,7 +246,8 @@ def test_singular_matrices_behave_as_on_the_dense_path(size):
     for label, m in _singular_variants(a).items():
         with pytest.raises(np.linalg.LinAlgError):
             _dense_inverse_entry(m, 1, 1)
-        with pytest.raises(np.linalg.LinAlgError):
-            inverse_entry(m, 1, 1)
         assert np.linalg.slogdet(m)[1] == -np.inf, label
-        assert log_abs_det(m) == -np.inf, label
+        for form in (m, sparse.csc_array(m)):
+            with pytest.raises(np.linalg.LinAlgError):
+                inverse_entry(form, 1, 1)
+            assert log_abs_det(form) == -np.inf, label
