@@ -2,8 +2,9 @@
 
 The package has five layers:
 
-* :mod:`condred.matcore` -- dense complex linear algebra and channel
-  superoperators under a fixed row-major vectorization;
+* :mod:`condred.matcore` -- complex linear algebra on the stored form of a
+  matrix, dense or sparse, and channel superoperators under a fixed
+  row-major vectorization;
 * :mod:`condred.problems` -- the promise problems as data, promise checking,
   a brute-force decision oracle and seeded instance generators;
 * :mod:`condred.reductions` -- the condition-preserving reductions between
@@ -17,15 +18,7 @@ The package has five layers:
 ``condred.cli`` exposes all of it as a batch command line tool.
 """
 
-from .matcore import (
-    direct_sum,
-    hermitian_eigs,
-    kron,
-    multiply,
-    natural_representation,
-    svd_values,
-    vec_index,
-)
+from .matcore import hermitian_eigs, natural_representation, svd_values, vec_index
 from .problems import (
     ConditionParams,
     Decision,

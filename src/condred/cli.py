@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from pathlib import Path
@@ -310,19 +311,15 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def run_self_test(tol: float) -> int:
-    """Quick invariant battery over every subsystem; one table row each."""
-    from . import selftest
-
-    rows = selftest.run_all(tol)
-    width = max(len(name) for name, _, _ in rows)
-    failures = 0
-    for name, ok, detail in rows:
-        status = "ok" if ok else "FAIL"
-        failures += not ok
-        print(f"{name:<{width}}  {status:<4}  {detail}")
-    print(f"{len(rows) - failures}/{len(rows)} self-test groups pass")
-    return EXIT_OK if failures == 0 else EXIT_PROMISE
+def _tolerance(text: str) -> float:
+    """The ``--tol`` type: a finite number >= 0, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="well-conditioned matrix promise problems: generation, "
         "verification, reductions and circuit compilation",
     )
-    parser.add_argument("--self-test", action="store_true", help="run the invariant suite and exit")
-    parser.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)")
+    parser.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric tolerance (default 1e-9)")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("gen", help="generate a seeded instance")
@@ -400,8 +396,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.self_test:
-        return run_self_test(args.tol)
     if not getattr(args, "func", None):
         parser.print_help()
         return EXIT_USAGE

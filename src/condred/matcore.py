@@ -9,15 +9,15 @@ all use this order and break if it is changed in only one place.
 
 The reductions produce matrices that are almost all zeros.  Density is
 decided once, when a matrix is stored: the builders assemble a block matrix
-in SciPy CSC form when at most 1/64 of it is nonzero (:data:`SPARSE_DENSITY`)
-and as a dense array otherwise, and an instance keeps that form
+in SciPy CSC form when it is nearly empty and as a dense array otherwise
+(:func:`condred.reductions._block_matrix`), and an instance keeps that form
 (:func:`as_form`); it densifies only when its dense ``matrices`` are read
 (:func:`dense_form`).  The kernels :func:`inverse_entry`, :func:`log_abs_det`
-and :func:`gram` follow the stored form (:func:`sparse_form`): a sparse
-matrix goes to SuperLU or the sparse product, whatever its density, and a
-dense one to LAPACK unless a scan finds it within the cutoff.  SciPy is
-imported only on the sparse path.  Every iterated product sweeps a dense
-block of rows through the stored factors (:func:`running_products`).
+and :func:`gram` compute on the form they are given: a dense array goes to
+LAPACK and a dense product, a sparse matrix to SuperLU and the sparse
+product, whatever its density.  SciPy is imported only on the sparse path.
+Every iterated product sweeps a dense block of rows through the stored
+factors (:func:`running_products`).
 
 A known limit: density alone does not predict SuperLU's fill.  The
 reductions' block-banded outputs fill little, but one entry of the inverse
@@ -32,10 +32,6 @@ import sys
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-
-#: a matrix is stored sparse, and a dense array is read as sparse, when at
-#: most this share of its entries is nonzero
-SPARSE_DENSITY = 1 / 64
 
 
 class NonConvergenceError(RuntimeError):
@@ -52,33 +48,6 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def multiply(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def direct_sum(blocks) -> np.ndarray:
-    """Block-diagonal assembly of square blocks."""
-    blocks = [as_matrix(b, square=True) for b in blocks]
-    if not blocks:
-        return np.zeros((0, 0), dtype=np.complex128)
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=np.complex128)
-    at = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[at : at + k, at : at + k] = b
-        at += k
-    return out
 
 
 def svd_values(a) -> np.ndarray:
@@ -131,32 +100,9 @@ def dense_form(a) -> np.ndarray:
     return out
 
 
-def _scanned(a: np.ndarray, nonzero: np.ndarray):
-    from scipy import sparse
-
-    rows, cols = np.nonzero(nonzero)
-    return sparse.csc_array((a[rows, cols], (rows, cols)), shape=a.shape)
-
-
 def nonzeros(a) -> int:
     """Number of nonzero entries of a dense or SciPy sparse matrix."""
     return np.count_nonzero(a) if isinstance(a, np.ndarray) else a.count_nonzero()
-
-
-def sparse_form(a):
-    """The CSC form the kernels compute on, or None for dense LAPACK.
-
-    A SciPy sparse ``a`` was stored sparse, and comes back as its CSC
-    whatever its density.  A dense ``a`` is scanned, and comes back as a
-    new CSC when at most 1/64 of its entries are nonzero.  An invertible
-    n x n matrix has at least n nonzeros, so a dense one qualifies only
-    from n = 64 on; small dense instances never load SciPy.
-    """
-    if not isinstance(a, np.ndarray):
-        return a.tocsc()
-    nonzero = a != 0
-    limit = SPARSE_DENSITY * a.shape[0] * a.shape[1]
-    return None if np.count_nonzero(nonzero) > limit else _scanned(a, nonzero)
 
 
 def _splu(sp):
@@ -178,19 +124,17 @@ def inverse_entry(a, s: int, t: int) -> complex:
     """
     rhs = np.zeros(a.shape[0], dtype=np.complex128)
     rhs[t - 1] = 1.0
-    sp = sparse_form(a)
-    col = np.linalg.solve(a, rhs) if sp is None else _splu(sp).solve(rhs)
+    col = np.linalg.solve(a, rhs) if isinstance(a, np.ndarray) else _splu(a.tocsc()).solve(rhs)
     return complex(col[s - 1])
 
 
 def log_abs_det(a) -> float:
     """ln|det a| by triangular factorization; -inf when ``a`` is singular.
     ``a`` is dense or SciPy sparse."""
-    sp = sparse_form(a)
-    if sp is None:
+    if isinstance(a, np.ndarray):
         return float(np.linalg.slogdet(a)[1])
     try:
-        lu = _splu(sp)
+        lu = _splu(a.tocsc())
     except np.linalg.LinAlgError:
         return -np.inf
     # L has a unit diagonal and the permutations have |det| = 1
@@ -198,18 +142,13 @@ def log_abs_det(a) -> float:
 
 
 def gram(a, *, left: bool):
-    """A^dag A when ``left`` (the adjoint on the left), else A A^dag.
-
-    The product is sparse when :func:`sparse_form` gives one, dense
-    otherwise.  A dense ``a`` gives a C-ordered array, a sparse ``a`` a
-    SciPy sparse result.  The result is exactly Hermitian: it is averaged
-    with its own adjoint before it is returned.
+    """A^dag A when ``left`` (the adjoint on the left), else A A^dag, in
+    ``a``'s form: a C-ordered array for a dense ``a``, a SciPy sparse matrix
+    for a sparse one.  The result is exactly Hermitian: it is averaged with
+    its own adjoint before it is returned.
     """
-    sp = sparse_form(a)
-    m = a if sp is None else sp
-    g = m.conj().T @ m if left else m @ m.conj().T
-    g = (g + g.conj().T) / 2.0
-    return g.toarray(order="C") if sp is not None and isinstance(a, np.ndarray) else g
+    g = a.conj().T @ a if left else a @ a.conj().T
+    return (g + g.conj().T) / 2.0
 
 
 def running_products(start: np.ndarray, factors):
@@ -240,13 +179,6 @@ def hermitian_eigs(a, tol: float = DEFAULT_TOL) -> np.ndarray:
 def vec(a) -> np.ndarray:
     """Row-major vectorization: vec(A)[r*d + c] = A[r, c]."""
     return as_matrix(a).reshape(-1)
-
-
-def unvec(v, d: int) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
-    if v.size != d * d:
-        raise ValueError(f"cannot reshape length-{v.size} vector to {d}x{d}")
-    return v.reshape(d, d)
 
 
 def vec_index(row_state: int, col_state: int, d: int) -> int:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matcore import SPARSE_DENSITY, gram, is_hermitian, nonzeros, sparse_form, svd_values
+from .matcore import gram, is_hermitian, nonzeros, svd_values
 from .problems import ConditionParams, Kind, ProblemInstance, decision_quantity
 from .series import PromiseViolation, log_series, logdet_terms, neumann_series, neumann_terms
 from .series import log_count as _log_count
@@ -121,6 +121,9 @@ def _quantity_difference(src: ProblemInstance, dst: ProblemInstance) -> float:
 #: the block is a number c, standing for c*I, or a matrix (dense or sparse)
 Block = tuple[int, int, int, object]
 
+#: the share of nonzeros up to which :func:`_block_matrix` stores in CSC form
+SPARSE_DENSITY = 1 / 64
+
 
 def _block_matrix(
     n: int,
@@ -137,9 +140,9 @@ def _block_matrix(
     or subtracted from zero where its sign is negative (``0 - x``, not ``-x``,
     so zero parts stay +0.0); only the nonzero entries of a block are placed.
     When the sources, each counted once however often the layout places it,
-    and the diagonal together fill at most 1/64 of the output, B comes back
-    in CSC form; otherwise as a dense array.  Both hold the same entries,
-    bit for bit.
+    and the diagonal together fill at most :data:`SPARSE_DENSITY` of the
+    output, B comes back in CSC form; otherwise as a dense array.  Both hold
+    the same entries, bit for bit.
     """
     dim = n * k
     rows, cols, vals = [], [], []
@@ -387,9 +390,7 @@ def reduce_det_to_posdet(inst: ProblemInstance) -> tuple[ProblemInstance, Reduct
     if inst.kind is not Kind.DET:
         raise ValueError(f"rule needs DET input, got {inst.kind.value}")
     p = inst.params
-    a = inst.forms[0]
-    sp = sparse_form(a)  # a nearly empty A gives a sparse H, whatever A's form
-    h = gram(a if sp is None else sp, left=False)
+    h = gram(inst.forms[0], left=False)
     # the declared gap parameter is eps/2 although squaring the
     # determinant doubles the realized log gap; the record carries both
     out_params = ConditionParams(p.n, 1, p.kappa**2, p.epsilon / 2.0)

@@ -2,20 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from condred.matcore import (
     adjoint_apply,
-    direct_sum,
+    as_matrix,
     hermitian_eigs,
-    kron,
-    multiply,
     natural_representation,
     random_kraus_set,
     random_unitary,
     svd_values,
-    unvec,
     vec,
     vec_index,
 )
@@ -25,80 +22,11 @@ I2 = np.eye(2, dtype=np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
-def naive_multiply(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMultiply:
-    def test_identity(self):
-        assert np.array_equal(multiply(I2, I2), I2)
-
-    def test_involution(self):
-        assert np.allclose(multiply(X, X), I2)
-
-    def test_against_triple_loop(self, rng):
-        a = random_complex(rng, 4, 4)
-        b = random_complex(rng, 4, 4)
-        assert np.allclose(multiply(a, b), naive_multiply(a, b), atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            multiply(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_nonfinite(self):
-        bad = np.array([[np.inf, 0], [0, 1]])
-        with pytest.raises(ValueError):
-            multiply(bad, I2)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
-
-    def test_unit_matrix_placement(self, rng):
-        # F_{2,1,2} (x) A puts A in the upper-right block
-        f = np.array([[0, 1], [0, 0]], dtype=np.complex128)
-        a = random_complex(rng, 2, 2)
-        out = kron(f, a)
-        assert np.allclose(out[:2, 2:], a)
-        out[:2, 2:] = 0
-        assert np.count_nonzero(out) == 0
-
-    def test_index_formula(self, rng):
-        a = random_complex(rng, 3, 2)
-        b = random_complex(rng, 2, 4)
-        out = kron(a, b)
-        for i in range(6):
-            for j in range(8):
-                assert abs(out[i, j] - a[i // 2, j // 4] * b[i % 2, j % 4]) < 1e-15
-
-    def test_associative(self, rng):
-        a, b, c = (random_complex(rng, 2, 2) for _ in range(3))
-        assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=0)
-
-
-class TestDirectSum:
-    def test_identities(self):
-        assert np.array_equal(direct_sum([np.eye(1), np.eye(2)]), np.eye(3))
-
-    def test_diag(self):
-        out = direct_sum([np.zeros((1, 1)), 2 * np.eye(1)])
-        assert np.array_equal(out, np.diag([0.0, 2.0]).astype(complex))
-
-    def test_spectrum_is_block_union(self, rng):
-        blocks = [random_complex(rng, k, k) for k in (2, 3, 1)]
-        got = np.sort(svd_values(direct_sum(blocks)))
-        want = np.sort(np.concatenate([svd_values(b) for b in blocks]))
-        assert np.allclose(got, want, atol=1e-9)
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(ValueError):
-            direct_sum([np.ones((2, 3))])
+def test_as_matrix_rejects_nonfinite_and_rectangular():
+    with pytest.raises(ValueError, match="finite"):
+        as_matrix(np.array([[np.inf, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="square"):
+        as_matrix(np.ones((2, 3)), square=True)
 
 
 class TestSvdValues:
@@ -165,16 +93,10 @@ class TestVecIndex:
 
 
 class TestVec:
-    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_unvec_roundtrip(self, d, seed):
-        a = random_complex(np.random.default_rng(seed), d, d)
-        assert np.array_equal(unvec(vec(a), d), a)
-
     def test_vec_of_sandwich(self, rng):
         # the defining relation of the chosen order
         a, rho, b = (random_complex(rng, 3, 3) for _ in range(3))
-        assert np.allclose(vec(a @ rho @ b), kron(a, b.T) @ vec(rho), atol=1e-12)
+        assert np.allclose(vec(a @ rho @ b), np.kron(a, b.T) @ vec(rho), atol=1e-12)
 
 
 def apply_channel(kraus, rho):
@@ -186,7 +108,7 @@ class TestNaturalRepresentation:
         assert np.allclose(natural_representation([I2]), np.eye(4))
 
     def test_unitary_x(self):
-        assert np.allclose(natural_representation([X]), kron(X, X))
+        assert np.allclose(natural_representation([X]), np.kron(X, X))
 
     def test_depolarizing(self):
         # rho -> tr(rho) I/2 realized by the four normalized Paulis
@@ -226,7 +148,7 @@ class TestNaturalRepresentation:
         k1 = random_kraus_set(d, 2, rng)
         k2 = random_kraus_set(d, 3, rng)
         composed = [b @ a for b in k2 for a in k1]
-        lhs = multiply(natural_representation(k2), natural_representation(k1))
+        lhs = natural_representation(k2) @ natural_representation(k1)
         assert np.allclose(lhs, natural_representation(composed), atol=1e-9)
 
     def test_adjoint_pullback(self, rng):

@@ -3,14 +3,13 @@
 Every rule that builds a block matrix out of its input's matrices,
 identities and scalars places its blocks with one helper: in CSC when the
 output is nearly empty, as a dense array otherwise.  ``det_to_posdet`` keeps
-the sparse Gram product of a sparse source.  The output instance stores that
-form and densifies it only when its ``matrices`` are read.  Here every
-output's dense view is compared with the dense textbook formula, kept below
-as a reference, on both reduction cycles, on a compiled h = 2 circuit and on
-instances on each side of the cutoff; no nearly empty output along the
-cycles is stored dense; the stored CSC is checked against a fresh scan of
-the view; and the decision at a cycle end is shown to read the stored CSC
-and never densify.
+its source's form: a sparse source gives a sparse Gram product.  The output
+instance stores that form and densifies it only when its ``matrices`` are
+read.  Here every output's dense view is compared with the dense textbook
+formula, kept below as a reference, on both reduction cycles, on a compiled
+h = 2 circuit and on instances on each side of the cutoff; no nearly empty
+output along the cycles is stored dense; and the decision at a cycle end is
+shown to read the stored CSC and never densify.
 """
 
 import dataclasses
@@ -21,9 +20,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from condred import matcore
 from condred.circuits import append_cleanup, circuit_to_itmatprod
-from condred.matcore import sparse_form
 from condred.problems import ConditionParams, DecisionValue, Kind, ProblemInstance, oracle_decide
 from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, RULES, _log_count, chain
 from condred.series import logdet_terms, neumann_terms
@@ -51,15 +48,14 @@ def _swap_perm(n, a, b):
     return perm
 
 
-def _textbook_gram(a, left):
-    """A^dag A or A A^dag as the kernel computes it: a sparse product when at
-    most 1/64 of ``a`` is nonzero, else a dense one; averaged with its adjoint."""
-    if np.count_nonzero(a) > a.size / 64:
-        g = a.conj().T @ a if left else a @ a.conj().T
-        return (g + g.conj().T) / 2.0
-    sp = sparse.csc_array(a)
-    g = sp.conj().T @ sp if left else sp @ sp.conj().T
-    return ((g + g.conj().T) / 2.0).toarray(order="C")
+def _textbook_gram(inst, left):
+    """A^dag A or A A^dag of the instance's matrix as the kernel computes it:
+    a sparse product when the instance stores it sparse, else a dense one;
+    averaged with its adjoint."""
+    a = inst.matrix if isinstance(inst.forms[0], np.ndarray) else sparse.csc_array(inst.matrix)
+    g = a.conj().T @ a if left else a @ a.conj().T
+    g = (g + g.conj().T) / 2.0
+    return g if isinstance(g, np.ndarray) else g.toarray(order="C")
 
 
 def _matpow_to_matinv(inst):
@@ -78,7 +74,7 @@ def _nonneg_to_det(inst):
 def _matinv_to_posmatinv(inst):
     n, a = inst.params.n, inst.matrix
     h = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    h[:n, :n] = _textbook_gram(a, left=True)
+    h[:n, :n] = _textbook_gram(inst, left=True)
     h[:n, n:] = -a.conj().T
     h[n:, :n] = -a
     h[n:, n:] = 2.0 * np.eye(n)
@@ -154,7 +150,7 @@ TEXTBOOK = {
     "matpow_to_matinv": _matpow_to_matinv,
     "nonneg_to_det": _nonneg_to_det,
     "matinv_to_posmatinv": _matinv_to_posmatinv,
-    "det_to_posdet": lambda inst: _textbook_gram(inst.matrix, left=False),
+    "det_to_posdet": lambda inst: _textbook_gram(inst, left=False),
     "itmatprod_to_matpow": _itmatprod_to_matpow,
     "posdet_to_sumitmatprod": _posdet_to_sumitmatprod,
     "posmatinv_to_sumitmatprod": _posmatinv_to_sumitmatprod,
@@ -185,12 +181,15 @@ def _diagonal(kind, n, rng, **fields):
 def _cutoff_pair(rule, rng):
     """Sources just below and just above the size from which ``rule``
     builds sparse: 48 for the block builders on a diagonal n x n source
-    (2n + n nonzeros in a 2n x 2n output), 64 for the Gram product."""
+    (2n + n nonzeros in a 2n x 2n output); for the Gram product, which
+    keeps its source's form, a dense n = 63 source and a CSC n = 64 one."""
     kind = RULES[rule].input_kind
     fields = {"DET": {"b": -1.0}, "MATINV": {"s": 1, "t": 2, "b": 0.5},
               "MATPOW": {"s": 1, "t": 2, "b": 0.5}, "ITMATPROD>=0": {"s": 1, "t": 2, "b": 0.5}}[kind.value]
-    low = 63 if rule == "det_to_posdet" else 47
-    return [_diagonal(kind, n, rng, **fields) for n in (low, low + 1)]
+    if rule != "det_to_posdet":
+        return [_diagonal(kind, n, rng, **fields) for n in (47, 48)]
+    below, above = _diagonal(kind, 63, rng, **fields), _diagonal(kind, 64, rng, **fields)
+    return [below, dataclasses.replace(above, forms=(sparse.csc_array(above.matrix),))]
 
 
 CASES = {
@@ -263,29 +262,10 @@ def cycle_ends():
 
 
 @pytest.mark.parametrize("end", ["MATINV+", "DET+"])
-def test_sparse_form_returns_the_kept_csc_without_a_scan(cycle_ends, end, monkeypatch):
+def test_sparse_form_returns_the_kept_csc_without_a_scan(cycle_ends, end):
     inst = dataclasses.replace(cycle_ends[end])  # a fresh instance: no dense view yet
-
-    def no_scan(*args):
-        raise AssertionError("scanned a dense array")
-
-    monkeypatch.setattr(matcore, "_scanned", no_scan)
-    stored = inst.forms[0]
-    assert sparse_form(stored) is stored
     assert oracle_decide(inst, check="gap").value is DecisionValue.ONE
     assert "matrices" not in vars(inst), "the dense view was materialised"
-
-
-@pytest.mark.parametrize("end", ["MATINV+", "DET+"])
-def test_copies_and_views_are_scanned(cycle_ends, end):
-    inst = cycle_ends[end]
-    stored, a = inst.forms[0], inst.matrix
-    for other in (a, a.copy(), a[:, :]):
-        scanned = sparse_form(other)
-        assert scanned is not stored
-        # byte for byte: canonical order, no explicit zeros
-        for part in ("data", "indices", "indptr"):
-            assert getattr(scanned, part).tobytes() == getattr(stored, part).tobytes(), part
 
 
 @pytest.mark.parametrize("end", ["MATINV+", "DET+"])

@@ -2,12 +2,12 @@
 
 ``inverse_entry``, ``log_abs_det`` and ``gram`` take a dense array or a
 SciPy sparse matrix and follow its form: a sparse matrix is computed on
-sparse, whatever its density, and a dense one only when at most 1/64 of it
-is nonzero.  Here they are checked against dense LAPACK on the largest
-matrices the package builds, both as the instance stores them and as dense
-arrays: the ends of both reduction cycles and a compiled h = 2 circuit; on
-stored CSC matrices above the cutoff, which must be decided without a dense
-copy; and on either form of small matrices on each side of the cutoff.
+sparse, whatever its density, and a dense one on dense LAPACK.  Here they
+are checked against dense LAPACK on the largest matrices the package builds,
+both as the instance stores them and as dense arrays: the ends of both
+reduction cycles and a compiled h = 2 circuit; on stored CSC matrices above
+the builders' cutoff, which must be decided without a dense copy; and on
+either form of nearly empty and denser matrices.
 """
 
 import numpy as np
@@ -15,9 +15,10 @@ import pytest
 from scipy import sparse
 
 from condred.circuits import append_cleanup, eliminate_measurements
-from condred.matcore import SPARSE_DENSITY, gram, inverse_entry, log_abs_det, sparse_form
+from condred import matcore
+from condred.matcore import gram, inverse_entry, log_abs_det
 from condred.problems import ConditionParams, DecisionValue, Kind, ProblemInstance, gen_instance, oracle_decide
-from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, chain
+from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, SPARSE_DENSITY, chain
 from conftest import random_complex
 from test_acceptance import _det_plus_cycle_instance, _matinv_plus_cycle_instance
 from test_circuits import forced_circuit
@@ -63,9 +64,8 @@ def end_instance(request):
 
 
 def test_end_matrices_take_the_sparse_path(end_instance):
-    assert sparse.issparse(end_instance.forms[0])
-    sp = sparse_form(end_instance.matrix)
-    assert sp is not None
+    sp = end_instance.forms[0]
+    assert sparse.issparse(sp)
     assert sp.nnz == np.count_nonzero(end_instance.matrix)
     assert np.array_equal(sp.toarray(), end_instance.matrix)
 
@@ -100,11 +100,11 @@ def test_gram_matches_dense_and_is_hermitian(end_instance, left):
     want = a.conj().T @ a if left else a @ a.conj().T
     got = gram(a, left=left)
     assert isinstance(got, np.ndarray) and got.flags.c_contiguous
-    assert np.max(np.abs(got - want)) <= 1e-13
-    assert np.array_equal(got, got.conj().T)
     kept = gram(end_instance.forms[0], left=left)
     assert sparse.issparse(kept)
-    assert np.array_equal(kept.toarray(), got)
+    for g in (got, kept.toarray()):
+        assert np.max(np.abs(g - want)) <= 1e-13
+        assert np.array_equal(g, g.conj().T)
 
 
 def _matpow_matinv():
@@ -135,7 +135,6 @@ def test_a_stored_csc_above_the_cutoff_is_decided_without_a_dense_copy(make, val
     inst = make()  # the last rule's Gram block, too, is built sparse
     a = inst.forms[0]
     assert sparse.issparse(a) and a.nnz > SPARSE_DENSITY * a.shape[0] * a.shape[1]
-    assert sparse_form(a) is a
     assert oracle_decide(inst, check="gap").value is value
     assert "matrices" not in vars(inst), "the dense view was materialised"
     monkeypatch.undo()
@@ -163,7 +162,6 @@ def _denser(rng):
 @pytest.mark.parametrize("form", ["dense", "csc"])
 def test_kernels_take_either_form_on_either_side_of_the_cutoff(rng, make, form):
     a = make(rng)
-    assert (sparse_form(a) is None) == (make is _denser)
     m = a if form == "dense" else sparse.csc_array(a)
     for s, t in ((1, 1), (3, 70), (N, 2)):
         want = _dense_inverse_entry(a, s, t)
@@ -179,6 +177,28 @@ def test_kernels_take_either_form_on_either_side_of_the_cutoff(rng, make, form):
             g = g.toarray()
         assert np.max(np.abs(g - (a.conj().T @ a if left else a @ a.conj().T))) <= 1e-10
         assert np.array_equal(g, g.conj().T)
+
+
+def _fails(*args, **kwargs):
+    raise AssertionError("the kernel left the path of its input's form")
+
+
+def test_kernels_follow_the_form_they_are_given(rng, monkeypatch):
+    # a nearly empty dense matrix stays on LAPACK, its CSC copy on SuperLU
+    a = _nearly_empty(rng)
+    csc = sparse.csc_array(a)
+    want = (inverse_entry(a, 3, 70), log_abs_det(a))
+    with monkeypatch.context() as patch:
+        patch.setattr(matcore, "_splu", _fails)
+        assert (inverse_entry(a, 3, 70), log_abs_det(a)) == want
+        assert all(isinstance(gram(a, left=left), np.ndarray) for left in (True, False))
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", _fails)
+        patch.setattr(np.linalg, "slogdet", _fails)
+        got = (inverse_entry(csc, 3, 70), log_abs_det(csc))
+        assert all(sparse.issparse(gram(csc, left=left)) for left in (True, False))
+    assert abs(got[0] - want[0]) <= 1e-10 * abs(want[0])
+    assert abs(got[1] - want[1]) <= 1e-10 * max(1.0, abs(want[1]))
 
 
 def test_an_instance_keeps_a_sparse_matrix_in_canonical_csc():
@@ -206,18 +226,6 @@ def test_a_non_square_sparse_matrix_is_refused():
         ProblemInstance(Kind.DET, ConditionParams(N, 1, 4.0, 0.1), (a,), b=-1.0)
 
 
-def test_small_matrices_stay_dense(rng):
-    # an invertible n x n matrix has at least n nonzeros: below n = 64 it
-    # is never sparse enough
-    assert sparse_form(np.eye(63, dtype=complex)) is None
-    assert sparse_form(np.eye(64, dtype=complex)) is not None
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert sparse_form(a) is None
-    g = gram(a, left=True)
-    assert np.array_equal(g, g.conj().T)
-    assert np.max(np.abs(g - a.conj().T @ a)) <= 1e-13
-
-
 def _singular_variants(a):
     """Exactly singular copies of ``a``: a zero row, a zero column, and a
     repeated row."""
@@ -232,17 +240,13 @@ def _singular_variants(a):
 
 @pytest.mark.parametrize("size", [8, 128, 350])
 def test_singular_matrices_behave_as_on_the_dense_path(size):
-    # dense above the cutoff (LAPACK), dense within it (scanned), and CSC
-    # copies of each, above the cutoff for n = 8 and n = 128
+    # dense (LAPACK) and CSC (SuperLU) copies of each
     if size == 8:
         a = np.eye(8, dtype=complex) + np.diag(np.full(7, 0.5), 1)
-        assert sparse_form(a) is None
     elif size == 128:
         a = _matpow_matinv().matrix
-        assert sparse_form(a) is None
     else:
         a = _det_plus_cycle_end().matrix
-        assert sparse_form(a) is not None
     for label, m in _singular_variants(a).items():
         with pytest.raises(np.linalg.LinAlgError):
             _dense_inverse_entry(m, 1, 1)
