@@ -36,7 +36,6 @@ from .reductions import (
     MATINV_PLUS_CYCLE,
     RULES,
     ReductionRecord,
-    apply_rule,
     chain,
     measure_record,
 )

@@ -31,7 +31,7 @@ from .matcore import (
     vec_index,
 )
 from .problems import ConditionParams, Kind, ProblemInstance
-from .reductions import ReductionRecord, apply_rule
+from .reductions import ReductionRecord, chain
 
 DEFAULT_TOL = 1e-9
 
@@ -226,12 +226,7 @@ def eliminate_measurements(
     the acceptance probability; deciding the instance agrees with
     thresholding ``simulate_acceptance`` at 2/3 versus 1/3.
     """
-    inst = circuit_to_itmatprod(circ)
-    records: list[ReductionRecord] = []
-    for rule in ("itmatprod_to_matpow", "matpow_to_matinv", "matinv_to_posmatinv"):
-        inst, rec = apply_rule(rule, inst)
-        records.append(rec)
-    return inst, records
+    return chain(circuit_to_itmatprod(circ), ("itmatprod_to_matpow", "matpow_to_matinv", "matinv_to_posmatinv"))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import reductions
-from .circuits import append_cleanup, circuit_to_itmatprod, eliminate_measurements, simulate_acceptance
+from .circuits import ACCEPT_HI, ACCEPT_LO, append_cleanup, circuit_to_itmatprod, eliminate_measurements
+from .circuits import simulate_acceptance
 from .problems import (
     ConditionParams,
     DecisionValue,
@@ -193,7 +194,7 @@ def cmd_reduce(args) -> int:
     doc = load_json(args.path)
     inst = instance_from_json(doc)
     try:
-        out, rec = reductions.apply_rule(args.rule, inst)
+        out, (rec,) = reductions.chain(inst, [args.rule])
     except (KeyError, ValueError) as exc:
         return _refused(exc)
     if args.measure:
@@ -236,9 +237,9 @@ def cmd_compile_circuit(args) -> int:
     dec = oracle_decide(inst, tol=args.tol, check=args.check)
     expected = (
         DecisionValue.ONE
-        if prob >= 2.0 / 3.0
+        if prob >= ACCEPT_HI
         else DecisionValue.ZERO
-        if prob <= 1.0 / 3.0
+        if prob <= ACCEPT_LO
         else DecisionValue.PROMISE_VIOLATED
     )
     agree = dec.value == expected

@@ -143,6 +143,8 @@ class ProblemInstance:
             if idx is not None:
                 _check_index(f"index {name}", idx, n)
         if self.E is not None:
+            if not self.E:
+                raise ValueError("E must be nonempty")
             for pair in self.E:
                 if len(pair) != 2:
                     raise ValueError(f"E pair {pair!r} is not an (s, t) pair")

@@ -8,9 +8,14 @@ rule returns the transformed instance together with a :class:`ReductionRecord`
 carrying the parameter map and the declared singular-value bounds;
 :func:`measure_record` fills in the measured values for verification.
 
-A rule is its builder, which declares each bound with the function that
-measures it, plus one :class:`Rule` entry in :data:`RULES`, which holds the
-defining identity written against :func:`condred.problems.decision_quantity`.
+A rule is one ``_rule(...)`` entry in :data:`RULES` plus its builder.  The
+entry is the only place that names the rule and gives its input and output
+kinds; it holds the defining identity, written against
+:func:`condred.problems.decision_quantity`, checks the input kind and writes
+the record.  The builder makes the target with the output kind it is given
+and returns it with its answer map and its declared bounds, each with the
+function that measures it.  One builder can serve several entries: the
+verification variants reuse the base builders with their own kinds.
 
 Every block matrix a rule builds out of its input's matrices, identities
 and scalars is stated as a layout, a list of blocks and their positions, and
@@ -74,6 +79,12 @@ class ReductionRecord:
     answer_map: str
     declared_bounds: tuple[Bound, ...] = ()
     measured: bool = False
+
+
+#: what a builder returns: the target, its answer map and its declared bounds
+Built = tuple[ProblemInstance, str, tuple[Bound, ...]]
+#: builds a rule's target, of the output kind it is given, from a source
+Builder = Callable[[ProblemInstance, Kind], Built]
 
 
 # measures and identity terms shared by several rules
@@ -177,31 +188,19 @@ def _block_matrix(
 # product / powering / inversion chain
 
 
-def reduce_itmatprod_to_matpow(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if inst.kind not in (Kind.ITMATPROD, Kind.V_ITMATPROD):
-        raise ValueError(f"rule needs ITMATPROD input, got {inst.kind.value}")
+def _itmatprod_to_matpow(inst: ProblemInstance, kind: Kind) -> Built:
     p = inst.params
     n, m = p.n, p.m
     # A_1, ..., A_m immediately above the diagonal blocks
     big = _block_matrix(n, m + 1, inst.forms, layout=lambda *a: [(r, r + 1, 1, a[r]) for r in range(m)])
-    out_kind = Kind.MATPOW if inst.kind is Kind.ITMATPROD else Kind.V_MATPOW
     out_params = ConditionParams(n * (m + 1), m, p.kappa, p.epsilon)
-    out = ProblemInstance(out_kind, out_params, (big,), s=inst.s, t=n * m + inst.t, b=inst.b)
-    rec = ReductionRecord(
-        rule="itmatprod_to_matpow" if inst.kind is Kind.ITMATPROD else "vitmatprod_to_vmatpow",
-        input_params=p,
-        output_params=out_params,
-        answer_map="b_hat = b; A_hat^m[s, nm+t] = A_{1,m}[s,t]",
-        declared_bounds=(
-            Bound("sigma1(A_hat^j), j in [m]", p.kappa, measure=_sigma1_sweep),
-        ),
+    out = ProblemInstance(kind, out_params, (big,), s=inst.s, t=n * m + inst.t, b=inst.b)
+    return out, "b_hat = b; A_hat^m[s, nm+t] = A_{1,m}[s,t]", (
+        Bound("sigma1(A_hat^j), j in [m]", p.kappa, measure=_sigma1_sweep),
     )
-    return out, rec
 
 
-def reduce_matpow_to_matinv(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if inst.kind not in (Kind.MATPOW, Kind.V_MATPOW):
-        raise ValueError(f"rule needs MATPOW input, got {inst.kind.value}")
+def _matpow_to_matinv(inst: ProblemInstance, kind: Kind) -> Built:
     p = inst.params
     n, m = p.n, p.m
     c = math.ceil(1.0 + p.kappa)
@@ -210,21 +209,12 @@ def reduce_matpow_to_matinv(inst: ProblemInstance) -> tuple[ProblemInstance, Red
         n, m + 1, inst.forms, scale=(np.divide, c),
         layout=lambda a: [(r, r, 1, 1.0) for r in range(m + 1)] + [(r, r + 1, -1, a) for r in range(m)],
     )
-    out_kind = Kind.MATINV if inst.kind is Kind.MATPOW else Kind.V_MATINV
     out_params = ConditionParams(n * (m + 1), 1, (1.0 + m * p.kappa) * c, c * p.epsilon)
-    out = ProblemInstance(out_kind, out_params, (z,), s=inst.s, t=n * m + inst.t, b=c * inst.b)
-    rec = ReductionRecord(
-        rule="matpow_to_matinv" if inst.kind is Kind.MATPOW else "vmatpow_to_vmatinv",
-        input_params=p,
-        output_params=out_params,
-        answer_map=f"b_hat = ceil(1+kappa)*b = {c}*b; Z_hat^-1[s, nm+t] = {c}*A^m[s,t]",
-        declared_bounds=(
-            Bound("sigma1(Z_hat)", 1.0, measure=_sigma1),
-            Bound("sigma1(Z_hat^-1)", (1.0 + m * p.kappa) * c,
-                  measure=lambda src, dst: 1.0 / _sigma_min(src, dst)),
-        ),
+    out = ProblemInstance(kind, out_params, (z,), s=inst.s, t=n * m + inst.t, b=c * inst.b)
+    return out, f"b_hat = ceil(1+kappa)*b = {c}*b; Z_hat^-1[s, nm+t] = {c}*A^m[s,t]", (
+        Bound("sigma1(Z_hat)", 1.0, measure=_sigma1),
+        Bound("sigma1(Z_hat^-1)", (1.0 + m * p.kappa) * c, measure=lambda src, dst: 1.0 / _sigma_min(src, dst)),
     )
-    return out, rec
 
 
 def _scaled_power_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
@@ -232,9 +222,7 @@ def _scaled_power_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
     return _off_by(dst, math.ceil(1 + src.params.kappa) * _quantity(src))
 
 
-def reduce_matinv_to_posmatinv(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if inst.kind is not Kind.MATINV:
-        raise ValueError(f"rule needs MATINV input, got {inst.kind.value}")
+def _matinv_to_posmatinv(inst: ProblemInstance, kind: Kind) -> Built:
     p = inst.params
     n = p.n
     # H = [[A^dag A, -A^dag], [-A, 2I]] / 3
@@ -245,29 +233,18 @@ def reduce_matinv_to_posmatinv(inst: ProblemInstance) -> tuple[ProblemInstance, 
         ],
     )
     out_params = ConditionParams(2 * n, 1, (3.0 * p.kappa) ** 2, 3.0 * p.epsilon)
-    out = ProblemInstance(
-        Kind.MATINV_PLUS, out_params, (h,), s=inst.s, t=inst.t + n, b=3.0 * float(np.real(inst.b))
+    out = ProblemInstance(kind, out_params, (h,), s=inst.s, t=inst.t + n, b=3.0 * float(np.real(inst.b)))
+    return out, "b_hat = 3b; H_hat^-1[s, t+n] = 3*A^-1[s,t]", (
+        Bound("sigma1(H_hat)", 1.0, measure=_sigma1),
+        Bound("lambda_min(H_hat)", (3.0 * p.kappa) ** -2, upper=False, measure=_lambda_min),
     )
-    rec = ReductionRecord(
-        rule="matinv_to_posmatinv",
-        input_params=p,
-        output_params=out_params,
-        answer_map="b_hat = 3b; H_hat^-1[s, t+n] = 3*A^-1[s,t]",
-        declared_bounds=(
-            Bound("sigma1(H_hat)", 1.0, measure=_sigma1),
-            Bound("lambda_min(H_hat)", (3.0 * p.kappa) ** -2, upper=False, measure=_lambda_min),
-        ),
-    )
-    return out, rec
 
 
 # ---------------------------------------------------------------------------
 # determinant chain
 
 
-def reduce_posdet_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if inst.kind is not Kind.DET_PLUS:
-        raise ValueError(f"rule needs DET+ input, got {inst.kind.value}")
+def _posdet_to_sumitmatprod(inst: ProblemInstance, kind: Kind) -> Built:
     p = inst.params
     n, kappa, eps = p.n, p.kappa, p.epsilon
     l_hat = _log_count(kappa)
@@ -291,22 +268,16 @@ def reduce_posdet_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInstanc
     pairs = tuple((d, d) for d in range(1, dim + 1))
     b_hat = n * l_hat + float(np.real(inst.b))
     out_params = ConditionParams(dim, m_hat, 1.0, eps / 2.0)
-    out = ProblemInstance(Kind.SUMITMATPROD, out_params, mats, E=pairs, b=b_hat)
-    rec = ReductionRecord(
-        rule="posdet_to_sumitmatprod",
-        input_params=p,
-        output_params=out_params,
-        answer_map=(
-            f"b_hat = n*l_hat + b with l_hat={l_hat}, m_hat={m_hat}; "
-            "diagonal sum = n*l_hat + ln det H + tr(remainder)"
-        ),
-        declared_bounds=(
-            Bound("sigma1(all partial products)", 1.0, measure=_sigma1_sweep),
-            Bound("series remainder (one-sided)", eps / 2.0, measure=_log_remainder),
-            Bound("series remainder >= 0", 0.0, upper=False, measure=_log_remainder),
-        ),
+    out = ProblemInstance(kind, out_params, mats, E=pairs, b=b_hat)
+    answer_map = (
+        f"b_hat = n*l_hat + b with l_hat={l_hat}, m_hat={m_hat}; "
+        "diagonal sum = n*l_hat + ln det H + tr(remainder)"
     )
-    return out, rec
+    return out, answer_map, (
+        Bound("sigma1(all partial products)", 1.0, measure=_sigma1_sweep),
+        Bound("series remainder (one-sided)", eps / 2.0, measure=_log_remainder),
+        Bound("series remainder >= 0", 0.0, upper=False, measure=_log_remainder),
+    )
 
 
 def _log_series_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
@@ -321,9 +292,7 @@ def _log_remainder(src: ProblemInstance, dst: ProblemInstance) -> float:
     return _quantity(dst).real - (n * _log_count(kappa) + _quantity(src))
 
 
-def reduce_itmatprod_to_nonneg(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if inst.kind is not Kind.ITMATPROD:
-        raise ValueError(f"rule needs ITMATPROD input, got {inst.kind.value}")
+def _itmatprod_to_nonneg(inst: ProblemInstance, kind: Kind) -> Built:
     p = inst.params
     n, m = p.n, p.m
     # |t><t|, laid out in n blocks of size 1
@@ -331,20 +300,13 @@ def reduce_itmatprod_to_nonneg(inst: ProblemInstance) -> tuple[ProblemInstance, 
     mats = inst.forms + (mid,) + tuple(a.conj().T for a in reversed(inst.forms))
     out_params = ConditionParams(n, 2 * m + 1, p.kappa**2, p.epsilon**2)
     b = float(np.real(inst.b))
-    out = ProblemInstance(Kind.ITMATPROD_NONNEG, out_params, mats, s=inst.s, t=inst.s, b=b * b)
-    rec = ReductionRecord(
-        rule="itmatprod_to_nonneg",
-        input_params=p,
-        output_params=out_params,
-        answer_map="b_hat = b^2; A_hat_{1,2m+1}[s,s] = |A_{1,m}[s,t]|^2",
-        declared_bounds=(Bound("sigma1(all partial products)", p.kappa**2, measure=_sigma1_sweep),),
+    out = ProblemInstance(kind, out_params, mats, s=inst.s, t=inst.s, b=b * b)
+    return out, "b_hat = b^2; A_hat_{1,2m+1}[s,s] = |A_{1,m}[s,t]|^2", (
+        Bound("sigma1(all partial products)", p.kappa**2, measure=_sigma1_sweep),
     )
-    return out, rec
 
 
-def reduce_nonneg_itmatprod_to_det(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if inst.kind is not Kind.ITMATPROD_NONNEG:
-        raise ValueError(f"rule needs ITMATPROD>=0 input, got {inst.kind.value}")
+def _nonneg_to_det(inst: ProblemInstance, kind: Kind) -> Built:
     p = inst.params
     n, m, kappa = p.n, p.m, p.kappa
     big_n = n * (m + 1)
@@ -362,21 +324,11 @@ def reduce_nonneg_itmatprod_to_det(inst: ProblemInstance) -> tuple[ProblemInstan
     if b_hat > 0:
         raise ValueError("degenerate corner: rescaled determinant threshold above 1")
     out_params = ConditionParams(big_n, 1, (2.0 + m * kappa) ** 3, p.epsilon / (2.0 + 2.0 * kappa))
-    out = ProblemInstance(Kind.DET, out_params, (c_hat,), b=b_hat)
-    rec = ReductionRecord(
-        rule="nonneg_to_det",
-        input_params=p,
-        output_params=out_params,
-        answer_map=(
-            f"b_hat = ln(1+b) - l_hat*(nm+n) with l_hat={l_hat}; "
-            "det(C) = 1 + A_{1,m}[s,t]"
-        ),
-        declared_bounds=(
-            Bound("sigma1(C_hat)", 1.0, measure=_sigma1),
-            Bound("sigma_min(C_hat)", (2.0 + m * kappa) ** -3, upper=False, measure=_sigma_min),
-        ),
+    out = ProblemInstance(kind, out_params, (c_hat,), b=b_hat)
+    return out, f"b_hat = ln(1+b) - l_hat*(nm+n) with l_hat={l_hat}; det(C) = 1 + A_{{1,m}}[s,t]", (
+        Bound("sigma1(C_hat)", 1.0, measure=_sigma1),
+        Bound("sigma_min(C_hat)", (2.0 + m * kappa) ** -3, upper=False, measure=_sigma_min),
     )
-    return out, rec
 
 
 def _rank_one_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
@@ -386,31 +338,20 @@ def _rank_one_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
     return _off_by(dst, math.log1p(entry) - _log_count(2.0 + kappa) * n * (m + 1))
 
 
-def reduce_det_to_posdet(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if inst.kind is not Kind.DET:
-        raise ValueError(f"rule needs DET input, got {inst.kind.value}")
+def _det_to_posdet(inst: ProblemInstance, kind: Kind) -> Built:
     p = inst.params
     h = gram(inst.forms[0], left=False)
     # the declared gap parameter is eps/2 although squaring the
     # determinant doubles the realized log gap; the record carries both
     out_params = ConditionParams(p.n, 1, p.kappa**2, p.epsilon / 2.0)
-    out = ProblemInstance(Kind.DET_PLUS, out_params, (h,), b=2.0 * float(np.real(inst.b)))
-    rec = ReductionRecord(
-        rule="det_to_posdet",
-        input_params=p,
-        output_params=out_params,
-        answer_map="b_hat = 2b; det(H_hat) = |det A|^2 (declared gap eps/2, realized 2*eps)",
-        declared_bounds=(
-            Bound("sigma1(H_hat)", 1.0, measure=_sigma1),
-            Bound("lambda_min(H_hat)", p.kappa**-2, upper=False, measure=_lambda_min),
-        ),
+    out = ProblemInstance(kind, out_params, (h,), b=2.0 * float(np.real(inst.b)))
+    return out, "b_hat = 2b; det(H_hat) = |det A|^2 (declared gap eps/2, realized 2*eps)", (
+        Bound("sigma1(H_hat)", 1.0, measure=_sigma1),
+        Bound("lambda_min(H_hat)", p.kappa**-2, upper=False, measure=_lambda_min),
     )
-    return out, rec
 
 
-def reduce_posmatinv_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if inst.kind is not Kind.MATINV_PLUS:
-        raise ValueError(f"rule needs MATINV+ input, got {inst.kind.value}")
+def _posmatinv_to_sumitmatprod(inst: ProblemInstance, kind: Kind) -> Built:
     p = inst.params
     n, kappa, eps = p.n, p.kappa, p.epsilon
     m_hat = neumann_terms(kappa, eps)
@@ -427,21 +368,12 @@ def reduce_posmatinv_to_sumitmatprod(inst: ProblemInstance) -> tuple[ProblemInst
     pairs = tuple((inst.s + j * n, inst.t + j * n) for j in range(m_hat + 1))
     b_hat = float(np.real(inst.b)) - eps / 4.0
     out_params = ConditionParams(dim, m_hat, 1.0, eps / 2.0)
-    out = ProblemInstance(Kind.SUMITMATPROD, out_params, mats, E=pairs, b=b_hat)
-    rec = ReductionRecord(
-        rule="posmatinv_to_sumitmatprod",
-        input_params=p,
-        output_params=out_params,
-        answer_map=(
-            f"b_hat = b - eps/4 with m_hat={m_hat}; "
-            "sum over E = sum_j (I-H)^j[s,t] = H^-1[s,t] + remainder"
-        ),
-        declared_bounds=(
-            Bound("sigma1(all partial products)", 1.0, measure=_sigma1_sweep),
-            Bound("|Neumann remainder|", eps / 4.0, measure=_quantity_difference),
-        ),
+    out = ProblemInstance(kind, out_params, mats, E=pairs, b=b_hat)
+    answer_map = f"b_hat = b - eps/4 with m_hat={m_hat}; sum over E = sum_j (I-H)^j[s,t] = H^-1[s,t] + remainder"
+    return out, answer_map, (
+        Bound("sigma1(all partial products)", 1.0, measure=_sigma1_sweep),
+        Bound("|Neumann remainder|", eps / 4.0, measure=_quantity_difference),
     )
-    return out, rec
 
 
 def _exchanged(n: int, a: int) -> np.ndarray:
@@ -451,11 +383,7 @@ def _exchanged(n: int, a: int) -> np.ndarray:
     return idx
 
 
-def reduce_sumitmatprod_to_itmatprod(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if inst.kind is not Kind.SUMITMATPROD:
-        raise ValueError(f"rule needs SUMITMATPROD input, got {inst.kind.value}")
-    if not inst.E:
-        raise ValueError("E must be nonempty")
+def _sumitmatprod_to_itmatprod(inst: ProblemInstance, kind: Kind) -> Built:
     p = inst.params
     n, m = p.n, p.m
     n_e = len(inst.E)
@@ -476,20 +404,11 @@ def reduce_sumitmatprod_to_itmatprod(inst: ProblemInstance) -> tuple[ProblemInst
     ) + (fan_adj,)
     kappa_hat = 2.0 * n_e * p.kappa
     out_params = ConditionParams(n * n_e, m + 2, kappa_hat, p.epsilon)
-    out = ProblemInstance(
-        Kind.ITMATPROD, out_params, mats, s=1, t=1, b=float(np.real(inst.b))
+    out = ProblemInstance(kind, out_params, mats, s=1, t=1, b=float(np.real(inst.b)))
+    return out, "b_hat = b; A_hat_{0,m+1}[1,1] = sum over E of A_{1,m}[s,t]", (
+        Bound("sigma1(fan-out factor)", math.sqrt(2.0 * n_e), measure=_sigma1),
+        Bound("sigma1(all partial products)", kappa_hat, measure=_sigma1_sweep),
     )
-    rec = ReductionRecord(
-        rule="sumitmatprod_to_itmatprod",
-        input_params=p,
-        output_params=out_params,
-        answer_map="b_hat = b; A_hat_{0,m+1}[1,1] = sum over E of A_{1,m}[s,t]",
-        declared_bounds=(
-            Bound("sigma1(fan-out factor)", math.sqrt(2.0 * n_e), measure=_sigma1),
-            Bound("sigma1(all partial products)", kappa_hat, measure=_sigma1_sweep),
-        ),
-    )
-    return out, rec
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +424,7 @@ def _singular_b(inst: ProblemInstance) -> np.ndarray:
     return b_mat
 
 
-def reduce_vmatinv_to_singular(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if inst.kind is not Kind.V_MATINV:
-        raise ValueError(f"rule needs vMATINV input, got {inst.kind.value}")
+def _vmatinv_to_singular(inst: ProblemInstance, kind: Kind) -> Built:
     p = inst.params
     n, kappa = p.n, p.kappa
     b = complex(inst.b)
@@ -529,22 +446,16 @@ def reduce_vmatinv_to_singular(inst: ProblemInstance) -> tuple[ProblemInstance, 
     # promise; the output gap shrinks accordingly
     eps_hat = (2.0 / 3.0) * p.epsilon / (c * (2.0 * c + 1.0) ** 2)
     out_params = ConditionParams(2 * n + 2, 1, 1.0, eps_hat)
-    out = ProblemInstance(Kind.SINGULAR, out_params, (h,))
-    rec = ReductionRecord(
-        rule="vmatinv_to_singular",
-        input_params=p,
-        output_params=out_params,
-        answer_map=(
-            "sigma_min(H_hat) = 0 iff A^-1[s,t] = b; "
-            "det(C_hat) = (b - A^-1[s,t])/(2*ceil(kappa)) * det(B_hat)"
-        ),
-        declared_bounds=(
-            Bound("sigma1(H_hat)", 1.0, measure=_sigma1),
-            Bound("sigma_{n+1}(B_hat)", 2.0 / 3.0, upper=False,
-                  measure=lambda src, dst: float(svd_values(_singular_b(src))[-1])),
-        ),
+    out = ProblemInstance(kind, out_params, (h,))
+    answer_map = (
+        "sigma_min(H_hat) = 0 iff A^-1[s,t] = b; "
+        "det(C_hat) = (b - A^-1[s,t])/(2*ceil(kappa)) * det(B_hat)"
     )
-    return out, rec
+    return out, answer_map, (
+        Bound("sigma1(H_hat)", 1.0, measure=_sigma1),
+        Bound("sigma_{n+1}(B_hat)", 2.0 / 3.0, upper=False,
+              measure=lambda src, dst: float(svd_values(_singular_b(src))[-1])),
+    )
 
 
 def _singular_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
@@ -562,8 +473,10 @@ def _singular_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
 
 @dataclass(frozen=True)
 class Rule:
-    """A reduction: its builder, and the residual of its defining identity,
-    which evaluates the source and target decision quantities independently."""
+    """A reduction: ``apply`` maps an instance of ``input_kind`` to one of
+    ``output_kind`` and its record; ``identity`` is the residual of its
+    defining identity, which evaluates the source and target decision
+    quantities independently."""
 
     name: str
     input_kind: Kind
@@ -572,35 +485,45 @@ class Rule:
     identity: Measure = field(repr=False)
 
 
+def _check_input(name: str, want: Kind, got: Kind) -> None:
+    if got is not want:
+        raise ValueError(f"rule {name} expects {want.value}, got {got.value}")
+
+
+def _rule(name: str, input_kind: Kind, output_kind: Kind, build: Builder, identity: Measure) -> Rule:
+    """The rule ``name``: ``build(inst, output_kind)`` makes its target, and
+    ``apply`` checks the input kind and writes the record."""
+
+    def apply(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
+        _check_input(name, input_kind, inst.kind)
+        out, answer_map, bounds = build(inst, output_kind)
+        return out, ReductionRecord(name, inst.params, out.params, answer_map, bounds)
+
+    return Rule(name, input_kind, output_kind, apply, identity)
+
+
 RULES: dict[str, Rule] = {
     r.name: r
     for r in (
-        Rule("itmatprod_to_matpow", Kind.ITMATPROD, Kind.MATPOW, reduce_itmatprod_to_matpow,
-             _quantity_difference),
-        Rule("matpow_to_matinv", Kind.MATPOW, Kind.MATINV, reduce_matpow_to_matinv,
-             _scaled_power_identity),
-        Rule("matinv_to_posmatinv", Kind.MATINV, Kind.MATINV_PLUS, reduce_matinv_to_posmatinv,
-             lambda src, dst: float(abs(abs(_quantity(dst)) - 3 * abs(_quantity(src))))),
-        Rule("posdet_to_sumitmatprod", Kind.DET_PLUS, Kind.SUMITMATPROD, reduce_posdet_to_sumitmatprod,
-             _log_series_identity),
-        Rule("itmatprod_to_nonneg", Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, reduce_itmatprod_to_nonneg,
-             lambda src, dst: _off_by(dst, abs(_quantity(src)) ** 2)),
-        Rule("nonneg_to_det", Kind.ITMATPROD_NONNEG, Kind.DET, reduce_nonneg_itmatprod_to_det,
-             _rank_one_identity),
-        Rule("det_to_posdet", Kind.DET, Kind.DET_PLUS, reduce_det_to_posdet,
-             lambda src, dst: _off_by(dst, 2 * _quantity(src))),
-        Rule("posmatinv_to_sumitmatprod", Kind.MATINV_PLUS, Kind.SUMITMATPROD, reduce_posmatinv_to_sumitmatprod,
-             lambda src, dst: _off_by(dst, neumann_series(src.matrix, src.s, src.t, dst.params.m))),
-        Rule("sumitmatprod_to_itmatprod", Kind.SUMITMATPROD, Kind.ITMATPROD, reduce_sumitmatprod_to_itmatprod,
-             _quantity_difference),
-        Rule("vmatinv_to_singular", Kind.V_MATINV, Kind.SINGULAR, reduce_vmatinv_to_singular,
-             _singular_identity),
-        # the verification variants reuse the base builders, which keep the
-        # v-kinds and name the record after the variant
-        Rule("vitmatprod_to_vmatpow", Kind.V_ITMATPROD, Kind.V_MATPOW, reduce_itmatprod_to_matpow,
-             _quantity_difference),
-        Rule("vmatpow_to_vmatinv", Kind.V_MATPOW, Kind.V_MATINV, reduce_matpow_to_matinv,
-             _scaled_power_identity),
+        _rule("itmatprod_to_matpow", Kind.ITMATPROD, Kind.MATPOW, _itmatprod_to_matpow, _quantity_difference),
+        _rule("matpow_to_matinv", Kind.MATPOW, Kind.MATINV, _matpow_to_matinv, _scaled_power_identity),
+        _rule("matinv_to_posmatinv", Kind.MATINV, Kind.MATINV_PLUS, _matinv_to_posmatinv,
+              lambda src, dst: float(abs(abs(_quantity(dst)) - 3 * abs(_quantity(src))))),
+        _rule("posdet_to_sumitmatprod", Kind.DET_PLUS, Kind.SUMITMATPROD, _posdet_to_sumitmatprod,
+              _log_series_identity),
+        _rule("itmatprod_to_nonneg", Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, _itmatprod_to_nonneg,
+              lambda src, dst: _off_by(dst, abs(_quantity(src)) ** 2)),
+        _rule("nonneg_to_det", Kind.ITMATPROD_NONNEG, Kind.DET, _nonneg_to_det, _rank_one_identity),
+        _rule("det_to_posdet", Kind.DET, Kind.DET_PLUS, _det_to_posdet,
+              lambda src, dst: _off_by(dst, 2 * _quantity(src))),
+        _rule("posmatinv_to_sumitmatprod", Kind.MATINV_PLUS, Kind.SUMITMATPROD, _posmatinv_to_sumitmatprod,
+              lambda src, dst: _off_by(dst, neumann_series(src.matrix, src.s, src.t, dst.params.m))),
+        _rule("sumitmatprod_to_itmatprod", Kind.SUMITMATPROD, Kind.ITMATPROD, _sumitmatprod_to_itmatprod,
+              _quantity_difference),
+        _rule("vmatinv_to_singular", Kind.V_MATINV, Kind.SINGULAR, _vmatinv_to_singular, _singular_identity),
+        _rule("vitmatprod_to_vmatpow", Kind.V_ITMATPROD, Kind.V_MATPOW, _itmatprod_to_matpow,
+              _quantity_difference),
+        _rule("vmatpow_to_vmatinv", Kind.V_MATPOW, Kind.V_MATINV, _matpow_to_matinv, _scaled_power_identity),
     )
 }
 
@@ -621,19 +544,11 @@ DET_PLUS_CYCLE = (
 )
 
 
-def apply_rule(name: str, inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
-    if name not in RULES:
-        raise KeyError(f"unknown rule {name!r}; known: {sorted(RULES)}")
-    rule = RULES[name]
-    if inst.kind is not rule.input_kind:
-        raise ValueError(f"rule {name} expects {rule.input_kind.value}, got {inst.kind.value}")
-    return rule.apply(inst)
-
-
 def chain(
     inst: ProblemInstance, path: list[str] | tuple[str, ...]
 ) -> tuple[ProblemInstance, list[ReductionRecord]]:
-    """Compose rules; an empty path is the identity.
+    """Compose rules; an empty path is the identity, and a path of one rule
+    applies it.
 
     The path is type-checked before any work happens so an ill-typed request
     fails fast instead of half-way through.
@@ -641,12 +556,8 @@ def chain(
     kind = inst.kind
     for name in path:
         if name not in RULES:
-            raise KeyError(f"unknown rule {name!r}")
-        if RULES[name].input_kind is not kind:
-            raise ValueError(
-                f"ill-typed path at {name}: expects {RULES[name].input_kind.value}, "
-                f"previous output is {kind.value}"
-            )
+            raise KeyError(f"unknown rule {name!r}; known: {sorted(RULES)}")
+        _check_input(name, RULES[name].input_kind, kind)
         kind = RULES[name].output_kind
     records: list[ReductionRecord] = []
     current = inst

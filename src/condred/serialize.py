@@ -24,9 +24,10 @@ equal-length lists of plain ints and floats, such as a matrix's ``data``
 or ``entries``) is rendered a batch of rows at a time by string joins;
 :func:`save_json` and :func:`digest` write and hash the text in pieces of
 about 64 KB, so the whole document is never held as one string.
-Sizes, indices and qubit numbers must be JSON integers and matrix values
-finite numbers; anything else is a :class:`SchemaError`.  A COO matrix's
-shape is checked against ``params.n`` before anything of that size is built.
+Sizes, indices and qubit numbers must be JSON integers, and matrix values,
+kappa, epsilon and b finite numbers; anything else is a :class:`SchemaError`.
+A COO matrix's shape is checked against ``params.n`` before anything of that
+size is built.
 """
 
 from __future__ import annotations
@@ -52,6 +53,18 @@ def _integer(x, what: str) -> int:
     if type(x) is not int:
         raise SchemaError(f"{what} {x!r} is not an integer")
     return x
+
+
+def _number(x, what: str) -> float:
+    """A finite JSON number; a string, a bool, NaN, an infinity or an integer
+    beyond the float range is not one."""
+    try:
+        finite = type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SchemaError(f"{what} {x!r} is not a finite number")
+    return float(x)
 
 
 def _parts(v: np.ndarray) -> tuple[list, list]:
@@ -171,8 +184,8 @@ def _b_from_json(obj):
     if isinstance(obj, (list, tuple)):
         if len(obj) != 2:
             raise SchemaError("complex b must be [re, im]")
-        return complex(obj[0], obj[1])
-    return float(obj)
+        return complex(_number(obj[0], "b"), _number(obj[1], "b"))
+    return _number(obj, "b")
 
 
 def instance_to_json(inst: ProblemInstance) -> dict:
@@ -202,7 +215,7 @@ def instance_from_json(obj) -> ProblemInstance:
         kind = Kind(obj["type"])
         p = obj["params"]
         params = ConditionParams(
-            n=p["n"], m=p["m"], kappa=float(p["kappa"]), epsilon=float(p["epsilon"])
+            n=p["n"], m=p["m"], kappa=_number(p["kappa"], "kappa"), epsilon=_number(p["epsilon"], "epsilon")
         )
         matrices = tuple(_instance_matrix(m, params.n) for m in obj["matrices"])
     except SchemaError:

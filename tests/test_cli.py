@@ -561,6 +561,19 @@ _REDUCE = ("--rule", "matinv_to_posmatinv", "--out", "{tmp}/out.json")
                      id="kappa=Infinity"),
         pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(epsilon=math.nan), "solve"), 2,
                      id="epsilon=NaN"),
+        *(pytest.param(_mutated(Kind.SUMITMATPROD, lambda d: d.update(E=[]), command), 2, id=f"E=[] {command}")
+          for command in ("solve", "verify")),
+        # kappa, epsilon and b are finite JSON numbers: not strings, bools, NaN or infinities
+        *(pytest.param(_mutated(Kind.MATINV, lambda d, b=b: d.update(b=b), command), 2, id=f"b={label} {command}")
+          for b, label in ((math.inf, "Infinity"), (math.nan, "NaN"), ("0.5", "'0.5'"), (True, "true"),
+                           (10**400, "10**400"))
+          for command in ("solve", "verify")),
+        pytest.param(_mutated(Kind.V_MATINV, lambda d: d.update(b=[0.5, math.inf]), "verify"), 2,
+                     id="b=[0.5, inf] verify"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(kappa="4"), "solve"), 2, id="kappa='4'"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(epsilon=True), "solve"), 2,
+                     id="epsilon=true"),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(kappa=4), "verify"), 0, id="kappa=4 verify"),
         pytest.param(lambda tmp_path: ["gen", "--kind", "MATINV", "--n", 0, "--out", tmp_path / "o.json"], 2,
                      id="gen --n 0"),
         pytest.param(lambda tmp_path: ["gen", "--kind", "MATINV", "--n", 3, "--kappa", "nan",

@@ -7,6 +7,7 @@ counts are kept small so the suite stays fast during development.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,19 +26,8 @@ from condred.reductions import (
     MATINV_PLUS_CYCLE,
     RULES,
     _log_count,
-    apply_rule,
     chain,
     measure_record,
-    reduce_det_to_posdet,
-    reduce_itmatprod_to_matpow,
-    reduce_itmatprod_to_nonneg,
-    reduce_matinv_to_posmatinv,
-    reduce_matpow_to_matinv,
-    reduce_nonneg_itmatprod_to_det,
-    reduce_posdet_to_sumitmatprod,
-    reduce_posmatinv_to_sumitmatprod,
-    reduce_sumitmatprod_to_itmatprod,
-    reduce_vmatinv_to_singular,
 )
 from test_sparse_builds import _superdiag_blocks
 
@@ -73,14 +63,14 @@ class TestItmatprodToMatpow:
         inst = ProblemInstance(
             Kind.ITMATPROD, ConditionParams(3, 1, 1.0, 0.1), (a,), s=2, t=3, b=0.0
         )
-        out, _ = reduce_itmatprod_to_matpow(inst)
+        out, _ = RULES["itmatprod_to_matpow"].apply(inst)
         assert abs(out.matrix[out.s - 1, out.t - 1] - a[1, 2]) < 1e-12
 
     def test_identity_blocks(self):
         inst = ProblemInstance(
             Kind.ITMATPROD, ConditionParams(2, 3, 1.0, 0.1), (np.eye(2),) * 3, s=1, t=1, b=1.0
         )
-        out, _ = reduce_itmatprod_to_matpow(inst)
+        out, _ = RULES["itmatprod_to_matpow"].apply(inst)
         powed = np.linalg.matrix_power(out.matrix, 3)
         assert out.s == 1 and out.t == 7
         assert abs(powed[0, 6] - 1.0) < 1e-12
@@ -88,14 +78,14 @@ class TestItmatprodToMatpow:
     def test_seeded_entry_identity(self):
         for seed in SEEDS:
             inst = make_itmatprod(3, 4, seed)
-            out, _ = reduce_itmatprod_to_matpow(inst)
+            out, _ = RULES["itmatprod_to_matpow"].apply(inst)
             want = np.linalg.multi_dot(inst.matrices)[inst.s - 1, inst.t - 1]
             got = np.linalg.matrix_power(out.matrix, 4)[out.s - 1, out.t - 1]
             assert abs(got - want) < 1e-9
 
     def test_power_sigma_is_max_over_block_products(self):
         inst = make_itmatprod(2, 3, seed=7)
-        out, _ = reduce_itmatprod_to_matpow(inst)
+        out, _ = RULES["itmatprod_to_matpow"].apply(inst)
         from condred.problems import partial_products
 
         table = partial_products(inst.matrices)
@@ -110,21 +100,21 @@ class TestMatpowToMatinv:
         inst = ProblemInstance(
             Kind.MATPOW, ConditionParams(2, 1, 1.0, 0.1), (np.zeros((2, 2)),), s=1, t=2, b=0.0
         )
-        out, _ = reduce_matpow_to_matinv(inst)
+        out, _ = RULES["matpow_to_matinv"].apply(inst)
         assert abs(inverse_entry(out.matrix, out.s, out.t)) < 1e-12
 
     def test_identity_power(self):
         inst = ProblemInstance(
             Kind.MATPOW, ConditionParams(2, 2, 1.0, 0.1), (np.eye(2),), s=1, t=1, b=1.0
         )
-        out, _ = reduce_matpow_to_matinv(inst)
+        out, _ = RULES["matpow_to_matinv"].apply(inst)
         assert out.t == 5 and out.b == 2.0
         assert abs(inverse_entry(out.matrix, 1, 5) - 2.0) < 1e-12
 
     def test_seeded_identity_and_bounds(self):
         for seed in SEEDS:
             inst = gen_instance(Kind.MATPOW, GEN_PARAMS[Kind.MATPOW], seed, want_one=True)
-            out, rec = apply_rule("matpow_to_matinv", inst)
+            out, rec = RULES["matpow_to_matinv"].apply(inst)
             c = math.ceil(1 + inst.params.kappa)
             want = c * np.linalg.matrix_power(inst.matrix, inst.params.m)[inst.s - 1, inst.t - 1]
             assert abs(inverse_entry(out.matrix, out.s, out.t) - want) < 1e-8
@@ -137,20 +127,20 @@ class TestMatinvToPosmatinv:
         inst = ProblemInstance(
             Kind.MATINV, ConditionParams(3, 1, 1.0, 0.1), (np.eye(3),), s=2, t=2, b=1.0
         )
-        out, _ = reduce_matinv_to_posmatinv(inst)
+        out, _ = RULES["matinv_to_posmatinv"].apply(inst)
         assert abs(inverse_entry(out.matrix, 2, 5) - 3.0) < 1e-10
         assert abs(inverse_entry(out.matrix, 1, 5)) < 1e-10
 
     def test_diagonal_input(self):
         a = np.diag([1.0, 0.5]).astype(complex)
         inst = ProblemInstance(Kind.MATINV, ConditionParams(2, 1, 2.0, 0.5), (a,), s=2, t=2, b=2.0)
-        out, _ = reduce_matinv_to_posmatinv(inst)
+        out, _ = RULES["matinv_to_posmatinv"].apply(inst)
         assert abs(inverse_entry(out.matrix, 2, 4) - 6.0) < 1e-10
 
     def test_seeded_identity_and_eigenfloor(self):
         for seed in SEEDS:
             inst = gen_instance(Kind.MATINV, GEN_PARAMS[Kind.MATINV], seed, want_one=True)
-            out, _ = apply_rule("matinv_to_posmatinv", inst)
+            out, _ = RULES["matinv_to_posmatinv"].apply(inst)
             want = 3 * abs(inverse_entry(inst.matrix, inst.s, inst.t))
             assert abs(abs(inverse_entry(out.matrix, out.s, out.t)) - want) < 1e-8
             lam = np.linalg.eigvalsh(out.matrix)
@@ -161,7 +151,7 @@ class TestMatinvToPosmatinv:
 class TestPosdetToSumitmatprod:
     def test_identity_input_is_exact(self):
         inst = ProblemInstance(Kind.DET_PLUS, ConditionParams(3, 1, 2.0, 0.4), (np.eye(3),), b=0.0)
-        out, _ = reduce_posdet_to_sumitmatprod(inst)
+        out, _ = RULES["posdet_to_sumitmatprod"].apply(inst)
         total = sum(
             np.linalg.multi_dot(out.matrices)[s - 1, t - 1] for (s, t) in out.E
         )
@@ -172,7 +162,7 @@ class TestPosdetToSumitmatprod:
         inst = ProblemInstance(
             Kind.DET_PLUS, ConditionParams(1, 1, 2.0, 0.1), (0.5 * np.eye(1),), b=-0.7
         )
-        out, _ = reduce_posdet_to_sumitmatprod(inst)
+        out, _ = RULES["posdet_to_sumitmatprod"].apply(inst)
         assert out.params.m == 8
         total = sum(np.linalg.multi_dot(out.matrices)[s - 1, t - 1] for (s, t) in out.E).real
         l_hat = 1
@@ -181,7 +171,7 @@ class TestPosdetToSumitmatprod:
     def test_seeded_remainder_one_sided(self):
         for seed in SEEDS:
             inst = gen_instance(Kind.DET_PLUS, GEN_PARAMS[Kind.DET_PLUS], seed, want_one=True)
-            out, rec = apply_rule("posdet_to_sumitmatprod", inst)
+            out, rec = RULES["posdet_to_sumitmatprod"].apply(inst)
             rec = measure_record(rec, inst, out)
             remainder = next(
                 b for b in rec.declared_bounds if b.quantity == "series remainder (one-sided)"
@@ -195,7 +185,7 @@ class TestItmatprodToNonneg:
         inst = ProblemInstance(
             Kind.ITMATPROD, ConditionParams(2, 1, 1.0, 0.01), (a,), s=1, t=2, b=0.29
         )
-        out, _ = reduce_itmatprod_to_nonneg(inst)
+        out, _ = RULES["itmatprod_to_nonneg"].apply(inst)
         got = np.linalg.multi_dot(out.matrices)[out.s - 1, out.t - 1]
         assert abs(got - 0.09) < 1e-12
         assert abs(out.b - 0.29**2) < 1e-15
@@ -204,13 +194,13 @@ class TestItmatprodToNonneg:
         inst = ProblemInstance(
             Kind.ITMATPROD, ConditionParams(2, 2, 1.0, 0.1), (np.eye(2),) * 2, s=1, t=1, b=1.0
         )
-        out, _ = reduce_itmatprod_to_nonneg(inst)
+        out, _ = RULES["itmatprod_to_nonneg"].apply(inst)
         assert abs(np.linalg.multi_dot(out.matrices)[0, 0] - 1.0) < 1e-12
 
     def test_seeded_squared_magnitude(self):
         for seed in SEEDS:
             inst = make_itmatprod(3, 4, seed)
-            out, _ = apply_rule("itmatprod_to_nonneg", inst)
+            out, _ = RULES["itmatprod_to_nonneg"].apply(inst)
             want = abs(np.linalg.multi_dot(inst.matrices)[inst.s - 1, inst.t - 1]) ** 2
             got = np.linalg.multi_dot(out.matrices)[out.s - 1, out.t - 1]
             assert abs(got - want) < 1e-9
@@ -227,7 +217,7 @@ class TestNonnegToDet:
             t=1,
             b=0.0,
         )
-        out, _ = reduce_nonneg_itmatprod_to_det(inst)
+        out, _ = RULES["nonneg_to_det"].apply(inst)
         l_hat = math.floor(1 + math.log(3))
         want = math.exp(-l_hat * 6)
         _, logdet = np.linalg.slogdet(out.matrix)
@@ -237,7 +227,7 @@ class TestNonnegToDet:
         inst = ProblemInstance(
             Kind.ITMATPROD_NONNEG, ConditionParams(1, 1, 1.0, 0.1), (np.eye(1),), s=1, t=1, b=1.0
         )
-        out, _ = reduce_nonneg_itmatprod_to_det(inst)
+        out, _ = RULES["nonneg_to_det"].apply(inst)
         l_hat = math.floor(1 + math.log(3))
         # det(C) = 1 + A[1,1] = 2 before the e^{-l_hat} rescale of the 2x2 C
         sign, logdet = np.linalg.slogdet(out.matrix)
@@ -248,7 +238,7 @@ class TestNonnegToDet:
             inst = gen_instance(
                 Kind.ITMATPROD_NONNEG, GEN_PARAMS[Kind.ITMATPROD_NONNEG], seed, want_one=True
             )
-            out, rec = apply_rule("nonneg_to_det", inst)
+            out, rec = RULES["nonneg_to_det"].apply(inst)
             n, m, kappa = inst.params.n, inst.params.m, inst.params.kappa
             l_hat = math.floor(1 + math.log(math.floor(2 + kappa)))
             entry = np.linalg.multi_dot(inst.matrices)[inst.s - 1, inst.t - 1].real
@@ -264,10 +254,10 @@ class TestInPlaceBuilders:
     """The builders that work in one buffer give exactly the textbook formulas."""
 
     def test_matpow_to_matinv_matches_formula(self):
-        for kind in (Kind.MATPOW, Kind.V_MATPOW):
+        for rule in (RULES["matpow_to_matinv"], RULES["vmatpow_to_vmatinv"]):
             for seed in SEEDS:
-                inst = gen_instance(kind, GEN_PARAMS[kind], seed)
-                out, _ = reduce_matpow_to_matinv(inst)
+                inst = gen_instance(rule.input_kind, GEN_PARAMS[rule.input_kind], seed)
+                out, _ = rule.apply(inst)
                 n, m = inst.params.n, inst.params.m
                 c = math.ceil(1.0 + inst.params.kappa)
                 big = _superdiag_blocks([inst.matrix] * m, n)
@@ -278,7 +268,7 @@ class TestInPlaceBuilders:
     def test_nonneg_to_det_matches_formula(self):
         for seed in SEEDS:
             inst = gen_instance(Kind.ITMATPROD_NONNEG, GEN_PARAMS[Kind.ITMATPROD_NONNEG], seed)
-            out, _ = reduce_nonneg_itmatprod_to_det(inst)
+            out, _ = RULES["nonneg_to_det"].apply(inst)
             n, m = inst.params.n, inst.params.m
             b_mat = np.eye(n * (m + 1), dtype=np.complex128) - _superdiag_blocks(inst.matrices, n)
             c_mat = b_mat.copy()
@@ -292,20 +282,20 @@ class TestDetToPosdet:
     def test_unitary(self, rng):
         u = random_unitary(3, rng)
         inst = ProblemInstance(Kind.DET, ConditionParams(3, 1, 1.0, 0.1), (u,), b=-0.05)
-        out, _ = reduce_det_to_posdet(inst)
+        out, _ = RULES["det_to_posdet"].apply(inst)
         sign, logdet = np.linalg.slogdet(out.matrix)
         assert sign.real > 0 and abs(logdet) < 1e-10
 
     def test_scalar(self):
         inst = ProblemInstance(Kind.DET, ConditionParams(1, 1, 2.0, 0.1), (0.5 * np.eye(1),), b=-0.8)
-        out, _ = reduce_det_to_posdet(inst)
+        out, _ = RULES["det_to_posdet"].apply(inst)
         assert abs(out.matrix[0, 0] - 0.25) < 1e-15
         assert out.b == -1.6
 
     def test_seeded_squares(self):
         for seed in SEEDS:
             inst = gen_instance(Kind.DET, GEN_PARAMS[Kind.DET], seed, want_one=True)
-            out, _ = apply_rule("det_to_posdet", inst)
+            out, _ = RULES["det_to_posdet"].apply(inst)
             _, ld_in = np.linalg.slogdet(inst.matrix)
             _, ld_out = np.linalg.slogdet(out.matrix)
             assert abs(ld_out - 2 * ld_in) < 1e-8 * max(1, abs(ld_out))
@@ -317,7 +307,7 @@ class TestPosmatinvToSumitmatprod:
         inst = ProblemInstance(
             Kind.MATINV_PLUS, ConditionParams(2, 1, 1.0, 0.5), (np.eye(2),), s=1, t=2, b=0.0
         )
-        out, _ = reduce_posmatinv_to_sumitmatprod(inst)
+        out, _ = RULES["posmatinv_to_sumitmatprod"].apply(inst)
         total = sum(np.linalg.multi_dot(out.matrices)[s - 1, t - 1] for (s, t) in out.E)
         assert abs(total) < 1e-12  # delta_{st} with s != t
 
@@ -325,14 +315,14 @@ class TestPosmatinvToSumitmatprod:
         inst = ProblemInstance(
             Kind.MATINV_PLUS, ConditionParams(1, 1, 2.0, 0.2), (0.5 * np.eye(1),), s=1, t=1, b=1.9
         )
-        out, _ = reduce_posmatinv_to_sumitmatprod(inst)
+        out, _ = RULES["posmatinv_to_sumitmatprod"].apply(inst)
         total = sum(np.linalg.multi_dot(out.matrices)[s - 1, t - 1] for (s, t) in out.E).real
         assert abs(total - 2.0) < 0.05
 
     def test_seeded_neumann_remainder(self):
         for seed in SEEDS:
             inst = gen_instance(Kind.MATINV_PLUS, GEN_PARAMS[Kind.MATINV_PLUS], seed, want_one=True)
-            out, _ = apply_rule("posmatinv_to_sumitmatprod", inst)
+            out, _ = RULES["posmatinv_to_sumitmatprod"].apply(inst)
             total = sum(np.linalg.multi_dot(out.matrices)[s - 1, t - 1] for (s, t) in out.E)
             want = inverse_entry(inst.matrix, inst.s, inst.t)
             assert abs(total - want) <= inst.params.epsilon / 4 + 1e-12
@@ -347,7 +337,7 @@ class TestSumitmatprodToItmatprod:
             E=((1, 1),),
             b=1.0,
         )
-        out, _ = reduce_sumitmatprod_to_itmatprod(inst)
+        out, _ = RULES["sumitmatprod_to_itmatprod"].apply(inst)
         assert abs(np.linalg.multi_dot(out.matrices)[0, 0] - 1.0) < 1e-12
 
     def test_symmetric_pair(self):
@@ -359,14 +349,14 @@ class TestSumitmatprodToItmatprod:
             E=((1, 2), (2, 1)),
             b=0.8,
         )
-        out, _ = reduce_sumitmatprod_to_itmatprod(inst)
+        out, _ = RULES["sumitmatprod_to_itmatprod"].apply(inst)
         got = np.linalg.multi_dot(out.matrices)[0, 0]
         assert abs(got - 2 * a[0, 1]) < 1e-12
 
     def test_seeded_sum_identity_and_fan_bound(self):
         for seed in SEEDS:
             inst = gen_instance(Kind.SUMITMATPROD, GEN_PARAMS[Kind.SUMITMATPROD], seed, want_one=True)
-            out, rec = apply_rule("sumitmatprod_to_itmatprod", inst)
+            out, rec = RULES["sumitmatprod_to_itmatprod"].apply(inst)
             prod = np.linalg.multi_dot(inst.matrices)
             want = sum(prod[s - 1, t - 1] for (s, t) in inst.E)
             got = np.linalg.multi_dot(out.matrices)[0, 0]
@@ -374,11 +364,8 @@ class TestSumitmatprodToItmatprod:
             assert svd_values(out.matrices[0])[0] <= math.sqrt(2 * len(inst.E)) + 1e-9
 
     def test_rejects_empty_e(self):
-        inst = ProblemInstance(
-            Kind.SUMITMATPROD, ConditionParams(2, 1, 1.0, 0.1), (np.eye(2),), E=(), b=1.0
-        )
         with pytest.raises(ValueError):
-            reduce_sumitmatprod_to_itmatprod(inst)
+            ProblemInstance(Kind.SUMITMATPROD, ConditionParams(2, 1, 1.0, 0.1), (np.eye(2),), E=(), b=1.0)
 
 
 class TestVmatinvToSingular:
@@ -386,14 +373,14 @@ class TestVmatinvToSingular:
         inst = ProblemInstance(
             Kind.V_MATINV, ConditionParams(2, 1, 1.0, 0.5), (np.eye(2),), s=1, t=1, b=1.0
         )
-        out, _ = reduce_vmatinv_to_singular(inst)
+        out, _ = RULES["vmatinv_to_singular"].apply(inst)
         assert svd_values(out.matrix)[-1] <= 1e-9
 
     def test_mismatch_is_nonsingular(self):
         inst = ProblemInstance(
             Kind.V_MATINV, ConditionParams(2, 1, 1.0, 1.0), (np.eye(2),), s=1, t=1, b=0.0
         )
-        out, _ = reduce_vmatinv_to_singular(inst)
+        out, _ = RULES["vmatinv_to_singular"].apply(inst)
         assert svd_values(out.matrix)[-1] > 1e-6
 
     def test_rejects_large_b(self):
@@ -401,13 +388,13 @@ class TestVmatinvToSingular:
             Kind.V_MATINV, ConditionParams(2, 1, 1.0, 0.5), (np.eye(2),), s=1, t=1, b=5.0
         )
         with pytest.raises(ValueError):
-            reduce_vmatinv_to_singular(inst)
+            RULES["vmatinv_to_singular"].apply(inst)
 
     def test_seeded_pairs_and_det_identity(self):
         for seed in SEEDS:
             for want_one in (True, False):
                 inst = gen_instance(Kind.V_MATINV, GEN_PARAMS[Kind.V_MATINV], seed, want_one=want_one)
-                out, _ = apply_rule("vmatinv_to_singular", inst)
+                out, _ = RULES["vmatinv_to_singular"].apply(inst)
                 sv = svd_values(out.matrix)
                 assert sv[0] <= 1 + 1e-9
                 if want_one:
@@ -432,7 +419,7 @@ class TestVerificationMirrors:
     def test_vitmatprod_roundtrip_value(self):
         for seed in SEEDS:
             inst = gen_instance(Kind.V_ITMATPROD, GEN_PARAMS[Kind.V_ITMATPROD], seed, want_one=True)
-            out, _ = apply_rule("vitmatprod_to_vmatpow", inst)
+            out, _ = RULES["vitmatprod_to_vmatpow"].apply(inst)
             want = np.linalg.multi_dot(inst.matrices)[inst.s - 1, inst.t - 1]
             got = np.linalg.matrix_power(out.matrix, out.params.m)[out.s - 1, out.t - 1]
             assert abs(got - want) < 1e-9
@@ -441,7 +428,7 @@ class TestVerificationMirrors:
     def test_vmatpow_scales_complex_b(self):
         for seed in SEEDS:
             inst = gen_instance(Kind.V_MATPOW, GEN_PARAMS[Kind.V_MATPOW], seed, want_one=False)
-            out, _ = apply_rule("vmatpow_to_vmatinv", inst)
+            out, _ = RULES["vmatpow_to_vmatinv"].apply(inst)
             c = math.ceil(1 + inst.params.kappa)
             assert out.b == c * complex(inst.b)
             want = c * np.linalg.matrix_power(inst.matrix, inst.params.m)[inst.s - 1, inst.t - 1]
@@ -455,6 +442,10 @@ class TestBoundsAndDecisions:
         for seed in SEEDS[:3]:
             inst = gen_instance(rule.input_kind, GEN_PARAMS[rule.input_kind], seed, want_one=True)
             out, rec = rule.apply(inst)
+            assert rec.rule == rule_name
+            assert out.kind is rule.output_kind
+            assert rec.input_params == inst.params
+            assert rec.output_params == out.params
             rec = measure_record(rec, inst, out)
             assert rec.measured
             for bound in rec.declared_bounds:
@@ -473,7 +464,7 @@ class TestBoundsAndDecisions:
 
     def test_parameter_maps_are_exact_formulas(self):
         inst = gen_instance(Kind.MATPOW, GEN_PARAMS[Kind.MATPOW], 0, want_one=True)
-        out, _ = apply_rule("matpow_to_matinv", inst)
+        out, _ = RULES["matpow_to_matinv"].apply(inst)
         n, m, kappa, eps = (
             inst.params.n,
             inst.params.m,
@@ -498,6 +489,14 @@ class TestChain:
             chain(inst, ["matpow_to_matinv"])
         with pytest.raises(KeyError):
             chain(inst, ["no_such_rule"])
+
+    @pytest.mark.parametrize("rule_name", sorted(RULES))
+    def test_apply_refuses_another_input_kind(self, rule_name):
+        rule = RULES[rule_name]
+        other = Kind.MATINV if rule.input_kind is not Kind.MATINV else Kind.DET
+        inst = gen_instance(other, GEN_PARAMS[other], 0)
+        with pytest.raises(ValueError, match=re.escape(f"rule {rule_name} expects {rule.input_kind.value}")):
+            rule.apply(inst)
 
     def test_matinv_plus_cycle_preserves_decision(self):
         params = ConditionParams(1, 1, 1.3, 0.75)
