@@ -17,6 +17,7 @@ is why :func:`circuit_to_itmatprod` refuses circuits that lack it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .matcore import (
     as_matrix,
     check_kraus_complete,
     hermitian_eigs,
-    natural_representation,
+    kraus_superoperator,
     vec_index,
 )
 from .problems import ConditionParams, Kind, ProblemInstance
@@ -173,9 +174,14 @@ def simulate_from_state(circ: GeneralCircuit, psi: np.ndarray) -> float:
     return float(np.real(np.trace(accept_projector(circ.h) @ rho)))
 
 
+@functools.cache
 def cleanup_gates(h: int) -> tuple[ChannelGate, ...]:
-    """Measure qubit 1, then force every other qubit to |0>."""
-    return (measure_gate(1, h),) + tuple(reset_gate(q, h) for q in range(2, h + 1))
+    """Measure qubit 1, then force every other qubit to |0>; built once per h,
+    with read-only Kraus arrays."""
+    gates = (measure_gate(1, h),) + tuple(reset_gate(q, h) for q in range(2, h + 1))
+    for k in [k for g in gates for k in g.kraus]:
+        k.flags.writeable = False
+    return gates
 
 
 def append_cleanup(circ: GeneralCircuit) -> GeneralCircuit:
@@ -183,11 +189,12 @@ def append_cleanup(circ: GeneralCircuit) -> GeneralCircuit:
 
 
 def has_cleanup_suffix(circ: GeneralCircuit) -> bool:
+    """Whether the circuit ends in :func:`cleanup_gates`, or in equal gates (to 1e-12)."""
     suffix = cleanup_gates(circ.h)
     if len(circ.gates) < len(suffix):
         return False
     tail = circ.gates[-len(suffix) :]
-    for got, want in zip(tail, suffix):
+    for got, want in ((g, w) for g, w in zip(tail, suffix) if g is not w):
         if len(got.kraus) != len(want.kraus):
             return False
         if any(np.max(np.abs(a - b)) > 1e-12 for a, b in zip(got.kraus, want.kraus)):
@@ -209,7 +216,8 @@ def circuit_to_itmatprod(circ: GeneralCircuit) -> ProblemInstance:
     if not has_cleanup_suffix(circ):
         raise ValueError("circuit must end in the cleanup suffix (use append_cleanup)")
     d = 2**circ.h
-    mats = tuple(natural_representation(g.kraus) for g in reversed(circ.gates))
+    # every ChannelGate checked its Kraus set when it was made
+    mats = tuple(kraus_superoperator(g.kraus) for g in reversed(circ.gates))
     accept_state = 2 ** (circ.h - 1)  # |10...0>
     s = vec_index(accept_state, accept_state, d) + 1
     t = vec_index(0, 0, d) + 1

@@ -11,13 +11,16 @@ The reductions produce matrices that are almost all zeros.  Density is
 decided once, when a matrix is stored: the builders assemble a block matrix
 in SciPy CSC form when it is nearly empty and as a dense array otherwise
 (:func:`condred.reductions._block_matrix`), and an instance keeps that form
-(:func:`as_form`); it densifies only when its dense ``matrices`` are read
+(:func:`as_form`), adopting a builder's CSC, canonical and read-only already,
+without a copy; it densifies only when its dense ``matrices`` are read
 (:func:`dense_form`).  The kernels :func:`inverse_entry`, :func:`log_abs_det`
 and :func:`gram` compute on the form they are given: a dense array goes to
 LAPACK and a dense product, a sparse matrix to SuperLU and the sparse
-product, whatever its density.  SciPy is imported only on the sparse path.
-Every iterated product sweeps a dense block of rows through the stored
-factors (:func:`running_products`).
+product (:func:`gram` symmetrizes it on its arrays), whatever its density.
+SciPy is imported only on the sparse path.  Every iterated product sweeps a
+dense block of rows through the stored factors (:func:`running_products`);
+the circuit compiler builds its cleanup suffix once per qubit count
+(:func:`condred.circuits.cleanup_gates`).
 
 A known limit: density alone does not predict SuperLU's fill.  The
 reductions' block-banded outputs fill little, but one entry of the inverse
@@ -70,24 +73,27 @@ def as_form(a, *, square: bool = False):
     """:func:`as_matrix` for a dense matrix; a SciPy sparse one becomes its
     canonical CSC form.
 
-    Canonical means a complex128 copy with duplicates summed, no explicit
-    zeros and read-only parts.  Shape and finiteness are checked on the
-    stored entries, without densifying.
+    Canonical means complex128 with duplicates summed, no explicit zeros and
+    read-only parts.  A ``csc_array`` that is so already (as a reduction's
+    is) is adopted, anything else copied.  Shape and finiteness are checked
+    on the stored entries, without densifying.
     """
     if not is_sparse(a):
         return as_matrix(a, square=square)
     from scipy import sparse
 
-    sp = sparse.csc_array(a, dtype=np.complex128, copy=True)
-    if square and sp.shape[0] != sp.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {sp.shape}")
-    sp.sum_duplicates()
-    if not np.isfinite(sp.data).all():
+    if not (isinstance(a, sparse.csc_array) and a.dtype == np.complex128 and a.has_canonical_format
+            and not any(p.flags.writeable for p in (a.data, a.indices, a.indptr)) and a.data.all()):
+        a = sparse.csc_array(a, dtype=np.complex128, copy=True)
+        a.sum_duplicates()
+        a.eliminate_zeros()
+        for part in (a.data, a.indices, a.indptr):
+            part.flags.writeable = False
+    if square and a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a.data).all():
         raise ValueError("matrix entries must be finite")
-    sp.eliminate_zeros()
-    for part in (sp.data, sp.indices, sp.indptr):
-        part.flags.writeable = False
-    return sp
+    return a
 
 
 def dense_form(a) -> np.ndarray:
@@ -145,9 +151,23 @@ def gram(a, *, left: bool):
     """A^dag A when ``left`` (the adjoint on the left), else A A^dag, in
     ``a``'s form: a C-ordered array for a dense ``a``, a SciPy sparse matrix
     for a sparse one.  The result is exactly Hermitian: it is averaged with
-    its own adjoint before it is returned.
+    its own adjoint before it is returned.  For a CSC ``a``, A^dag is a CSR
+    on a's arrays, and when G's pattern is symmetric the average is taken on
+    G's arrays, with the bits of SciPy's sum, which stays the path otherwise.
     """
-    g = a.conj().T @ a if left else a @ a.conj().T
+    if not (is_sparse(a) and a.format == "csc"):
+        g = a.conj().T @ a if left else a @ a.conj().T
+        return (g + g.conj().T) / 2.0
+    adj = a.T  # a CSR on a's arrays
+    adj.data = a.data.conj()
+    g = adj @ a if left else a @ adj
+    g.sort_indices()
+    gt = g.tocsc() if left else g.tocsr()  # G^T's arrays in G's form
+    if np.array_equal(g.indptr, gt.indptr) and np.array_equal(g.indices, gt.indices):
+        total = g.data + gt.data.conj()
+        if total.all():  # SciPy's sum drops an entry that sums to zero
+            g.data = total * 0.5  # SciPy's ``/ 2.0`` multiplies by 1 / 2
+            return g
     return (g + g.conj().T) / 2.0
 
 
@@ -216,10 +236,15 @@ def natural_representation(operators, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     ops = [as_matrix(k, square=True) for k in operators]
     check_kraus_complete(ops, tol)
+    return kraus_superoperator(ops)
+
+
+def kraus_superoperator(ops) -> np.ndarray:
+    """sum_k K_k (x) conj(K_k), the products np.kron forms, for a checked Kraus set."""
     d = ops[0].shape[0]
     out = np.zeros((d * d, d * d), dtype=np.complex128)
     for k in ops:
-        out += np.kron(k, k.conj())
+        out += np.multiply.outer(k, k.conj()).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return out
 
 

@@ -13,6 +13,7 @@ adversarial inputs.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from collections import deque
@@ -139,6 +140,12 @@ class ProblemInstance:
         missing = [name for name, need in needed if need and getattr(self, name) is None]
         if missing:
             raise ValueError(f"{self.kind.value} needs {' and '.join(missing)}")
+        if self.b is not None:
+            b = complex(self.b)
+            if not cmath.isfinite(b):
+                raise ValueError(f"b={self.b!r} is not finite")
+            if b.imag and self.kind not in VERIFICATION_KINDS:
+                raise ValueError(f"{self.kind.value} compares a real b; b={self.b!r} has an imaginary part")
         for name, idx in (("s", self.s), ("t", self.t)):
             if idx is not None:
                 _check_index(f"index {name}", idx, n)

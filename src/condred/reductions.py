@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matcore import gram, is_hermitian, nonzeros, svd_values
+from .matcore import as_form, gram, is_hermitian, nonzeros, svd_values
 from .problems import ConditionParams, Kind, ProblemInstance, decision_quantity
 from .series import PromiseViolation, log_series, logdet_terms, neumann_series, neumann_terms
 from .series import log_count as _log_count
@@ -150,26 +150,22 @@ def _block_matrix(
     The blocks do not overlap.  Each is added to zero at its block position,
     or subtracted from zero where its sign is negative (``0 - x``, not ``-x``,
     so zero parts stay +0.0); only the nonzero entries of a block are placed.
-    When the sources, each counted once however often the layout places it,
-    and the diagonal together fill at most :data:`SPARSE_DENSITY` of the
-    output, B comes back in CSC form; otherwise as a dense array.  Both hold
-    the same entries, bit for bit.
+    Each distinct block is scanned once, however often it is placed.  When
+    the sources, each counted once, and the diagonal together fill at most
+    :data:`SPARSE_DENSITY` of the output, B comes back as a canonical CSC
+    (:func:`condred.matcore.as_form`), which an instance adopts; otherwise as
+    a dense array.  Both hold the same entries, bit for bit.
     """
     dim = n * k
-    rows, cols, vals = [], [], []
+    rows, cols, vals, scanned = [], [], [], {}
     for i, j, sign, block in layout(*sources):
-        if np.isscalar(block):
-            r = col = np.arange(n)
-            v = np.full(n, block, dtype=np.complex128)
-        elif isinstance(block, np.ndarray):
-            r, col = np.nonzero(block)
-            v = block[r, col]
-        else:
-            coo = block.tocoo()
-            r, col, v = coo.row, coo.col, coo.data
+        if id(block) not in scanned:
+            scanned[id(block)] = _entries(block, n)
+        r, col, v = scanned[id(block)]
         rows.append(r + i * n)
         cols.append(col + j * n)
         vals.append(np.subtract(0.0, v) if sign < 0 else np.add(0.0, v))
+    del scanned  # the blocks' entries, freed before the output is assembled
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     vals = np.concatenate(vals, dtype=np.complex128)
     if scale is not None:
@@ -181,7 +177,22 @@ def _block_matrix(
         return out
     from scipy import sparse
 
-    return sparse.csc_array((vals, (rows, cols)), shape=(dim, dim))
+    return as_form(sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)))
+
+
+def _entries(block, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of a block's entries (a number c is c*I);
+    a CSC or CSR block is read in place, its compressed axis from ``indptr``."""
+    if np.isscalar(block):
+        r = np.arange(n)
+        return r, r, np.full(n, block, dtype=np.complex128)
+    if isinstance(block, np.ndarray):
+        r, col = np.nonzero(block)
+        return r, col, block[r, col]
+    major = np.repeat(np.arange(len(block.indptr) - 1), np.diff(block.indptr))
+    if block.format == "csc":
+        return block.indices, major, block.data
+    return major, block.indices, block.data
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from condred.circuits import (
     ACCEPT_HI,
+    ChannelGate,
     GeneralCircuit,
     StochasticChain,
     append_cleanup,
@@ -37,6 +38,7 @@ from condred.circuits import (
 )
 from condred.matcore import random_kraus_set, random_unitary, svd_values
 from condred.problems import DecisionValue, Kind, oracle_decide, partial_products, product_entry
+from condred.serialize import circuit_from_json, circuit_to_json
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -179,6 +181,30 @@ class TestCleanup:
         assert not has_cleanup_suffix(circ)
         assert has_cleanup_suffix(append_cleanup(circ))
         assert len(cleanup_gates(3)) == 3
+
+
+    def test_cleanup_gates_are_built_once_and_read_only(self):
+        gates = cleanup_gates(3)
+        again = cleanup_gates(3)
+        assert len(again) == len(gates) and all(a is b for a, b in zip(again, gates))
+        for g in gates:
+            for k in g.kraus:
+                with pytest.raises(ValueError):
+                    k[0, 0] = 2.0
+
+    def test_suffix_read_back_from_json_is_detected(self):
+        circ = circuit_from_json(circuit_to_json(append_cleanup(random_measured_circuit(2, 3, seed=0))))
+        assert not any(g is w for g, w in zip(circ.gates[-2:], cleanup_gates(2)))
+        assert has_cleanup_suffix(circ)
+
+    @pytest.mark.parametrize("entry", [0, 1, 2])
+    def test_perturbed_suffix_is_not_detected(self, entry):
+        # a phase of 1e-9 moves each nonzero Kraus entry by 1e-9 and keeps the set complete
+        circ = append_cleanup(random_measured_circuit(3, 2, seed=1))
+        gates = list(circ.gates)
+        pos = len(gates) - 3 + entry
+        gates[pos] = ChannelGate(tuple(k * np.exp(1e-9j) for k in gates[pos].kraus), label="perturbed")
+        assert not has_cleanup_suffix(GeneralCircuit(3, tuple(gates)))
 
 
 class TestCircuitEncoding:

@@ -570,6 +570,12 @@ _REDUCE = ("--rule", "matinv_to_posmatinv", "--out", "{tmp}/out.json")
           for command in ("solve", "verify")),
         pytest.param(_mutated(Kind.V_MATINV, lambda d: d.update(b=[0.5, math.inf]), "verify"), 2,
                      id="b=[0.5, inf] verify"),
+        # b is real for every kind but the v-kinds, and finite also after a rule scales it
+        *(pytest.param(_mutated(Kind.MATINV, lambda d: d.update(b=[0.9, 5.0]), command, *options), 2,
+                       id=f"MATINV b=[0.9, 5] {command}")
+          for command, options in (("solve", ()), ("verify", ()), ("reduce", _REDUCE))),
+        pytest.param(_mutated(Kind.MATINV, lambda d: d.update(b=1e308), "reduce", *_REDUCE), 2,
+                     id="MATINV b=1e308 reduce to 3b=inf"),
         pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(kappa="4"), "solve"), 2, id="kappa='4'"),
         pytest.param(_mutated(Kind.MATINV, lambda d: d["params"].update(epsilon=True), "solve"), 2,
                      id="epsilon=true"),

@@ -9,6 +9,7 @@ from condred.matcore import (
     adjoint_apply,
     as_matrix,
     hermitian_eigs,
+    kraus_superoperator,
     natural_representation,
     random_kraus_set,
     random_unitary,
@@ -160,3 +161,13 @@ class TestNaturalRepresentation:
         lhs = np.trace(x @ apply_channel(ops, rho))
         rhs = np.trace(adjoint_apply(ops, x) @ rho)
         assert abs(lhs - rhs) < 1e-9
+
+
+@pytest.mark.parametrize("d,n_ops", [(2, 1), (4, 3), (8, 2)])
+def test_superoperator_has_the_bits_of_the_kron_sum(d, n_ops):
+    ops = random_kraus_set(d, n_ops, np.random.default_rng(d + n_ops))
+    want = np.zeros((d * d, d * d), dtype=np.complex128)
+    for k in ops:
+        want += np.kron(k, k.conj())
+    assert kraus_superoperator(ops).tobytes() == want.tobytes()
+    assert natural_representation(ops).tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 """Promise checking, the decision oracle and the instance generators."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +141,24 @@ class TestOracle:
         for check in ("full", "gap"):
             decided = oracle_decide(inst, check=check).value
             assert decided is (DecisionValue.ZERO if holds else DecisionValue.PROMISE_VIOLATED), check
+
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k not in VERIFICATION_KINDS and k is not Kind.SINGULAR])
+    def test_a_complex_b_is_refused_where_the_kind_compares_a_real_b(self, kind):
+        # a MATINV with b = 0.9 + 5i used to be decided on 0.9 alone
+        inst = gen_instance(kind, GEN_PARAMS[kind], seed=2)
+        with pytest.raises(ValueError, match="imaginary part"):
+            replace(inst, b=complex(inst.b, 5.0))
+        assert replace(inst, b=complex(inst.b, 0.0)).b == inst.b
+        v = gen_instance(Kind.V_MATINV, GEN_PARAMS[Kind.V_MATINV], seed=2)
+        assert replace(v, b=v.b + 0.5j).b == v.b + 0.5j  # the v-kinds compare a complex b
+
+    @pytest.mark.parametrize("kind,b", [(Kind.MATINV, math.inf), (Kind.MATINV, -math.inf), (Kind.MATINV, math.nan),
+                                        (Kind.DET, -math.inf), (Kind.V_MATINV, complex(0.5, math.inf))])
+    def test_a_non_finite_b_is_refused(self, kind, b):
+        # a MATINV with b = inf used to pass its promise check and decide Zero
+        fields = {} if kind is Kind.DET else {"s": 1, "t": 1}
+        with pytest.raises(ValueError, match="not finite"):
+            ProblemInstance(kind, ConditionParams(2, 1, 2.0, 0.1), (np.eye(2),), b=b, **fields)
 
     def test_det_log_magnitude_equals_singular_values(self):
         for seed in range(20):

@@ -22,7 +22,7 @@ from scipy import sparse
 
 from condred.circuits import append_cleanup, circuit_to_itmatprod
 from condred.problems import ConditionParams, DecisionValue, Kind, ProblemInstance, oracle_decide
-from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, RULES, _log_count, chain
+from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, RULES, _block_matrix, _log_count, chain
 from condred.series import logdet_terms, neumann_terms
 from test_acceptance import _det_plus_cycle_instance, _matinv_plus_cycle_instance
 from test_circuits import forced_circuit
@@ -293,3 +293,30 @@ def test_a_det_plus_cycle_decides_without_a_dense_copy():
     assert end.params.n == 3528
     assert decision.value is DecisionValue.ONE
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def _csc_parts(a):
+    return tuple(part.tobytes() for part in (a.data, a.indices, a.indptr))
+
+
+@pytest.mark.parametrize("form,n,nnz", [("dense", 5, 25), ("dense", 20, 10), ("csc", 20, 10), ("csr", 20, 10)])
+def test_a_source_placed_k_times_equals_k_distinct_copies(rng, form, n, nnz):
+    # the matpow_to_matinv layout: I on the diagonal, -A above it, all / 3
+    k = 4
+    a = np.zeros(n * n, dtype=np.complex128)
+    a[rng.choice(n * n, size=nnz, replace=False)] = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+    a = a.reshape(n, n)
+    a = a if form == "dense" else getattr(sparse, f"{form}_array")(a)
+
+    def layout(*blocks):
+        return [(r, r, 1, 1.0) for r in range(k + 1)] + [(r, r + 1, -1, b) for r, b in enumerate(blocks)]
+
+    once = _block_matrix(n, k + 1, (a,) * k, layout, scale=(np.divide, 3.0))
+    copies = _block_matrix(n, k + 1, tuple(a.copy() for _ in range(k)), layout, scale=(np.divide, 3.0))
+    assert type(once) is type(copies)
+    if isinstance(once, np.ndarray):
+        assert n == 5 and once.tobytes() == copies.tobytes()
+    else:
+        assert once.format == "csc" and once.has_canonical_format and once.data.all()
+        assert not any(p.flags.writeable for p in (once.data, once.indices, once.indptr))
+        assert _csc_parts(once) == _csc_parts(copies)

@@ -16,7 +16,7 @@ from scipy import sparse
 
 from condred.circuits import append_cleanup, eliminate_measurements
 from condred import matcore
-from condred.matcore import gram, inverse_entry, log_abs_det
+from condred.matcore import as_form, gram, inverse_entry, log_abs_det
 from condred.problems import ConditionParams, DecisionValue, Kind, ProblemInstance, gen_instance, oracle_decide
 from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, SPARSE_DENSITY, chain
 from conftest import random_complex
@@ -105,6 +105,28 @@ def test_gram_matches_dense_and_is_hermitian(end_instance, left):
     for g in (got, kept.toarray()):
         assert np.max(np.abs(g - want)) <= 1e-13
         assert np.array_equal(g, g.conj().T)
+
+
+def _canonical_parts(g):
+    """The CSR arrays of ``g`` with sorted indices, as bytes."""
+    g = sparse.csr_array(g, copy=True)
+    g.sort_indices()
+    return tuple(part.tobytes() for part in (g.data, g.indices, g.indptr))
+
+
+def _random_csc(rng, n, density):
+    a = sparse.random_array((n, n), density=density, rng=rng) + 1j * sparse.random_array((n, n), density=density, rng=rng)
+    return as_form(a)
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_sparse_gram_has_the_bits_of_the_textbook_average(end_instance, rng, left):
+    for a in (end_instance.forms[0], *(_random_csc(rng, n, d) for n, d in ((7, 0.3), (40, 0.05), (120, 0.02)))):
+        g = a.conj().T @ a if left else a @ a.conj().T
+        want = (g + g.conj().T) / 2.0
+        got = gram(a, left=left)
+        assert type(got) is type(want) and got.nnz == want.nnz
+        assert _canonical_parts(got) == _canonical_parts(want)
 
 
 def _matpow_matinv():
@@ -210,6 +232,31 @@ def test_an_instance_keeps_a_sparse_matrix_in_canonical_csc():
     assert not any(p.flags.writeable for p in (stored.data, stored.indices, stored.indptr))
     assert np.array_equal(inst.matrix, coo.toarray())
     assert inst.matrix.flags.c_contiguous and not inst.matrix.flags.writeable
+
+
+def _frozen(a):
+    for part in (a.data, a.indices, a.indptr):
+        part.flags.writeable = False
+    return a
+
+
+def test_as_form_adopts_only_a_frozen_canonical_csc():
+    dense = np.array([[0.5, 0, 0], [0, 0.75, 0], [0.25, 0, 1.0]], dtype=complex)
+    frozen = as_form(sparse.coo_array(dense))
+    assert as_form(frozen) is frozen
+
+    def csc(data, rows, indptr):
+        return sparse.csc_array((np.array(data, dtype=complex), np.array(rows, dtype=np.int32),
+                                 np.array(indptr, dtype=np.int32)), shape=(3, 3))
+
+    writeable = csc([0.5, 0.25, 0.75, 1.0], [0, 2, 1, 2], [0, 2, 3, 4])
+    zero = _frozen(csc([0.5, 0.0, 0.25, 0.75, 1.0], [0, 1, 2, 1, 2], [0, 3, 4, 5]))
+    unsorted = _frozen(csc([0.25, 0.5, 0.75, 1.0], [2, 0, 1, 2], [0, 2, 3, 4]))
+    for a in (writeable, zero, unsorted):
+        assert np.array_equal(a.toarray(), dense)
+        got = as_form(a)
+        assert got is not a and _canonical_parts(got) == _canonical_parts(frozen)
+        assert not any(p.flags.writeable for p in (got.data, got.indices, got.indptr))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
