@@ -22,10 +22,10 @@ dense block of rows through the stored factors (:func:`running_products`);
 the circuit compiler builds its cleanup suffix once per qubit count
 (:func:`condred.circuits.cleanup_gates`).
 
-A known limit: density alone does not predict SuperLU's fill.  The
-reductions' block-banded outputs fill little, but one entry of the inverse
-of a random CSC with n = 1152 and 5% of its entries nonzero takes 0.23 s by
-sparse LU against 0.04 s by LAPACK (2-vCPU Xeon VM).
+SuperLU is set for the reductions' block-banded outputs (:func:`_splu`).
+A known limit: density alone does not predict its fill.  One inverse entry
+of a random CSC with n = 1152 and 5% of its entries nonzero takes 0.63 s
+(0.32 s under SciPy's defaults) against 0.06 s by LAPACK (2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ def as_form(a, *, square: bool = False):
         a = sparse.csc_array(a, dtype=np.complex128, copy=True)
         a.sum_duplicates()
         a.eliminate_zeros()
-        for part in (a.data, a.indices, a.indptr):
-            part.flags.writeable = False
+        _frozen(a)
     if square and a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a.data).all():
@@ -112,12 +111,14 @@ def nonzeros(a) -> int:
 
 
 def _splu(sp):
-    """Sparse LU; an exactly singular matrix raises ``LinAlgError`` as the
-    dense LAPACK path does."""
+    """Sparse LU with partial pivoting, columns ordered by minimum degree on
+    A^T+A and factored one at a time: a block-banded L+U holds 1.0-2.2x
+    nnz(A), too little fill for SciPy's supernodes and 12-column panels to
+    pay.  An exactly singular matrix raises ``LinAlgError`` as on LAPACK."""
     from scipy.sparse.linalg import splu
 
     try:
-        return splu(sp)
+        return splu(sp, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise np.linalg.LinAlgError(f"Singular matrix: {exc}") from exc
 
@@ -147,28 +148,45 @@ def log_abs_det(a) -> float:
     return float(np.sum(np.log(np.abs(lu.U.diagonal()))))
 
 
-def gram(a, *, left: bool):
+def _frozen(a):
+    """``a``, a sparse matrix only its maker holds, with read-only parts."""
+    for part in (a.data, a.indices, a.indptr):
+        part.flags.writeable = False
+    return a
+
+
+def adjoint(a):
+    """A^dag: a view of a dense ``a``; for a sparse one, a canonical
+    read-only CSC (:func:`as_form`) on new copies of A's rows."""
+    if not is_sparse(a):
+        return a.conj().T
+    adj = a.tocsr(copy=True).T  # A^T in CSC, on new arrays
+    np.conjugate(adj.data, out=adj.data)
+    return as_form(_frozen(adj))
+
+
+def gram(a, *, left: bool, adj=None):
     """A^dag A when ``left`` (the adjoint on the left), else A A^dag, in
-    ``a``'s form: a C-ordered array for a dense ``a``, a SciPy sparse matrix
-    for a sparse one.  The result is exactly Hermitian: it is averaged with
-    its own adjoint before it is returned.  For a CSC ``a``, A^dag is a CSR
-    on a's arrays, and when G's pattern is symmetric the average is taken on
-    G's arrays, with the bits of SciPy's sum, which stays the path otherwise.
+    ``a``'s form: a C-ordered array for a dense ``a``, a canonical read-only
+    CSC for a sparse one; ``adj`` is :func:`adjoint`'s A^dag if the caller
+    holds it.  The result is exactly Hermitian: it is averaged with its own
+    adjoint.  For a CSC ``a`` both factors are CSC, and when G's pattern is
+    symmetric the average is taken on G's arrays, with the bits of SciPy's
+    sum, which stays the path otherwise.
     """
-    if not (is_sparse(a) and a.format == "csc"):
-        g = a.conj().T @ a if left else a @ a.conj().T
-        return (g + g.conj().T) / 2.0
-    adj = a.T  # a CSR on a's arrays
-    adj.data = a.data.conj()
+    adj = adjoint(a) if adj is None else adj
     g = adj @ a if left else a @ adj
+    del adj  # not held here while G is symmetrized
+    if not is_sparse(g):
+        return (g + g.conj().T) / 2.0
     g.sort_indices()
-    gt = g.tocsc() if left else g.tocsr()  # G^T's arrays in G's form
+    gt = g.tocsr() if g.format == "csc" else g.tocsc()  # G^T's arrays in G's form
     if np.array_equal(g.indptr, gt.indptr) and np.array_equal(g.indices, gt.indices):
-        total = g.data + gt.data.conj()
+        total = np.add(g.data, np.conjugate(gt.data, out=gt.data), out=gt.data)
         if total.all():  # SciPy's sum drops an entry that sums to zero
-            g.data = total * 0.5  # SciPy's ``/ 2.0`` multiplies by 1 / 2
-            return g
-    return (g + g.conj().T) / 2.0
+            g.data = np.multiply(total, 0.5, out=total)  # SciPy's ``/ 2.0`` multiplies by 1 / 2
+            return as_form(_frozen(g))
+    return as_form(_frozen((g + g.conj().T) / 2.0))
 
 
 def running_products(start: np.ndarray, factors):

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matcore import as_form, gram, is_hermitian, nonzeros, svd_values
+from .matcore import adjoint, as_form, gram, is_hermitian, nonzeros, svd_values
 from .problems import ConditionParams, Kind, ProblemInstance, decision_quantity
 from .series import PromiseViolation, log_series, logdet_terms, neumann_series, neumann_terms
 from .series import log_count as _log_count
@@ -236,11 +236,12 @@ def _scaled_power_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
 def _matinv_to_posmatinv(inst: ProblemInstance, kind: Kind) -> Built:
     p = inst.params
     n = p.n
-    # H = [[A^dag A, -A^dag], [-A, 2I]] / 3
+    # H = [[A^dag A, -A^dag], [-A, 2I]] / 3, with A^dag built once; the
+    # layout alone holds it, so it is freed before H is assembled
     h = _block_matrix(
         n, 2, inst.forms, scale=(np.divide, 3.0),
         layout=lambda a: [
-            (0, 0, 1, gram(a, left=True)), (0, 1, -1, a.conj().T), (1, 0, -1, a), (1, 1, 1, 2.0),
+            (0, 0, 1, gram(a, left=True, adj=(adj := adjoint(a)))), (0, 1, -1, adj), (1, 0, -1, a), (1, 1, 1, 2.0),
         ],
     )
     out_params = ConditionParams(2 * n, 1, (3.0 * p.kappa) ** 2, 3.0 * p.epsilon)
@@ -308,7 +309,7 @@ def _itmatprod_to_nonneg(inst: ProblemInstance, kind: Kind) -> Built:
     n, m = p.n, p.m
     # |t><t|, laid out in n blocks of size 1
     mid = _block_matrix(1, n, (), layout=lambda: [(inst.t - 1, inst.t - 1, 1, 1.0)])
-    mats = inst.forms + (mid,) + tuple(a.conj().T for a in reversed(inst.forms))
+    mats = inst.forms + (mid,) + tuple(adjoint(a) for a in reversed(inst.forms))
     out_params = ConditionParams(n, 2 * m + 1, p.kappa**2, p.epsilon**2)
     b = float(np.real(inst.b))
     out = ProblemInstance(kind, out_params, mats, s=inst.s, t=inst.s, b=b * b)

@@ -5,7 +5,8 @@ SciPy sparse matrix and follow its form: a sparse matrix is computed on
 sparse, whatever its density, and a dense one on dense LAPACK.  Here they
 are checked against dense LAPACK on the largest matrices the package builds,
 both as the instance stores them and as dense arrays: the ends of both
-reduction cycles and a compiled h = 2 circuit; on stored CSC matrices above
+reduction cycles and a compiled h = 2 circuit; on the MATINV inside the
+MATINV+ cycle, whose pattern is not symmetric; on stored CSC matrices above
 the builders' cutoff, which must be decided without a dense copy; and on
 either form of nearly empty and denser matrices.
 """
@@ -94,6 +95,36 @@ def test_log_abs_det_matches_dense(end_instance):
         assert abs(got - want) <= LOGDET_RTOL * abs(want), (got, want)
 
 
+def _matinv_inside_the_matinv_plus_cycle():
+    out, _ = chain(_matinv_plus_cycle_instance(0, True), MATINV_PLUS_CYCLE[:-1])
+    assert out.kind is Kind.MATINV and out.params.n == 1225
+    return out
+
+
+def test_kernels_pivot_on_a_csc_whose_pattern_is_not_symmetric():
+    # SuperLU orders columns by minimum degree on A^T+A; the LU must still
+    # pivot by rows.  The rows of the second copy are reversed and its
+    # diagonal, zero but for the middle entry, is set to 1e-12: only an LU
+    # that passes over those pivots factors it accurately
+    inst = _matinv_inside_the_matinv_plus_cycle()
+    a = inst.forms[0]
+    pattern = abs(sparse.csc_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape))
+    assert sparse.issparse(a) and (pattern != pattern.T).nnz > 0
+    n = a.shape[0]
+    assert np.count_nonzero(a[::-1].diagonal()) == 1
+    reversed_rows = as_form(a[::-1] + 1e-12 * sparse.eye_array(n))
+    for m, flipped in ((a, False), (reversed_rows, True)):
+        dense = m.toarray()
+        for s, t in ((1, 1), (n // 2, n // 2), (n, n), (inst.s, inst.t)):
+            t = n + 1 - t if flipped else t  # (PA)^-1 = A^-1 P^T: A^-1's columns reversed
+            want = _dense_inverse_entry(dense, s, t)
+            assert want != 0
+            got = inverse_entry(m, s, t)
+            assert abs(got - want) <= ENTRY_RTOL * abs(want), (s, t, got, want)
+        want = float(np.linalg.slogdet(dense)[1])
+        assert abs(log_abs_det(m) - want) <= LOGDET_RTOL * max(1.0, abs(want))
+
+
 @pytest.mark.parametrize("left", [True, False])
 def test_gram_matches_dense_and_is_hermitian(end_instance, left):
     a = end_instance.matrix
@@ -125,7 +156,7 @@ def test_sparse_gram_has_the_bits_of_the_textbook_average(end_instance, rng, lef
         g = a.conj().T @ a if left else a @ a.conj().T
         want = (g + g.conj().T) / 2.0
         got = gram(a, left=left)
-        assert type(got) is type(want) and got.nnz == want.nnz
+        assert isinstance(got, sparse.csc_array) and as_form(got) is got and got.nnz == want.nnz
         assert _canonical_parts(got) == _canonical_parts(want)
 
 
