@@ -10,6 +10,11 @@ RSS (the child's own ``ru_maxrss``, from ``wait4``: ``RUSAGE_CHILDREN``
 would give the largest over all children so far), the bytes of the
 instance it wrote, its dimension and the decision line it printed.
 
+One process run cannot resolve a few-percent change on a shared machine,
+so each circuit runs :data:`ROUNDS` times, every round going once through
+all circuits.  Beside the per-run records, the result holds each circuit's
+median and quartiles of ``wall_s`` and ``peak_rss_mb``.
+
 Usage (from the root of a checkout):
 
     python scripts/bench_compile.py --out bench/BENCH_compile.json
@@ -22,6 +27,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,6 +51,8 @@ from condred.serialize import circuit_to_json, save_json  # noqa: E402
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 QUBITS = (2, 3, 4)
+#: runs of each circuit
+ROUNDS = 10
 
 
 def forced_circuit(h: int, accept: bool) -> GeneralCircuit:
@@ -111,17 +119,28 @@ def compile_once(h: int, accept: bool, workdir: Path) -> dict:
     return record
 
 
+def _summary(runs: list[dict]) -> dict:
+    """One circuit's median and quartiles of wall time and peak RSS over its runs."""
+    out = {"qubits": runs[0]["qubits"], "accept": runs[0]["accept"]}
+    for name in ("wall_s", "peak_rss_mb"):
+        values = [r[name] for r in runs]
+        quartiles = statistics.quantiles(values, n=4, method="inclusive")[::2]
+        out[name] = {"median": statistics.median(values), "quartiles": quartiles}
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="where to write the JSON result")
     args = parser.parse_args()
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-compile-") as tmp:
-        for h in QUBITS:
-            for accept in (True, False):
-                record = compile_once(h, accept, Path(tmp))
-                runs.append(record)
-                print(json.dumps(record), flush=True)
+        for r in range(ROUNDS):
+            for h in QUBITS:
+                for accept in (True, False):
+                    record = {"round": r, **compile_once(h, accept, Path(tmp))}
+                    runs.append(record)
+                    print(json.dumps(record), flush=True)
     result = {
         "command": "python scripts/bench_compile.py " + " ".join(sys.argv[1:]),
         "machine": {
@@ -131,6 +150,9 @@ def main() -> int:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
+        "rounds": ROUNDS,
+        "circuits": [_summary([r for r in runs if (r["qubits"], r["accept"]) == (h, accept)])
+                     for h in QUBITS for accept in (True, False)],
         "runs": runs,
     }
     save_json(result, args.out)

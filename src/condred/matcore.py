@@ -9,10 +9,11 @@ all use this order and break if it is changed in only one place.
 
 The reductions produce matrices that are almost all zeros.  Density is
 decided once, when a matrix is stored: the builders assemble a block matrix
-in SciPy CSC form when it is nearly empty and as a dense array otherwise
-(:func:`condred.reductions._block_matrix`), and an instance keeps that form
-(:func:`as_form`), adopting a builder's CSC, canonical and read-only already,
-without a copy; it densifies only when its dense ``matrices`` are read
+straight into that form (:func:`condred.reductions._block_matrix`), a
+canonical read-only CSC made in one column-ordered pass when it is nearly
+empty and a dense array filled through slices otherwise.  An instance keeps
+that form (:func:`as_form`), adopting a builder's CSC without a copy, and
+densifies only when its dense ``matrices`` are read
 (:func:`dense_form`).  The kernels :func:`inverse_entry`, :func:`log_abs_det`
 and :func:`gram` compute on the form they are given: a dense array goes to
 LAPACK and a dense product, a sparse matrix to SuperLU and the sparse

@@ -19,10 +19,10 @@ verification variants reuse the base builders with their own kinds.
 
 Every block matrix a rule builds out of its input's matrices, identities
 and scalars is stated as a layout, a list of blocks and their positions, and
-assembled by one helper, :func:`_block_matrix`, in SciPy CSC form when it is
-nearly empty and as a dense array otherwise.  All block constructions use
-the convention that ``s``, ``t`` and ``E`` are 1-based (see
-:mod:`condred.problems`).
+assembled by one helper, :func:`_block_matrix`, straight into its stored
+form: a canonical CSC made in one column-ordered pass when it is nearly
+empty, else a dense array with its blocks written through slices.  All block
+constructions use the convention that ``s``, ``t`` and ``E`` are 1-based.
 
 Two printed-form corrections are applied deliberately:
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matcore import adjoint, as_form, gram, is_hermitian, nonzeros, svd_values
+from .matcore import _frozen, adjoint, as_form, dense_form, gram, is_hermitian, nonzeros, svd_values
 from .problems import ConditionParams, Kind, ProblemInstance, decision_quantity
 from .series import PromiseViolation, log_series, logdet_terms, neumann_series, neumann_terms
 from .series import log_count as _log_count
@@ -136,63 +136,68 @@ Block = tuple[int, int, int, object]
 SPARSE_DENSITY = 1 / 64
 
 
-def _block_matrix(
-    n: int,
-    k: int,
-    sources: tuple,
-    layout: Callable[..., list[Block]],
-    *,
-    scale: tuple[np.ufunc, float] | None = None,
-):
+def _block_matrix(n: int, k: int, sources: tuple, layout: Callable[..., list[Block]], *,
+                  scale: tuple[np.ufunc, float] | None = None):
     """The kn x kn block matrix B that ``layout(*sources)`` lists, or
     ``ufunc(B, c)`` for ``scale`` = (ufunc, c).
 
-    The blocks do not overlap.  Each is added to zero at its block position,
-    or subtracted from zero where its sign is negative (``0 - x``, not ``-x``,
-    so zero parts stay +0.0); only the nonzero entries of a block are placed.
-    Each distinct block is scanned once, however often it is placed.  When
-    the sources, each counted once, and the diagonal together fill at most
-    :data:`SPARSE_DENSITY` of the output, B comes back as a canonical CSC
-    (:func:`condred.matcore.as_form`), which an instance adopts; otherwise as
-    a dense array.  Both hold the same entries, bit for bit.
+    The blocks do not overlap.  Each is read, added to zero (``0 - x``, not
+    ``-x``, where its sign is negative, so zero parts stay +0.0) and scaled
+    once per sign.  If the sources, each counted once, and the diagonal fill
+    more than :data:`SPARSE_DENSITY` of B, each block is written through a
+    slice of one zeroed array.  Otherwise the blocks' column-ordered entries,
+    in block-row order, are merged by one stable sort on the column into a
+    frozen canonical CSC, which an instance adopts.  Both hold the same bits.
     """
     dim = n * k
-    rows, cols, vals, scanned = [], [], [], {}
-    for i, j, sign, block in layout(*sources):
-        if id(block) not in scanned:
-            scanned[id(block)] = _entries(block, n)
-        r, col, v = scanned[id(block)]
-        rows.append(r + i * n)
-        cols.append(col + j * n)
-        vals.append(np.subtract(0.0, v) if sign < 0 else np.add(0.0, v))
-    del scanned  # the blocks' entries, freed before the output is assembled
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    vals = np.concatenate(vals, dtype=np.complex128)
-    if scale is not None:
-        ufunc, c = scale
-        ufunc(vals, c, out=vals)
-    if dim + sum(nonzeros(a) for a in sources) > SPARSE_DENSITY * dim * dim:
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        out[rows, cols] = vals
+    dense = dim + sum(nonzeros(a) for a in sources) > SPARSE_DENSITY * dim * dim
+    out = np.zeros((dim, dim), dtype=np.complex128) if dense else None
+    rows, cols, vals, done = [], [], [], {}
+    for i, j, sign, block in sorted(layout(*sources), key=lambda b: b[0]):
+        placed = done.get((id(block), sign))
+        if placed is None:
+            *at, v = _entries(block, n, dense)
+            v = np.subtract(0.0, v) if sign < 0 else np.add(0.0, v)
+            placed = done[id(block), sign] = *at, v if scale is None else scale[0](v, scale[1], out=v)
+        if not dense:
+            rows.append(placed[0] + i * n)
+            cols.append(placed[1] + j * n)
+            vals.append(placed[2])
+        elif placed[0].ndim == 1:  # c*I, on the tile's diagonal
+            out.reshape(-1)[i * n * dim + j * n::dim + 1][:n] = placed[0]
+        else:
+            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = placed[0]
+    del done  # with the layout, freed before the output is assembled
+    if dense:
         return out
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.concatenate(vals)
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=dim), out=indptr[1:])
+    del cols  # not held through the two gathers below
+    rows, vals = rows[order], vals[order]
     from scipy import sparse
 
-    return as_form(sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)))
+    return as_form(_frozen(sparse.csc_array((vals, rows, indptr), shape=(dim, dim))))
 
 
-def _entries(block, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of a block's entries (a number c is c*I);
-    a CSC or CSR block is read in place, its compressed axis from ``indptr``."""
+def _entries(block, n: int, dense: bool) -> tuple[np.ndarray, ...]:
+    """A block's complex entries (a number c is c*I): for a dense B its diagonal
+    or the whole block, else int64 rows and columns and values in column order."""
     if np.isscalar(block):
-        r = np.arange(n)
-        return r, r, np.full(n, block, dtype=np.complex128)
+        v = np.full(n, block, dtype=np.complex128)
+        return (v,) if dense else (np.arange(n), np.arange(n), v)
+    if dense:
+        return (np.asarray(dense_form(block), dtype=np.complex128),)
     if isinstance(block, np.ndarray):
-        r, col = np.nonzero(block)
-        return r, col, block[r, col]
-    major = np.repeat(np.arange(len(block.indptr) - 1), np.diff(block.indptr))
-    if block.format == "csc":
-        return block.indices, major, block.data
-    return major, block.indices, block.data
+        col, r = np.nonzero(block.T)
+        return r, col, block[r, col].astype(np.complex128, copy=False)
+    if block.format != "csc" or not block.has_canonical_format:
+        block = block.tocsc(copy=True)
+        block.sum_duplicates()
+    col = np.repeat(np.arange(n), np.diff(block.indptr))
+    return block.indices.astype(np.int64, copy=False), col, block.data.astype(np.complex128, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +513,10 @@ def _rule(name: str, input_kind: Kind, output_kind: Kind, build: Builder, identi
 
     def apply(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
         _check_input(name, input_kind, inst.kind)
-        out, answer_map, bounds = build(inst, output_kind)
+        try:
+            out, answer_map, bounds = build(inst, output_kind)
+        except OverflowError as exc:  # a float ``**`` past the largest double
+            raise ValueError(f"rule {name}: output parameters overflow") from exc
         return out, ReductionRecord(name, inst.params, out.params, answer_map, bounds)
 
     return Rule(name, input_kind, output_kind, apply, identity)
@@ -540,20 +548,10 @@ RULES: dict[str, Rule] = {
 }
 
 #: the two reduction cycles, each returning to its starting kind
-MATINV_PLUS_CYCLE = (
-    "posmatinv_to_sumitmatprod",
-    "sumitmatprod_to_itmatprod",
-    "itmatprod_to_matpow",
-    "matpow_to_matinv",
-    "matinv_to_posmatinv",
-)
-DET_PLUS_CYCLE = (
-    "posdet_to_sumitmatprod",
-    "sumitmatprod_to_itmatprod",
-    "itmatprod_to_nonneg",
-    "nonneg_to_det",
-    "det_to_posdet",
-)
+MATINV_PLUS_CYCLE = ("posmatinv_to_sumitmatprod", "sumitmatprod_to_itmatprod", "itmatprod_to_matpow",
+                     "matpow_to_matinv", "matinv_to_posmatinv")
+DET_PLUS_CYCLE = ("posdet_to_sumitmatprod", "sumitmatprod_to_itmatprod", "itmatprod_to_nonneg", "nonneg_to_det",
+                  "det_to_posdet")
 
 
 def chain(

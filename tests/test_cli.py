@@ -712,6 +712,26 @@ def test_builder_refusal_is_a_promise_violation(command, tmp_path, capsys):
     assert run("solve", argv[1]) == 1
 
 
+@pytest.mark.parametrize(
+    "gen,command,rules",
+    [
+        # (3 kappa)^2, kappa^2 and (2 + m kappa)^3 overflow a float where Python's ** raises
+        (("--kind", "MATINV", "--n", 3, "--kappa", 1e200), "reduce", "matinv_to_posmatinv"),
+        (("--kind", "DET", "--n", 2, "--kappa", 1e200), "reduce", "det_to_posdet"),
+        (("--kind", "ITMATPROD", "--n", 2, "--m", 2, "--kappa", 1e120), "chain", "itmatprod_to_nonneg,nonneg_to_det"),
+    ],
+    ids=["matinv_to_posmatinv", "det_to_posdet", "nonneg_to_det"],
+)
+def test_a_parameter_map_that_overflows_is_a_usage_error(gen, command, rules, tmp_path, capsys):
+    src, out = tmp_path / "src.json", tmp_path / "out.json"
+    assert run("gen", *gen, "--epsilon", 0.1, "--seed", 3, "--out", src) == 0
+    capsys.readouterr()
+    flag = "--rule" if command == "reduce" else "--rules"
+    assert run(command, src, flag, rules, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: rule {rules.split(',')[-1]}: output parameters overflow\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["reduce", "chain"])
 def test_unknown_rule_message_has_no_repr_quotes(command, inst_file, tmp_path, capsys):
     flag = "--rule" if command == "reduce" else "--rules"

@@ -15,14 +15,21 @@ shown to read the stored CSC and never densify.
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+from condred import reductions
 from condred.circuits import append_cleanup, circuit_to_itmatprod
+from condred.matcore import as_form, nonzeros
 from condred.problems import ConditionParams, DecisionValue, Kind, ProblemInstance, oracle_decide
-from condred.reductions import DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, RULES, _block_matrix, _log_count, chain
+from condred.reductions import (
+    DET_PLUS_CYCLE, MATINV_PLUS_CYCLE, RULES, SPARSE_DENSITY, _block_matrix, _log_count, chain,
+)
 from condred.series import logdet_terms, neumann_terms
 from test_acceptance import _det_plus_cycle_instance, _matinv_plus_cycle_instance
 from test_circuits import forced_circuit
@@ -320,3 +327,107 @@ def test_a_source_placed_k_times_equals_k_distinct_copies(rng, form, n, nnz):
         assert once.format == "csc" and once.has_canonical_format and once.data.all()
         assert not any(p.flags.writeable for p in (once.data, once.indices, once.indptr))
         assert _csc_parts(once) == _csc_parts(copies)
+
+
+# _block_matrix against a dense reference written with plain slices, on drawn
+# layouts: c*I, dense, CSC, CSR and non-canonical CSC blocks (repeated
+# positions, explicit zeros, unsorted rows), -0.0 parts, both signs, both
+# scales (one small enough to underflow), blocks placed several times and
+# block rows listed out of order
+
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.25, 1e-30, -7e3]) | st.floats(-10, 10)
+
+
+@st.composite
+def _block(draw, n, most):
+    """One block with at most ``most`` stored entries, in a drawn form."""
+    form = draw(st.sampled_from(["scalar", "dense", "csc", "csr", "raw"]))
+    if form == "scalar":
+        return draw(st.sampled_from([1.0, 2.0, -1.0, 0.0, -0.0]))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=most))
+    vals = [complex(draw(_PARTS), draw(_PARTS)) for _ in cells]
+    if form == "raw":
+        # each position at most twice, so a sum of duplicates has one order;
+        # grouped by column, with the rows of a column in drawn order
+        kept = sorted((k for k, c in enumerate(cells) if cells[:k].count(c) < 2), key=lambda k: cells[k][1])
+        indptr = np.searchsorted([cells[k][1] for k in kept], np.arange(n + 1))
+        data = np.array([vals[k] for k in kept], dtype=np.complex128)
+        rows = np.array([cells[k][0] for k in kept], dtype=np.int64)
+        return sparse.csc_array((data, rows, indptr), shape=(n, n))
+    a = np.zeros((n, n), dtype=np.complex128)
+    for (r, c), v in zip(cells, vals):
+        a[r, c] = v
+    return a if form == "dense" else getattr(sparse, f"{form}_array")(a)
+
+
+@st.composite
+def _layouts(draw, big):
+    """(n, k, sources, layout, scale): ``big`` draws outputs within the 1/64
+    share, the rest above it."""
+    n, k = (draw(st.integers(6, 8)), 16) if big else (draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+    pool = draw(st.lists(_block(n, n if big else n * n), min_size=1, max_size=4))
+    spots = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), min_size=1, max_size=12,
+                          unique=True))
+    placed = [(i, j, draw(st.sampled_from([1, -1])), draw(st.integers(0, len(pool) - 1))) for i, j in spots]
+    scale = draw(st.sampled_from([None, (np.divide, 3.0), (np.divide, 1e300), (np.multiply, 0.5),
+                                  (np.multiply, 1e-300)]))
+    # a block the layout makes itself (as a Gram block is) is not a source:
+    # the storage rule does not count it, and it is read only once placed
+    sources = tuple(p for p in pool if not np.isscalar(p) and draw(st.booleans()))
+
+    def layout(*srcs):
+        assert len(srcs) == len(sources) and all(a is b for a, b in zip(srcs, sources))
+        return [(i, j, sign, pool[b]) for i, j, sign, b in placed]
+
+    return n, k, sources, layout, scale
+
+
+def _reference(n, k, blocks, scale):
+    """B from plain slices: each block densified, added to or subtracted from
+    zero, then scaled."""
+    ref = np.zeros((n * k, n * k), dtype=np.complex128)
+    for i, j, sign, block in blocks:
+        if np.isscalar(block):
+            b = np.diag(np.full(n, block, dtype=np.complex128))
+        else:
+            b = block.toarray() if sparse.issparse(block) else np.array(block, dtype=np.complex128)
+        b = np.subtract(0.0, b) if sign < 0 else np.add(0.0, b)
+        ref[i * n : (i + 1) * n, j * n : (j + 1) * n] = b if scale is None else scale[0](b, scale[1])
+    return ref
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["dense", "csc"])
+@seed(1717)
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_block_matrix_equals_a_dense_reference(big, data):
+    n, k, sources, layout, scale = data.draw(_layouts(big))
+    dim = n * k
+    handed = []  # what the assembly hands to as_form: (canonical, adopted, stores a zero)
+
+    def as_form_spy(a, **kwargs):
+        form = as_form(a, **kwargs)
+        handed.append((type(a) is sparse.csc_array and a.has_canonical_format, form is a, not a.data.all()))
+        return form
+
+    with mock.patch.object(reductions, "as_form", as_form_spy):
+        built = _block_matrix(n, k, sources, layout, scale=scale)
+    ref = _reference(n, k, layout(*sources), scale)
+    # the storage rule: CSC when the sources, each counted once, and the diagonal fill at most 1/64
+    stored_dense = bool(dim + sum(nonzeros(a) for a in sources) > SPARSE_DENSITY * dim * dim)
+    assert isinstance(built, np.ndarray) == stored_dense == (not big)
+    if stored_dense:
+        assert built.dtype == np.complex128 and built.tobytes() == ref.tobytes()
+    else:
+        want = sparse.csc_array(ref)
+        # one CSC, sorted and free of repeated positions; adopted unless an
+        # explicit zero or an underflow left a stored zero for as_form to drop
+        ((canonical, adopted, zero),) = handed
+        assert canonical and adopted is not zero
+        assert type(built) is sparse.csc_array and built.has_canonical_format
+        assert built.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(built.indices, want.indices) and np.array_equal(built.indptr, want.indptr)
+        assert built.indices.dtype == built.indptr.dtype == np.int64
+        assert not any(p.flags.writeable for p in (built.data, built.indices, built.indptr))
+        inst = ProblemInstance(Kind.MATINV, ConditionParams(dim), (built,), s=1, t=1, b=0.0)
+        assert inst.forms[0] is built
