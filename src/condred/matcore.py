@@ -23,6 +23,9 @@ dense block of rows through the stored factors (:func:`running_products`);
 the circuit compiler builds its cleanup suffix once per qubit count
 (:func:`condred.circuits.cleanup_gates`).
 
+Every singular value and eigenvalue of a matrix comes from its one
+:class:`Spectrum`: one SVD, or one ``eigvalsh`` when it is exactly Hermitian.
+
 SuperLU is set for the reductions' block-banded outputs (:func:`_splu`).
 A known limit: density alone does not predict its fill.  One inverse entry
 of a random CSC with n = 1152 and 5% of its entries nonzero takes 0.63 s
@@ -32,6 +35,7 @@ of a random CSC with n = 1152 and 5% of its entries nonzero takes 0.63 s
 from __future__ import annotations
 
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -107,8 +111,11 @@ def dense_form(a) -> np.ndarray:
 
 
 def nonzeros(a) -> int:
-    """Number of nonzero entries of a dense or SciPy sparse matrix."""
-    return np.count_nonzero(a) if isinstance(a, np.ndarray) else a.count_nonzero()
+    """Number of nonzero entries of a dense or SciPy sparse matrix; SciPy sums
+    duplicates in place to count, so a non-canonical one is counted on a copy."""
+    if isinstance(a, np.ndarray):
+        return np.count_nonzero(a)
+    return (a if getattr(a, "has_canonical_format", True) else a.copy()).count_nonzero()
 
 
 def _splu(sp):
@@ -198,21 +205,45 @@ def running_products(start: np.ndarray, factors):
         yield start
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    a = as_matrix(a, square=True)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol) if a.size else True
+class Spectrum:
+    """The spectral record of a square complex array A, each part computed
+    on first read and kept: its Hermitian defect max |A - A^dag|, and its
+    singular values ``sigma`` and eigenvalues ``lam`` (``eigvalsh`` of its
+    lower triangle), descending and read-only.  An exactly Hermitian A
+    (defect 0) takes one ``eigvalsh`` for both, its sigma being the sorted
+    |lambda|; any other A takes one SVD, and an eigensolve only if ``lam``
+    is read, after the reader has tested ``defect`` against its tolerance.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+
+    @cached_property
+    def defect(self) -> float:
+        return float(np.max(np.abs(self.a - self.a.conj().T)))
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        try:
+            w = np.linalg.eigvalsh(self.a)[::-1]
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        sv = np.sort(np.abs(self.lam))[::-1] if self.defect == 0.0 else svd_values(self.a)
+        sv.flags.writeable = False
+        return sv
 
 
 def hermitian_eigs(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, descending."""
-    a = as_matrix(a, square=True)
-    if not is_hermitian(a, tol):
+    spec = Spectrum(as_matrix(a, square=True))
+    if spec.defect > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    return w[::-1]
+    return spec.lam
 
 
 def vec(a) -> np.ndarray:

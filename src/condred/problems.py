@@ -23,17 +23,16 @@ from functools import cached_property
 import numpy as np
 
 from .matcore import (
+    DEFAULT_TOL,
+    Spectrum,
     as_form,
     dense_form,
-    hermitian_eigs,
     inverse_entry,
     log_abs_det,
     random_unitary,
     running_products,
     svd_values,
 )
-
-DEFAULT_TOL = 1e-9
 
 # Relative safety margin used when generators place b against the computed
 # decision quantity.  Exact-boundary placement makes One-instances flip to
@@ -168,21 +167,10 @@ class ProblemInstance:
         return self.matrices[0]
 
     @cached_property
-    def singular_values(self) -> np.ndarray:
-        """Singular values of ``matrix``, descending, computed on first read
-        and kept (read-only)."""
-        sv = svd_values(self.matrix)
-        sv.flags.writeable = False
-        return sv
-
-    @cached_property
-    def hermitian_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of ``matrix`` taken as Hermitian, descending, computed
-        on first read and kept (read-only).  Each reader first tests that the
-        matrix is Hermitian, with its own tolerance."""
-        w = hermitian_eigs(self.matrix, tol=math.inf)
-        w.flags.writeable = False
-        return w
+    def spectrum(self) -> Spectrum:
+        """The spectral record of ``matrix`` (:class:`condred.matcore.Spectrum`),
+        made on first read and kept."""
+        return Spectrum(self.matrix)
 
     @cached_property
     def sigma1_sweep(self) -> float:
@@ -305,7 +293,7 @@ def _quantity(inst: ProblemInstance) -> float | complex | None:
         prod = _rows_of_product(inst.forms, rows)
         return complex(sum(prod[np.searchsorted(rows, s), t - 1] for s, t in inst.E))
     if kind is Kind.SINGULAR:
-        return float(inst.singular_values[-1])
+        return float(inst.spectrum.sigma[-1])
     raise ValueError(f"unknown kind {kind}")
 
 
@@ -392,6 +380,24 @@ def _gap_checks(inst: ProblemInstance, q: float | complex | None, tol: float) ->
     return _output(inst, q).checks(tol)
 
 
+def spectral_checks(kind: Kind, spec: Spectrum, kappa: float, tol: float) -> list[PromiseCheck]:
+    """The spectral clauses of a one-matrix kind, read on its matrix's
+    record: A Hermitian and sigma1 <= 1 for SINGULAR; sigma1 <= 1 and
+    sigma_min >= 1/kappa for the others, and for DET+ and MATINV+ also H
+    Hermitian and, when it is, H positive definite."""
+    s1, sn, herm = float(spec.sigma[0]), float(spec.sigma[-1]), spec.defect
+    sigma1 = PromiseCheck("sigma1 <= 1", 1.0, s1, s1 <= 1 + tol)
+    if kind is Kind.SINGULAR:
+        return [PromiseCheck("A Hermitian", tol, herm, herm <= tol), sigma1]
+    checks = [sigma1, PromiseCheck("sigma_min >= 1/kappa", 1.0 / kappa, sn, sn >= 1.0 / kappa - tol)]
+    if kind in POSITIVE_KINDS:
+        checks.append(PromiseCheck("H Hermitian", tol, herm, herm <= tol))
+        if herm <= tol:
+            lam_min = float(spec.lam[-1])
+            checks.append(PromiseCheck("H positive definite", 0.0, lam_min, lam_min > tol))
+    return checks
+
+
 def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseReport:
     """Measure every Promise clause of the instance's problem definition."""
     kind, p = inst.kind, inst.params
@@ -403,21 +409,8 @@ def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseRep
     elif kind in (Kind.MATPOW, Kind.V_MATPOW):
         worst = inst.sigma1_sweep
         checks.append(PromiseCheck("sigma1(A^j) <= kappa for j in [m]", p.kappa, worst, worst <= p.kappa + tol))
-    elif kind is Kind.SINGULAR:
-        herm = float(np.max(np.abs(inst.matrix - inst.matrix.conj().T)))
-        checks.append(PromiseCheck("A Hermitian", tol, herm, herm <= tol))
-        s1 = float(inst.singular_values[0])
-        checks.append(PromiseCheck("sigma1 <= 1", 1.0, s1, s1 <= 1 + tol))
     else:
-        s1, sn = float(inst.singular_values[0]), float(inst.singular_values[-1])
-        checks.append(PromiseCheck("sigma1 <= 1", 1.0, s1, s1 <= 1 + tol))
-        checks.append(PromiseCheck("sigma_min >= 1/kappa", 1.0 / p.kappa, sn, sn >= 1.0 / p.kappa - tol))
-        if kind in POSITIVE_KINDS:
-            herm = float(np.max(np.abs(inst.matrix - inst.matrix.conj().T)))
-            checks.append(PromiseCheck("H Hermitian", tol, herm, herm <= tol))
-            if herm <= tol:
-                lam_min = float(inst.hermitian_eigenvalues[-1])
-                checks.append(PromiseCheck("H positive definite", 0.0, lam_min, lam_min > tol))
+        checks.extend(spectral_checks(kind, inst.spectrum, p.kappa, tol))
         if kind is Kind.V_MATINV:
             checks.append(PromiseCheck("|b| <= kappa", p.kappa, abs(inst.b), abs(inst.b) <= p.kappa + tol))
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matcore import _frozen, adjoint, as_form, dense_form, gram, is_hermitian, nonzeros, svd_values
+from .matcore import _frozen, adjoint, as_form, dense_form, gram, nonzeros, svd_values
 from .problems import ConditionParams, Kind, ProblemInstance, decision_quantity
 from .series import PromiseViolation, log_series, logdet_terms, neumann_series, neumann_terms
 from .series import log_count as _log_count
@@ -87,21 +87,8 @@ Built = tuple[ProblemInstance, str, tuple[Bound, ...]]
 Builder = Callable[[ProblemInstance, Kind], Built]
 
 
-# measures and identity terms shared by several rules
-
-
-def _sigma1(src: ProblemInstance, dst: ProblemInstance) -> float:
-    return float(dst.singular_values[0])
-
-
-def _sigma_min(src: ProblemInstance, dst: ProblemInstance) -> float:
-    return float(dst.singular_values[-1])
-
-
-def _lambda_min(src: ProblemInstance, dst: ProblemInstance) -> float:
-    if not is_hermitian(dst.matrix):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return float(dst.hermitian_eigenvalues[-1])
+# measures and identity terms shared by several rules; a bound on a sigma or
+# a lambda of the target reads its spectral record, ``dst.spectrum``
 
 
 def _sigma1_sweep(src: ProblemInstance, dst: ProblemInstance) -> float:
@@ -228,8 +215,8 @@ def _matpow_to_matinv(inst: ProblemInstance, kind: Kind) -> Built:
     out_params = ConditionParams(n * (m + 1), 1, (1.0 + m * p.kappa) * c, c * p.epsilon)
     out = ProblemInstance(kind, out_params, (z,), s=inst.s, t=n * m + inst.t, b=c * inst.b)
     return out, f"b_hat = ceil(1+kappa)*b = {c}*b; Z_hat^-1[s, nm+t] = {c}*A^m[s,t]", (
-        Bound("sigma1(Z_hat)", 1.0, measure=_sigma1),
-        Bound("sigma1(Z_hat^-1)", (1.0 + m * p.kappa) * c, measure=lambda src, dst: 1.0 / _sigma_min(src, dst)),
+        Bound("sigma1(Z_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
+        Bound("sigma1(Z_hat^-1)", (1.0 + m * p.kappa) * c, measure=lambda _, dst: 1 / dst.spectrum.sigma[-1]),
     )
 
 
@@ -252,8 +239,9 @@ def _matinv_to_posmatinv(inst: ProblemInstance, kind: Kind) -> Built:
     out_params = ConditionParams(2 * n, 1, (3.0 * p.kappa) ** 2, 3.0 * p.epsilon)
     out = ProblemInstance(kind, out_params, (h,), s=inst.s, t=inst.t + n, b=3.0 * float(np.real(inst.b)))
     return out, "b_hat = 3b; H_hat^-1[s, t+n] = 3*A^-1[s,t]", (
-        Bound("sigma1(H_hat)", 1.0, measure=_sigma1),
-        Bound("lambda_min(H_hat)", (3.0 * p.kappa) ** -2, upper=False, measure=_lambda_min),
+        Bound("sigma1(H_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
+        Bound("lambda_min(H_hat)", (3.0 * p.kappa) ** -2, upper=False,
+              measure=lambda _, dst: dst.spectrum.lam[-1]),
     )
 
 
@@ -343,8 +331,9 @@ def _nonneg_to_det(inst: ProblemInstance, kind: Kind) -> Built:
     out_params = ConditionParams(big_n, 1, (2.0 + m * kappa) ** 3, p.epsilon / (2.0 + 2.0 * kappa))
     out = ProblemInstance(kind, out_params, (c_hat,), b=b_hat)
     return out, f"b_hat = ln(1+b) - l_hat*(nm+n) with l_hat={l_hat}; det(C) = 1 + A_{{1,m}}[s,t]", (
-        Bound("sigma1(C_hat)", 1.0, measure=_sigma1),
-        Bound("sigma_min(C_hat)", (2.0 + m * kappa) ** -3, upper=False, measure=_sigma_min),
+        Bound("sigma1(C_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
+        Bound("sigma_min(C_hat)", (2.0 + m * kappa) ** -3, upper=False,
+              measure=lambda _, dst: dst.spectrum.sigma[-1]),
     )
 
 
@@ -363,8 +352,8 @@ def _det_to_posdet(inst: ProblemInstance, kind: Kind) -> Built:
     out_params = ConditionParams(p.n, 1, p.kappa**2, p.epsilon / 2.0)
     out = ProblemInstance(kind, out_params, (h,), b=2.0 * float(np.real(inst.b)))
     return out, "b_hat = 2b; det(H_hat) = |det A|^2 (declared gap eps/2, realized 2*eps)", (
-        Bound("sigma1(H_hat)", 1.0, measure=_sigma1),
-        Bound("lambda_min(H_hat)", p.kappa**-2, upper=False, measure=_lambda_min),
+        Bound("sigma1(H_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
+        Bound("lambda_min(H_hat)", p.kappa**-2, upper=False, measure=lambda _, dst: dst.spectrum.lam[-1]),
     )
 
 
@@ -423,7 +412,7 @@ def _sumitmatprod_to_itmatprod(inst: ProblemInstance, kind: Kind) -> Built:
     out_params = ConditionParams(n * n_e, m + 2, kappa_hat, p.epsilon)
     out = ProblemInstance(kind, out_params, mats, s=1, t=1, b=float(np.real(inst.b)))
     return out, "b_hat = b; A_hat_{0,m+1}[1,1] = sum over E of A_{1,m}[s,t]", (
-        Bound("sigma1(fan-out factor)", math.sqrt(2.0 * n_e), measure=_sigma1),
+        Bound("sigma1(fan-out factor)", math.sqrt(2.0 * n_e), measure=lambda _, dst: dst.spectrum.sigma[0]),
         Bound("sigma1(all partial products)", kappa_hat, measure=_sigma1_sweep),
     )
 
@@ -469,7 +458,7 @@ def _vmatinv_to_singular(inst: ProblemInstance, kind: Kind) -> Built:
         "det(C_hat) = (b - A^-1[s,t])/(2*ceil(kappa)) * det(B_hat)"
     )
     return out, answer_map, (
-        Bound("sigma1(H_hat)", 1.0, measure=_sigma1),
+        Bound("sigma1(H_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
         Bound("sigma_{n+1}(B_hat)", 2.0 / 3.0, upper=False,
               measure=lambda src, dst: float(svd_values(_singular_b(src))[-1])),
     )
@@ -586,7 +575,7 @@ def identity_residual(rule: str, src: ProblemInstance, dst: ProblemInstance) -> 
 
 def _defined(measure: Measure, src: ProblemInstance, dst: ProblemInstance) -> float | None:
     try:
-        return measure(src, dst)
+        return float(measure(src, dst))
     except _Undefined:
         return None
 

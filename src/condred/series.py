@@ -8,7 +8,9 @@ certified bound on every valid input.
 
 Both series run on :func:`condred.matcore.running_products`: the log series
 traces each full power of I - H, the Neumann entry sweeps row s through
-I - H.  The eigensolver is reserved for the verification oracles in the tests.
+I - H.  Each solver first checks the promise its certificate needs, the
+spectral clauses of its kind (:func:`condred.problems.spectral_checks`), on
+one decomposition of its matrix.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .matcore import as_matrix, gram, is_hermitian, running_products, svd_values
-
-DEFAULT_TOL = 1e-9
+from .matcore import DEFAULT_TOL, Spectrum, as_matrix, gram, running_products
+from .problems import ConditionParams, Kind, spectral_checks
 
 
 class PromiseViolation(ValueError):
@@ -70,19 +71,13 @@ def neumann_series(h: np.ndarray, s: int, t: int, terms: int) -> complex:
     return complex(sum((row[t - 1] for row in sweep), eye[s - 1, t - 1]))
 
 
-def _check_posdef_contraction(h: np.ndarray, kappa: float, tol: float) -> None:
-    if not is_hermitian(h, tol):
-        raise PromiseViolation("matrix is not Hermitian")
-    sv = svd_values(h)
-    if sv[0] > 1.0 + tol:
-        raise PromiseViolation(f"sigma_1 = {sv[0]:.6g} exceeds 1")
-    if sv[-1] < 1.0 / kappa - tol:
-        raise PromiseViolation(f"sigma_min = {sv[-1]:.6g} below 1/kappa = {1.0/kappa:.6g}")
-    # Hermitian with sigma_min >= 1/kappa is positive definite iff I-H is a
-    # contraction; a negative eigenvalue would push sigma_1(I-H) above 1
-    x = np.eye(h.shape[0]) - h
-    if svd_values(x)[0] > 1.0 - 1.0 / kappa + math.sqrt(tol):
-        raise PromiseViolation("matrix is not positive definite on the promised spectrum")
+def _require(kind: Kind, a: np.ndarray, kappa: float, epsilon: float, tol: float) -> None:
+    """ValueError unless kappa >= 1 and epsilon > 0; PromiseViolation at the
+    first of ``kind``'s spectral clauses that ``a`` fails."""
+    ConditionParams(a.shape[0], 1, kappa, epsilon)
+    for c in spectral_checks(kind, Spectrum(a), kappa, tol):
+        if not c.passed:
+            raise PromiseViolation(f"{c.name} fails: measured {c.measured:.6g}, declared {c.declared:.6g}")
 
 
 def logdet_series(h, kappa: float, epsilon: float, tol: float = DEFAULT_TOL) -> ApproxResult:
@@ -92,9 +87,7 @@ def logdet_series(h, kappa: float, epsilon: float, tol: float = DEFAULT_TOL) -> 
     (the dropped terms are traces of positive semidefinite powers).
     """
     h = as_matrix(h, square=True)
-    if kappa < 1.0 or epsilon <= 0.0:
-        raise ValueError("need kappa >= 1 and epsilon > 0")
-    _check_posdef_contraction(h, kappa, tol)
+    _require(Kind.DET_PLUS, h, kappa, epsilon, tol)
     m_hat = logdet_terms(h.shape[0], kappa, epsilon)
     return ApproxResult(value=-log_series(h, m_hat), terms_used=m_hat, certified_error=epsilon / 2.0)
 
@@ -107,13 +100,7 @@ def absdet_multiplicative(a, kappa: float, epsilon: float, tol: float = DEFAULT_
     value to epsilon/2, comfortably inside the requested ratio.
     """
     a = as_matrix(a, square=True)
-    if kappa < 1.0 or epsilon <= 0.0:
-        raise ValueError("need kappa >= 1 and epsilon > 0")
-    sv = svd_values(a)
-    if sv[0] > 1.0 + tol:
-        raise PromiseViolation(f"sigma_1 = {sv[0]:.6g} exceeds 1")
-    if sv[-1] < 1.0 / kappa - tol:
-        raise PromiseViolation(f"sigma_min = {sv[-1]:.6g} below 1/kappa")
+    _require(Kind.DET, a, kappa, epsilon, tol)
     inner = logdet_series(gram(a, left=False), kappa**2, 2.0 * epsilon, tol)
     return ApproxResult(
         value=math.exp(float(np.real(inner.value)) / 2.0),
@@ -134,9 +121,7 @@ def neumann_inverse_entry(
     n = h.shape[0]
     if not (1 <= s <= n and 1 <= t <= n):
         raise ValueError(f"indices ({s}, {t}) outside [1, {n}]")
-    if kappa < 1.0 or epsilon <= 0.0:
-        raise ValueError("need kappa >= 1 and epsilon > 0")
-    _check_posdef_contraction(h, kappa, tol)
+    _require(Kind.MATINV_PLUS, h, kappa, epsilon, tol)
     m_hat = neumann_terms(kappa, epsilon)
     acc = neumann_series(h, s, t, m_hat)
     value = acc.real if abs(acc.imag) < tol else acc

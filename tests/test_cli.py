@@ -14,7 +14,7 @@ from scipy import sparse
 from hypothesis import strategies as st
 
 from condred.circuits import GeneralCircuit, append_cleanup, simulate_acceptance, unitary_gate
-from condred import cli, problems
+from condred import cli, matcore, problems
 from condred.cli import main
 from condred.problems import ConditionParams, Kind, gen_instance
 import condred
@@ -328,6 +328,18 @@ class TestCli:
             got = json.loads(r_series.read_text())["decisions"]["series"]["value"]
             assert got == want
 
+    @pytest.mark.parametrize("kind,where", [(Kind.DET_PLUS, dict(b=-1.0)), (Kind.MATINV_PLUS, dict(s=1, t=1, b=0.5))])
+    def test_series_and_verify_refuse_an_indefinite_matrix(self, kind, where, tmp_path, capsys):
+        # H = diag(1, -0.045) with kappa = 20 has sigma_min >= 1/kappa - tol
+        # at tol = 0.01 but a negative eigenvalue: both commands refuse it
+        inst = problems.ProblemInstance(kind, ConditionParams(2, 1, 20.0, 1.0), (np.diag([1.0, -0.045]),), **where)
+        path = tmp_path / "indefinite.json"
+        save_json(instance_to_json(inst), path)
+        assert run("--tol", 0.01, "verify", path) == 1
+        assert "H positive definite" in capsys.readouterr().out
+        assert run("--tol", 0.01, "solve", path, "--method", "series") == 1
+        assert capsys.readouterr().err.startswith("promise violation: H positive definite fails")
+
     def test_solve_series_wrong_kind(self, inst_file):
         assert run("solve", inst_file, "--method", "series") == 2
 
@@ -379,9 +391,6 @@ class TestCli:
         calls = []
         entry = problems.inverse_entry
         monkeypatch.setattr(problems, "inverse_entry", lambda *args: calls.append(args) or entry(*args))
-        svds = []
-        svd = problems.svd_values
-        monkeypatch.setattr(problems, "svd_values", lambda a: svds.append(a.shape[0]) or svd(a))
         assert run("solve", inst_file) == 0
         assert len(calls) == 1
         calls.clear()
@@ -393,27 +402,38 @@ class TestCli:
         # gen places b against the quantity, then checks the promise with it
         assert run("gen", "--kind", "MATINV", "--n", 4, "--out", tmp_path / "g.json") == 0
         assert len(calls) == 1
-        # the singular values of an instance are kept on it as well: the
-        # target's two measured bounds and its promise check share one SVD
+
+    def test_each_matrix_is_decomposed_once(self, inst_file, tmp_path, monkeypatch):
+        # every sigma and lambda of an instance comes from its spectral
+        # record: one SVD, or one eigvalsh when the matrix is exactly
+        # Hermitian, shared by the promise check, the oracle, the measured
+        # bounds and the series solvers
+        decomps = []
+        svd, eigvalsh = matcore.svd_values, np.linalg.eigvalsh
+        monkeypatch.setattr(matcore, "svd_values", lambda a: decomps.append(("svd", a.shape[0])) or svd(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: decomps.append(("eigvalsh", a.shape[0])) or eigvalsh(a))
+
+        def counted(*argv):
+            decomps.clear()
+            assert run(*argv) == 0
+            return sorted(decomps)
+
         pow_file = tmp_path / "pow.json"
         assert run("gen", "--kind", "MATPOW", "--n", 3, "--m", 2, "--kappa", 2, "--out", pow_file) == 0
-        svds.clear()
-        assert run("reduce", pow_file, "--rule", "matpow_to_matinv", "--measure",
-                   "--out", tmp_path / "inv.json") == 0
-        assert svds.count(9) == 1
+        # the MATPOW source's promise is a sweep of partial products, not the record
+        assert counted("reduce", pow_file, "--rule", "matpow_to_matinv", "--measure",
+                       "--out", tmp_path / "inv.json") == [("svd", 9)]
+        assert counted("reduce", inst_file, "--rule", "matinv_to_posmatinv", "--measure",
+                       "--out", tmp_path / "plus.json") == [("eigvalsh", 8), ("svd", 4)]
         sing_file = tmp_path / "sing.json"
         assert run("gen", "--kind", "SINGULAR", "--n", 4, "--epsilon", 0.2, "--out", sing_file) == 0
-        svds.clear()
-        assert run("solve", sing_file) == 0
-        assert svds == [4]
-        # and so are its Hermitian eigenvalues: the lambda_min bound of the
-        # target and its "H positive definite" clause share one eigensolve
-        eigs = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigs.append(a.shape[0]) or eigvalsh(a))
-        assert run("reduce", inst_file, "--rule", "matinv_to_posmatinv", "--measure",
-                   "--out", tmp_path / "plus.json") == 0
-        assert eigs == [8]
+        assert counted("solve", sing_file) == [("eigvalsh", 4)]
+        for kind in ("DET+", "MATINV+"):
+            path = tmp_path / f"{kind}.json"
+            assert run("gen", "--kind", kind, "--n", 5, "--kappa", 4, "--epsilon", 0.3, "--out", path) == 0
+            for method in ("oracle", "series"):
+                assert counted("solve", path, "--method", method) == [("eigvalsh", 5)]
+            assert counted("verify", path) == [("eigvalsh", 5)]
 
     def test_each_sigma1_sweep_is_measured_once(self, tmp_path, monkeypatch):
         # the partial-products bound of --measure and the target's full

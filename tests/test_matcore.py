@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scipy import sparse
+
 from condred.matcore import (
+    Spectrum,
     adjoint_apply,
     as_matrix,
     hermitian_eigs,
     kraus_superoperator,
     natural_representation,
+    nonzeros,
     random_kraus_set,
     random_unitary,
     svd_values,
@@ -67,6 +71,56 @@ class TestHermitianEigs:
     def test_rejects_non_hermitian(self, rng):
         with pytest.raises(ValueError):
             hermitian_eigs(random_complex(rng, 3, 3))
+
+
+class TestSpectrum:
+    def test_an_exactly_hermitian_matrix_takes_its_sigma_from_lambda(self, rng, monkeypatch):
+        g = random_complex(rng, 5, 5)
+        spec = Spectrum(g + g.conj().T)
+        monkeypatch.setattr("condred.matcore.svd_values", None)  # never called
+        assert spec.defect == 0.0
+        assert np.array_equal(spec.sigma, np.sort(np.abs(spec.lam))[::-1])
+        assert np.allclose(spec.sigma, np.linalg.svd(g + g.conj().T, compute_uv=False), rtol=0, atol=1e-12)
+
+    def test_any_other_matrix_takes_one_svd(self, rng):
+        g = random_complex(rng, 4, 4)
+        spec = Spectrum(g)
+        assert spec.defect == np.max(np.abs(g - g.conj().T))
+        assert np.array_equal(spec.sigma, svd_values(g))
+
+    def test_a_nearly_hermitian_matrix_keeps_its_eigensolve(self, rng):
+        g = random_complex(rng, 4, 4)
+        h = g + g.conj().T
+        h[0, 1] += 1e-12
+        spec = Spectrum(h)
+        assert 0.0 < spec.defect <= 2e-12
+        assert np.array_equal(spec.sigma, svd_values(h))
+        assert np.array_equal(spec.lam, np.linalg.eigvalsh(h)[::-1])
+
+    def test_values_are_read_only_and_kept(self):
+        spec = Spectrum(np.diag([0.5, -2.0]).astype(complex))
+        assert spec.sigma is spec.sigma and spec.lam is spec.lam
+        assert list(spec.sigma) == [2.0, 0.5] and list(spec.lam) == [0.5, -2.0]
+        for values in (spec.sigma, spec.lam):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+
+@pytest.mark.parametrize("fmt", ["csc", "coo"])
+def test_nonzeros_leaves_a_non_canonical_matrix_as_it_was(fmt):
+    # entries 1 and -1 at (0, 0) and 3 at (1, 1): one nonzero once summed
+    data = np.array([1.0, -1.0, 3.0], dtype=complex)
+    if fmt == "csc":
+        a = sparse.csc_array((data, np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2))
+        arrays = lambda: (a.data, a.indices, a.indptr)
+    else:
+        a = sparse.coo_array((data, (np.array([0, 0, 1]), np.array([0, 0, 1]))), shape=(2, 2))
+        arrays = lambda: (a.data, *a.coords)
+    before = [np.copy(x) for x in arrays()]
+    assert not a.has_canonical_format
+    assert nonzeros(a) == 1
+    assert all(np.array_equal(x, y) for x, y in zip(arrays(), before))
+    assert not a.has_canonical_format
 
 
 class TestVecIndex:

@@ -229,3 +229,55 @@ class TestGenerators:
         # a zero-instance needs eps <= n ln kappa
         with pytest.raises(InfeasibleParams):
             gen_instance(Kind.DET, ConditionParams(1, 1, 1.5, 3.0), seed=0, want_one=False)
+
+
+def _spectral_instances():
+    """Exactly Hermitian instances: generated DET+, MATINV+ and SINGULAR ones
+    with n <= 6, and the outputs of matinv_to_posmatinv and det_to_posdet on
+    generated sources with n <= 3."""
+    from condred.reductions import chain
+
+    for seed in range(4):
+        for n in range(1, 7):
+            yield gen_instance(Kind.DET_PLUS, ConditionParams(n, 1, 5.0, 0.3), seed)
+            yield gen_instance(Kind.MATINV_PLUS, ConditionParams(n, 1, 4.0, 0.05), seed)
+            yield gen_instance(Kind.SINGULAR, ConditionParams(n, 1, 1.0, 0.2), seed)
+        for n in range(1, 4):
+            yield chain(gen_instance(Kind.MATINV, ConditionParams(n, 1, 4.0, 0.05), seed), ["matinv_to_posmatinv"])[0]
+            yield chain(gen_instance(Kind.DET, ConditionParams(n, 1, 5.0, 0.3), seed), ["det_to_posdet"])[0]
+
+
+def _reference_verdicts(inst, tol):
+    """check_promise's (name, passed) list, from an SVD and an eigvalsh of
+    the dense matrix taken here, apart from the spectral record."""
+    a, p = inst.matrix, inst.params
+    sv = np.linalg.svd(a, compute_uv=False)
+    herm = float(np.max(np.abs(a - a.conj().T)))
+    if inst.kind is Kind.SINGULAR:
+        gap = sv[-1] <= tol or p.epsilon - tol <= sv[-1] <= 1 + tol
+        return [("A Hermitian", herm <= tol), ("sigma1 <= 1", sv[0] <= 1 + tol),
+                ("sigma_min in {0} u [eps, 1]", gap)]
+    verdicts = [("sigma1 <= 1", sv[0] <= 1 + tol), ("sigma_min >= 1/kappa", sv[-1] >= 1 / p.kappa - tol),
+                ("H Hermitian", herm <= tol)]
+    if herm <= tol:
+        verdicts.append(("H positive definite", np.linalg.eigvalsh(a)[0] > tol))
+    report = check_promise(inst, tol)
+    return verdicts + [(c.name, c.passed) for c in report.checks[len(verdicts):]]  # the Output clause's
+
+
+def test_the_spectral_record_agrees_with_an_svd_and_eigvalsh_reference():
+    for inst in _spectral_instances():
+        spec = inst.spectrum
+        assert spec.defect == 0.0, inst.kind  # so the record took one eigvalsh
+        sv = svd_values(inst.matrix)
+        assert np.max(np.abs(spec.sigma - sv)) <= 1e-12 * sv[0]
+        # the instance, and copies that break sigma1 <= 1, positive
+        # definiteness, or exact symmetry (which sends the record to its SVD)
+        shifted = inst.matrix - (float(spec.lam[-1]) + 1e-3) * np.eye(inst.params.n)
+        skewed = inst.matrix.copy()
+        skewed[-1, 0] += 1e-12
+        for a in (inst.matrix, 1.5 * inst.matrix, shifted, skewed):
+            variant = replace(inst, forms=(a,))
+            for tol in (1e-9, 1e-6, 1e-2):
+                got = [(c.name, c.passed) for c in check_promise(variant, tol).checks]
+                assert got == _reference_verdicts(variant, tol), (inst.kind, tol)

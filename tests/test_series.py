@@ -79,6 +79,29 @@ class TestLogdetSeries:
             logdet_series(np.diag([1.0, -0.5]), kappa=4.0, epsilon=0.1)  # not posdef
 
 
+@pytest.mark.parametrize(
+    "lam_min,kappa,tol",
+    # a negative eigenvalue that every sigma clause lets through: |lambda| >=
+    # 1/kappa - tol, and sigma_1(I - H) = 1 + |lambda| <= 1 - 1/kappa + sqrt(tol)
+    [(-0.045, 20.0, 0.01), (-1e-5, 1e6, 1e-9)],
+)
+def test_an_indefinite_matrix_breaks_the_promise_of_both_solvers(lam_min, kappa, tol):
+    h = np.diag([1.0, lam_min]).astype(complex)
+    with pytest.raises(PromiseViolation, match="H positive definite"):
+        logdet_series(h, kappa, 1.0, tol)
+    with pytest.raises(PromiseViolation, match="H positive definite"):
+        neumann_inverse_entry(h, 1, 1, kappa, 1.0, tol)
+
+
+@pytest.mark.parametrize("kappa,epsilon", [(0.5, 0.1), (2.0, 0.0), (2.0, -1.0)])
+def test_bad_parameters_are_value_errors(kappa, epsilon):
+    for solve in (lambda: logdet_series(np.eye(2), kappa, epsilon),
+                  lambda: absdet_multiplicative(np.eye(2), kappa, epsilon),
+                  lambda: neumann_inverse_entry(np.eye(2), 1, 1, kappa, epsilon)):
+        with pytest.raises(ValueError):
+            solve()
+
+
 class TestAbsdetMultiplicative:
     def test_unitary(self, rng):
         u = random_unitary(4, rng)
