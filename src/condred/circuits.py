@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
+    DEFAULT_TOL,
     adjoint_apply,
     as_matrix,
     check_kraus_complete,
@@ -33,8 +34,6 @@ from .matcore import (
 )
 from .problems import ConditionParams, Kind, ProblemInstance
 from .reductions import ReductionRecord, chain
-
-DEFAULT_TOL = 1e-9
 
 #: acceptance thresholds of the bounded-error circuit model
 ACCEPT_HI = 2.0 / 3.0

@@ -19,11 +19,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import reductions
+from . import reductions, series
 from .circuits import ACCEPT_HI, ACCEPT_LO, append_cleanup, circuit_to_itmatprod, eliminate_measurements
 from .circuits import simulate_acceptance
+from .matcore import DEFAULT_TOL
 from .problems import (
     ConditionParams,
     DecisionValue,
@@ -41,7 +40,6 @@ from .serialize import (
     load_json,
     save_json,
 )
-from .series import PromiseViolation, logdet_series, neumann_inverse_entry
 
 EXIT_OK = 0
 EXIT_PROMISE = 1
@@ -74,19 +72,24 @@ def _record_to_json(rec: reductions.ReductionRecord) -> dict:
     }
 
 
-def _emit_report(path, payload: dict, started: float) -> None:
-    if path is None:
-        return
-    payload = dict(payload)
-    payload["wall_time_s"] = time.perf_counter() - started
-    save_json(payload, path)
+def _emit_report(args, payload: dict) -> None:
+    """Write ``payload`` and the time since :func:`main` began to ``--report``, if given."""
+    if args.report is not None:
+        save_json({**payload, "wall_time_s": time.perf_counter() - args.started}, args.report)
+
+
+def _load(args):
+    """The JSON document at ``args.path`` and the instance it holds."""
+    doc = load_json(args.path)
+    return doc, instance_from_json(doc)
 
 
 def _refused(exc: Exception) -> int:
-    """Exit status for a rule path that could not be applied: a builder's
-    refusal of a promise-violating instance is a promise violation, and an
-    unknown or ill-typed rule a usage error."""
-    if isinstance(exc, PromiseViolation):
+    """Exit status for a rule path or a series that could not be applied: a
+    refusal of a promise-violating instance is a promise violation, and any
+    other refusal (an unknown or ill-typed rule, a kind with no series) a
+    usage error."""
+    if isinstance(exc, series.PromiseViolation):
         print(f"promise violation: {exc}", file=sys.stderr)
         return EXIT_PROMISE
     # str() of a KeyError is the repr of its message
@@ -103,7 +106,6 @@ def _decision_json(d) -> dict:
 
 def cmd_gen(args) -> int:
     want = {"one": True, "zero": False, "auto": None}[args.decision]
-    started = time.perf_counter()
     try:
         params = ConditionParams(n=args.n, m=args.m, kappa=args.kappa, epsilon=args.epsilon)
         inst = gen_instance(Kind(args.kind), params, args.seed, want_one=want)
@@ -113,56 +115,41 @@ def cmd_gen(args) -> int:
     out_digest = save_json(instance_to_json(inst), args.out)
     report = check_promise(inst, tol=args.tol)
     print(f"wrote {args.out}  kind={inst.kind.value}  promise={'pass' if report.overall else 'FAIL'}")
-    _emit_report(
-        args.report,
-        {
-            "command": ["gen", args.kind, f"n={args.n}", f"seed={args.seed}"],
-            "output_digest": out_digest,
-            "checks": _report_checks(report),
-        },
-        started,
-    )
+    _emit_report(args, {
+        "command": ["gen", args.kind, f"n={args.n}", f"seed={args.seed}"],
+        "output_digest": out_digest,
+        "checks": _report_checks(report),
+    })
     return EXIT_OK if report.overall else EXIT_PROMISE
 
 
 def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    paths = []
     p = Path(args.path)
-    if p.is_dir():
-        paths = sorted(p.glob("*.json"))
-        if not paths:
-            print(f"error: no *.json files under {p}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        paths = [p]
+    paths = sorted(p.glob("*.json")) if p.is_dir() else [p]
+    if not paths:
+        print(f"error: no *.json files under {p}", file=sys.stderr)
+        return EXIT_USAGE
     rows = []
-    any_fail = False
     for path in paths:
         doc = load_json(path)
         report = check_promise(instance_from_json(doc), tol=args.tol)
-        any_fail |= not report.overall
         rows.append((path, digest(doc), report))
         verdict = "pass" if report.overall else "VIOLATED: " + ", ".join(report.failing())
         print(f"{path}: {verdict}")
+    ok = sum(1 for _, _, r in rows if r.overall)
     if len(rows) > 1:
-        ok = sum(1 for _, _, r in rows if r.overall)
         print(f"{ok}/{len(rows)} instances pass")
-    _emit_report(
-        args.report,
-        {
-            "command": ["verify", str(args.path)],
-            "files": [
-                {"path": str(path), "input_digest": d, "checks": _report_checks(r)}
-                for path, d, r in rows
-            ],
-        },
-        started,
-    )
-    return EXIT_PROMISE if any_fail else EXIT_OK
+    _emit_report(args, {
+        "command": ["verify", str(args.path)],
+        "files": [
+            {"path": str(path), "input_digest": d, "checks": _report_checks(r)}
+            for path, d, r in rows
+        ],
+    })
+    return EXIT_OK if ok == len(rows) else EXIT_PROMISE
 
 
-def _decide_ends(args, started, doc, inst, out, records, command, head: str, extra: dict) -> int:
+def _decide_ends(args, doc, inst, out, records, command, head: str, extra: dict) -> int:
     """The tail shared by ``reduce`` and ``chain``: save ``out``, decide both
     ends, print ``head`` followed by the two decisions, and write the report
     (``extra`` goes before the decisions).  Exit 1 when the source violates
@@ -172,27 +159,21 @@ def _decide_ends(args, started, doc, inst, out, records, command, head: str, ext
     dst_dec = oracle_decide(out, tol=args.tol, check=args.check)
     agree = src_dec.value == dst_dec.value
     print(f"{head}decisions {src_dec.value.value}/{dst_dec.value.value} {'agree' if agree else 'DISAGREE'}")
-    _emit_report(
-        args.report,
-        {
-            "command": command,
-            "input_digest": digest(doc),
-            "output_digest": out_digest,
-            **extra,
-            "decisions": {"source": _decision_json(src_dec), "target": _decision_json(dst_dec)},
-            "provenance": [_record_to_json(r) for r in records],
-        },
-        started,
-    )
+    _emit_report(args, {
+        "command": command,
+        "input_digest": digest(doc),
+        "output_digest": out_digest,
+        **extra,
+        "decisions": {"source": _decision_json(src_dec), "target": _decision_json(dst_dec)},
+        "provenance": [_record_to_json(r) for r in records],
+    })
     if src_dec.value is DecisionValue.PROMISE_VIOLATED or not agree:
         return EXIT_PROMISE
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
-    started = time.perf_counter()
-    doc = load_json(args.path)
-    inst = instance_from_json(doc)
+    doc, inst = _load(args)
     try:
         out, (rec,) = reductions.chain(inst, [args.rule])
     except (KeyError, ValueError) as exc:
@@ -205,25 +186,22 @@ def cmd_reduce(args) -> int:
         f"(n={out.params.n}); identity residual "
         f"{'undefined' if residual is None else f'{residual:.3e}'}; "
     )
-    return _decide_ends(args, started, doc, inst, out, [rec], ["reduce", args.rule], head,
+    return _decide_ends(args, doc, inst, out, [rec], ["reduce", args.rule], head,
                         {"identity_residual": residual})
 
 
 def cmd_chain(args) -> int:
-    started = time.perf_counter()
-    doc = load_json(args.path)
-    inst = instance_from_json(doc)
+    doc, inst = _load(args)
     path = [r for r in args.rules.split(",") if r] if args.rules else []
     try:
         out, records = reductions.chain(inst, path)
     except (KeyError, ValueError) as exc:
         return _refused(exc)
     head = f"chain of {len(path)} rules: {inst.kind.value} -> {out.kind.value} (n={out.params.n}); "
-    return _decide_ends(args, started, doc, inst, out, records, ["chain", args.rules], head, {})
+    return _decide_ends(args, doc, inst, out, records, ["chain", args.rules], head, {})
 
 
 def cmd_compile_circuit(args) -> int:
-    started = time.perf_counter()
     doc = load_json(args.path)
     circ = circuit_from_json(doc)
     circ = append_cleanup(circ)
@@ -248,68 +226,43 @@ def cmd_compile_circuit(args) -> int:
         f"acceptance={prob:.6f}, oracle={dec.value.value}, expected={expected.value}"
         f" {'(agree)' if agree else '(DISAGREE)'}"
     )
-    _emit_report(
-        args.report,
-        {
-            "command": ["compile-circuit", args.target],
-            "input_digest": digest(doc),
-            "output_digest": out_digest,
-            "simulated_acceptance": prob,
-            "decisions": {"expected": expected.value, "oracle": _decision_json(dec)},
-            "provenance": [_record_to_json(r) for r in records],
-        },
-        started,
-    )
+    _emit_report(args, {
+        "command": ["compile-circuit", args.target],
+        "input_digest": digest(doc),
+        "output_digest": out_digest,
+        "simulated_acceptance": prob,
+        "decisions": {"expected": expected.value, "oracle": _decision_json(dec)},
+        "provenance": [_record_to_json(r) for r in records],
+    })
     if expected is DecisionValue.PROMISE_VIOLATED or not agree:
         return EXIT_PROMISE
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    started = time.perf_counter()
-    doc = load_json(args.path)
-    inst = instance_from_json(doc)
+    doc, inst = _load(args)
     payload: dict = {"command": ["solve", args.method], "input_digest": digest(doc)}
     if args.method == "oracle":
         dec = oracle_decide(inst, tol=args.tol, check=args.check)
         payload["decisions"] = {"oracle": _decision_json(dec)}
         print(f"oracle: {dec.value.value} (witness {dec.witness_value})")
-        _emit_report(args.report, payload, started)
-        return EXIT_PROMISE if dec.value is DecisionValue.PROMISE_VIOLATED else EXIT_OK
-    # certified-series route, for the positive definite kinds only
-    if inst.kind not in (Kind.DET_PLUS, Kind.MATINV_PLUS):
-        print("error: --method series needs a DET+ or MATINV+ instance", file=sys.stderr)
-        return EXIT_USAGE
-    p = inst.params
-    try:
-        if inst.kind is Kind.DET_PLUS:
-            approx = logdet_series(inst.matrix, p.kappa, p.epsilon, tol=args.tol)
-            # one-sided certificate: value >= ln det H, so compare at b
-            value = float(np.real(approx.value))
-            decided = DecisionValue.ONE if value >= float(np.real(inst.b)) else DecisionValue.ZERO
-        else:
-            approx = neumann_inverse_entry(inst.matrix, inst.s, inst.t, p.kappa, p.epsilon, tol=args.tol)
-            value = float(abs(approx.value))
-            decided = (
-                DecisionValue.ONE
-                if value >= float(np.real(inst.b)) - p.epsilon / 4.0
-                else DecisionValue.ZERO
-            )
-    except PromiseViolation as exc:
-        print(f"promise violation: {exc}", file=sys.stderr)
-        return EXIT_PROMISE
-    payload["decisions"] = {"series": {"value": decided.value}}
-    payload["series"] = {
-        "value": value,
-        "terms_used": approx.terms_used,
-        "certified_error": approx.certified_error,
-    }
-    print(
-        f"series: {decided.value} (value {value:.12g}, {approx.terms_used} terms, "
-        f"certified error {approx.certified_error:.3g})"
-    )
-    _emit_report(args.report, payload, started)
-    return EXIT_OK
+    else:
+        try:
+            dec, approx = series.decide(inst, args.tol)
+        except ValueError as exc:
+            return _refused(exc)
+        payload["decisions"] = {"series": {"value": dec.value.value}}
+        payload["series"] = {
+            "value": dec.witness_value,
+            "terms_used": approx.terms_used,
+            "certified_error": approx.certified_error,
+        }
+        print(
+            f"series: {dec.value.value} (value {dec.witness_value:.12g}, {approx.terms_used} terms, "
+            f"certified error {approx.certified_error:.3g})"
+        )
+    _emit_report(args, payload)
+    return EXIT_PROMISE if dec.value is DecisionValue.PROMISE_VIOLATED else EXIT_OK
 
 
 def _tolerance(text: str) -> float:
@@ -332,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="well-conditioned matrix promise problems: generation, "
         "verification, reductions and circuit compilation",
     )
-    parser.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric tolerance (default 1e-9)")
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                        help=f"numeric tolerance (default {DEFAULT_TOL})")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("gen", help="generate a seeded instance")
@@ -344,19 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--decision", choices=["one", "zero", "auto"], default="auto")
     p.add_argument("--out", required=True)
-    p.add_argument("--report")
     p.set_defaults(func=lambda args: cmd_gen(args))
 
     p = sub.add_parser("verify", help="check every promise clause of an instance file or directory")
     p.add_argument("path")
-    p.add_argument("--report")
     p.set_defaults(func=lambda args: cmd_verify(args))
 
     p = sub.add_parser("reduce", help="apply one reduction rule")
     p.add_argument("path")
     p.add_argument("--rule", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--report")
     p.add_argument("--measure", action="store_true", help="measure declared bounds (slower)")
     p.add_argument("--check", choices=["full", "gap", "none"], default="full")
     p.set_defaults(func=lambda args: cmd_reduce(args))
@@ -365,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--rules", required=True, help="e.g. itmatprod_to_matpow,matpow_to_matinv")
     p.add_argument("--out", required=True)
-    p.add_argument("--report")
     p.add_argument("--check", choices=["full", "gap", "none"], default="gap")
     p.set_defaults(func=lambda args: cmd_chain(args))
 
@@ -373,17 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--target", choices=["itmatprod", "matinv_plus"], default="matinv_plus")
     p.add_argument("--out", required=True)
-    p.add_argument("--report")
     p.add_argument("--check", choices=["full", "gap", "none"], default="gap")
     p.set_defaults(func=lambda args: cmd_compile_circuit(args))
 
     p = sub.add_parser("solve", help="decide an instance by oracle or certified series")
     p.add_argument("path")
     p.add_argument("--method", choices=["oracle", "series"], default="oracle")
-    p.add_argument("--report")
     p.add_argument("--check", choices=["full", "gap", "none"], default="full")
     p.set_defaults(func=lambda args: cmd_solve(args))
 
+    for p in sub.choices.values():  # every command writes its report (_emit_report)
+        p.add_argument("--report", help="write a JSON run report to this path")
     return parser
 
 
@@ -400,6 +350,7 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return EXIT_USAGE
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -17,7 +17,7 @@ densifies only when its dense ``matrices`` are read
 (:func:`dense_form`).  The kernels :func:`inverse_entry`, :func:`log_abs_det`
 and :func:`gram` compute on the form they are given: a dense array goes to
 LAPACK and a dense product, a sparse matrix to SuperLU and the sparse
-product (:func:`gram` symmetrizes it on its arrays), whatever its density.
+product (exactly Hermitian as :func:`gram` makes it), whatever its density.
 SciPy is imported only on the sparse path.  Every iterated product sweeps a
 dense block of rows through the stored factors (:func:`running_products`);
 the circuit compiler builds its cleanup suffix once per qubit count
@@ -177,24 +177,17 @@ def gram(a, *, left: bool, adj=None):
     """A^dag A when ``left`` (the adjoint on the left), else A A^dag, in
     ``a``'s form: a C-ordered array for a dense ``a``, a canonical read-only
     CSC for a sparse one; ``adj`` is :func:`adjoint`'s A^dag if the caller
-    holds it.  The result is exactly Hermitian: it is averaged with its own
-    adjoint.  For a CSC ``a`` both factors are CSC, and when G's pattern is
-    symmetric the average is taken on G's arrays, with the bits of SciPy's
-    sum, which stays the path otherwise.
+    holds it.  The result is exactly Hermitian.  A dense product is averaged
+    with its own adjoint.  A sparse one is already exactly Hermitian: entry
+    (i, j) and entry (j, i) of the product of two CSCs, one the adjoint of the
+    other, are sums of the same conjugate products, taken in the same order.
     """
     adj = adjoint(a) if adj is None else adj
     g = adj @ a if left else a @ adj
-    del adj  # not held here while G is symmetrized
     if not is_sparse(g):
         return (g + g.conj().T) / 2.0
     g.sort_indices()
-    gt = g.tocsr() if g.format == "csc" else g.tocsc()  # G^T's arrays in G's form
-    if np.array_equal(g.indptr, gt.indptr) and np.array_equal(g.indices, gt.indices):
-        total = np.add(g.data, np.conjugate(gt.data, out=gt.data), out=gt.data)
-        if total.all():  # SciPy's sum drops an entry that sums to zero
-            g.data = np.multiply(total, 0.5, out=total)  # SciPy's ``/ 2.0`` multiplies by 1 / 2
-            return as_form(_frozen(g))
-    return as_form(_frozen((g + g.conj().T) / 2.0))
+    return as_form(_frozen(g))
 
 
 def running_products(start: np.ndarray, factors):

@@ -316,12 +316,13 @@ class Output:
     clauses: tuple[tuple[str, float, float, tuple[tuple[float, float], ...]], ...]
     b_range: tuple[float, float] = (-math.inf, math.inf)
 
-    def side(self, tol: float) -> DecisionValue:
-        """One or Zero as ``value`` lies in ``one`` or ``zero``, else PromiseViolated."""
-        if _within(self.value, (self.one,), tol):
-            return DecisionValue.ONE
-        if _within(self.value, (self.zero,), tol):
-            return DecisionValue.ZERO
+    def side(self, tol: float, below: float = 0.0, above: float = 0.0) -> DecisionValue:
+        """One or Zero as [value - below, value + above], where the true value
+        is known to lie (width 0 for an exact value), meets ``one`` or ``zero``."""
+        lo, hi = self.value - below, self.value + above
+        for verdict, (start, end) in ((DecisionValue.ONE, self.one), (DecisionValue.ZERO, self.zero)):
+            if start - tol <= hi and lo <= end + tol:
+                return verdict
         return DecisionValue.PROMISE_VIOLATED
 
     def checks(self, tol: float) -> list[PromiseCheck]:

@@ -10,7 +10,9 @@ Both series run on :func:`condred.matcore.running_products`: the log series
 traces each full power of I - H, the Neumann entry sweeps row s through
 I - H.  Each solver first checks the promise its certificate needs, the
 spectral clauses of its kind (:func:`condred.problems.spectral_checks`), on
-one decomposition of its matrix.
+one decomposition of its matrix.  :func:`decide` places a series value,
+widened by its certificate, on the instance's Output clause, as the exact
+oracle places the exact value.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from .matcore import DEFAULT_TOL, Spectrum, as_matrix, gram, running_products
-from .problems import ConditionParams, Kind, spectral_checks
+from .problems import ConditionParams, Decision, Kind, ProblemInstance, _output, spectral_checks
 
 
 class PromiseViolation(ValueError):
@@ -126,3 +128,20 @@ def neumann_inverse_entry(
     acc = neumann_series(h, s, t, m_hat)
     value = acc.real if abs(acc.imag) < tol else acc
     return ApproxResult(value=value, terms_used=m_hat, certified_error=epsilon / 4.0)
+
+
+def decide(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> tuple[Decision, ApproxResult]:
+    """A DET+ or MATINV+ instance decided by :meth:`condred.problems.Output.side`
+    on the interval its series certifies, with the compared value as witness;
+    ValueError for any other kind, before any work."""
+    p = inst.params
+    if inst.kind is Kind.DET_PLUS:
+        approx = logdet_series(inst.matrix, p.kappa, p.epsilon, tol)
+        below, above = approx.certified_error, 0.0  # the log series only overshoots ln det H
+    elif inst.kind is Kind.MATINV_PLUS:
+        approx = neumann_inverse_entry(inst.matrix, inst.s, inst.t, p.kappa, p.epsilon, tol)
+        below = above = approx.certified_error  # |value - H^-1[s,t]| <= epsilon/4 either way
+    else:
+        raise ValueError("--method series needs a DET+ or MATINV+ instance")
+    out = _output(inst, approx.value)
+    return Decision(out.side(tol, below, above), out.value), approx

@@ -314,11 +314,12 @@ class TestCli:
         assert doc["simulated_acceptance"] == 0.0  # identity circuit never accepts
         assert doc["decisions"]["oracle"]["value"] == "Zero"
 
-    def test_solve_series_vs_oracle(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["MATINV+", "DET+"])
+    def test_solve_series_vs_oracle(self, kind, tmp_path):
         for seed in range(10):
             src = tmp_path / f"plus{seed}.json"
             decision = "one" if seed % 2 == 0 else "zero"
-            run("gen", "--kind", "MATINV+", "--n", 3, "--kappa", 4, "--epsilon", 0.3,
+            run("gen", "--kind", kind, "--n", 3, "--kappa", 4, "--epsilon", 0.3,
                 "--seed", seed, "--decision", decision, "--out", src)
             r_oracle = tmp_path / f"ro{seed}.json"
             r_series = tmp_path / f"rs{seed}.json"
@@ -339,6 +340,22 @@ class TestCli:
         assert "H positive definite" in capsys.readouterr().out
         assert run("--tol", 0.01, "solve", path, "--method", "series") == 1
         assert capsys.readouterr().err.startswith("promise violation: H positive definite fails")
+
+    @pytest.mark.parametrize("kind,epsilon,where", [
+        # |H^-1[1,1]| = 2 and the series gives 1.984375 +- 0.125, inside (1.7, 2.2)
+        (Kind.MATINV_PLUS, 0.5, dict(s=1, t=1, b=2.2)),
+        # ln det H = -0.693 and the series gives -0.691 - [0, 0.3], inside (-1.0, -0.4)
+        (Kind.DET_PLUS, 0.6, dict(b=-0.4)),
+    ])
+    def test_series_certified_inside_the_gap_is_promise_violated(self, kind, epsilon, where, tmp_path, capsys):
+        inst = problems.ProblemInstance(kind, ConditionParams(2, 1, 2.0, epsilon), (np.diag([0.5, 1.0]),), **where)
+        path, report = tmp_path / "gap.json", tmp_path / "report.json"
+        save_json(instance_to_json(inst), path)
+        for method in ("oracle", "series"):
+            assert run("solve", path, "--method", method, "--report", report) == 1
+            assert json.loads(report.read_text())["decisions"][method]["value"] == "PromiseViolated"
+        assert capsys.readouterr().out.splitlines()[-1].startswith("series: PromiseViolated")
+        assert run("verify", path) == 1
 
     def test_solve_series_wrong_kind(self, inst_file):
         assert run("solve", inst_file, "--method", "series") == 2

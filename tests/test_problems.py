@@ -15,6 +15,7 @@ from condred.problems import (
     InfeasibleParams,
     Kind,
     ProblemInstance,
+    _output,
     check_promise,
     gen_conditioned_matrix,
     gen_instance,
@@ -129,6 +130,16 @@ class TestOracle:
         # entry is 2.0, strictly inside (b - eps, b) = (1.5, 2.5)
         inst = ProblemInstance(Kind.MATINV, ConditionParams(2, 1, 2.0, 1.0), (a,), s=2, t=2, b=2.5)
         assert oracle_decide(inst).value is DecisionValue.PROMISE_VIOLATED
+
+    def test_a_certified_interval_decides_where_its_point_is_promise_violated(self):
+        # a MATINV+ value of b - eps/8 lies in the gap (b - eps, b), but an
+        # interval of eps/4 either side of it meets only the One side
+        eps, b = 0.4, 2.0
+        inst = ProblemInstance(Kind.MATINV_PLUS, ConditionParams(2, 1, 2.0, eps), (np.eye(2),), s=1, t=1, b=b)
+        out = _output(inst, b - eps / 8)
+        assert out.side(DEFAULT_TOL) is DecisionValue.PROMISE_VIOLATED
+        assert out.side(DEFAULT_TOL, eps / 4, eps / 4) is DecisionValue.ONE
+        assert out.side(DEFAULT_TOL, eps / 4, 0.0) is DecisionValue.PROMISE_VIOLATED
 
     @pytest.mark.parametrize("entry", [-0.5, -2 * DEFAULT_TOL, -DEFAULT_TOL / 2])
     def test_nonneg_entry_below_zero(self, entry):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from condred.matcore import random_unitary
+from condred.problems import ConditionParams, DecisionValue, Kind, ProblemInstance, oracle_decide
 from condred.series import (
     PromiseViolation,
     absdet_multiplicative,
+    decide,
     logdet_series,
     neumann_inverse_entry,
 )
@@ -157,3 +159,15 @@ class TestNeumannInverseEntry:
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             neumann_inverse_entry(np.eye(2), 0, 1, kappa=1.0, epsilon=0.1)
+
+
+class TestDecide:
+    def test_a_certified_interval_inside_the_gap_is_promise_violated(self):
+        # H = diag(0.5, 1), kappa = 2: the MATINV+ series gives 1.984375 +- 0.125
+        # against the gap (1.7, 2.2), the DET+ series -0.691 with ln det H in
+        # [-0.991, -0.691] against the gap (-1.0, -0.4)
+        h = np.diag([0.5, 1.0])
+        for inst in (ProblemInstance(Kind.MATINV_PLUS, ConditionParams(2, 1, 2.0, 0.5), (h,), s=1, t=1, b=2.2),
+                     ProblemInstance(Kind.DET_PLUS, ConditionParams(2, 1, 2.0, 0.6), (h,), b=-0.4)):
+            assert decide(inst)[0].value is DecisionValue.PROMISE_VIOLATED, inst.kind
+            assert oracle_decide(inst).value is DecisionValue.PROMISE_VIOLATED
