@@ -14,16 +14,17 @@ import math
 import numpy as np
 
 from condred.circuits import (
+    ELIMINATION_RULES,
     GeneralCircuit,
     append_cleanup,
     circuit_to_itmatprod,
     controlled_flip_gate,
-    eliminate_measurements,
     measure_gate,
     simulate_acceptance,
     unitary_gate,
 )
-from condred.problems import oracle_decide, product_entry
+from condred.problems import DEFAULT_TOL, _output, oracle_decide, product_entry
+from condred.reductions import chain
 from condred.serialize import circuit_to_json, save_json
 
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -66,15 +67,18 @@ def main() -> None:
     print(f"iterated-product encoding: {inst.params.m} matrices of dimension "
           f"{inst.params.n}; designated entry = {entry.real:.6f}")
 
-    plus, records = eliminate_measurements(circ)
+    plus, records = chain(inst, ELIMINATION_RULES)
     print("reduction chain:")
     for rec in records:
         print(f"  {rec.rule}: n {rec.input_params.n} -> {rec.output_params.n}, "
               f"kappa {rec.input_params.kappa:g} -> {rec.output_params.kappa:g}")
     dec = oracle_decide(plus, check="gap")
+    # the acceptance read on the encoding's Output clause, as compile-circuit reads it
+    expected = _output(inst, prob).decide(DEFAULT_TOL)
     print(f"measurement-free instance: {plus.kind.value} of dimension {plus.params.n}")
     print(f"oracle decision: {dec.value.value} "
-          f"(threshold {float(np.real(plus.b)):.3f}, witness {abs(dec.witness_value):.3f})")
+          f"(threshold {float(np.real(plus.b)):.3f}, witness {abs(dec.witness_value):.3f}); "
+          f"expected from the acceptance: {expected.value}")
 
 
 if __name__ == "__main__":

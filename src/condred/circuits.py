@@ -38,6 +38,8 @@ from .reductions import ReductionRecord, chain
 #: acceptance thresholds of the bounded-error circuit model
 ACCEPT_HI = 2.0 / 3.0
 ACCEPT_LO = 1.0 / 3.0
+#: the rule path from a circuit's ITMATPROD encoding to MATINV+
+ELIMINATION_RULES = ("itmatprod_to_matpow", "matpow_to_matinv", "matinv_to_posmatinv")
 
 
 def embed_operator(op, targets: tuple[int, ...], h: int) -> np.ndarray:
@@ -211,7 +213,7 @@ def circuit_to_itmatprod(circ: GeneralCircuit) -> ProblemInstance:
     channel superoperators on h qubits is at most 2^h.
     """
     if circ.merlin_qubits:
-        raise ValueError("encode verifier circuits via verifier_operator instead")
+        raise ValueError(f"merlin_qubits={circ.merlin_qubits}: a proof register leaves no acceptance to encode")
     if not has_cleanup_suffix(circ):
         raise ValueError("circuit must end in the cleanup suffix (use append_cleanup)")
     d = 2**circ.h
@@ -233,7 +235,7 @@ def eliminate_measurements(
     the acceptance probability; deciding the instance agrees with
     thresholding ``simulate_acceptance`` at 2/3 versus 1/3.
     """
-    return chain(circuit_to_itmatprod(circ), ("itmatprod_to_matpow", "matpow_to_matinv", "matinv_to_posmatinv"))
+    return chain(circuit_to_itmatprod(circ), ELIMINATION_RULES)
 
 
 # ---------------------------------------------------------------------------

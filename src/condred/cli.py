@@ -20,13 +20,13 @@ import time
 from pathlib import Path
 
 from . import reductions, series
-from .circuits import ACCEPT_HI, ACCEPT_LO, append_cleanup, circuit_to_itmatprod, eliminate_measurements
-from .circuits import simulate_acceptance
+from .circuits import ELIMINATION_RULES, append_cleanup, circuit_to_itmatprod, simulate_acceptance
 from .matcore import DEFAULT_TOL
 from .problems import (
     ConditionParams,
     DecisionValue,
     Kind,
+    _output,
     check_promise,
     gen_instance,
     oracle_decide,
@@ -203,23 +203,16 @@ def cmd_chain(args) -> int:
 
 def cmd_compile_circuit(args) -> int:
     doc = load_json(args.path)
-    circ = circuit_from_json(doc)
-    circ = append_cleanup(circ)
+    circ = append_cleanup(circuit_from_json(doc))
+    try:
+        src = circuit_to_itmatprod(circ)
+    except ValueError as exc:  # a circuit with a proof register
+        return _refused(exc)
     prob = simulate_acceptance(circ)
-    if args.target == "itmatprod":
-        inst = circuit_to_itmatprod(circ)
-        records = []
-    else:
-        inst, records = eliminate_measurements(circ)
+    inst, records = reductions.chain(src, () if args.target == "itmatprod" else ELIMINATION_RULES)
     out_digest = save_json(instance_to_json(inst), args.out)
     dec = oracle_decide(inst, tol=args.tol, check=args.check)
-    expected = (
-        DecisionValue.ONE
-        if prob >= ACCEPT_HI
-        else DecisionValue.ZERO
-        if prob <= ACCEPT_LO
-        else DecisionValue.PROMISE_VIOLATED
-    )
+    expected = _output(src, prob).decide(args.tol)  # the acceptance on the encoding's Output clause
     agree = dec.value == expected
     print(
         f"compiled to {inst.kind.value} (n={inst.params.n}, m={inst.params.m}); "
@@ -356,7 +349,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, or a path that names a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a fault of the program, never a verdict

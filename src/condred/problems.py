@@ -6,9 +6,12 @@ the way block positions are written in the reduction formulas.  Matrix data
 is 0-based numpy underneath; the conversion happens only here and in the
 reduction builders.
 
-Promise violations are data, not exceptions: ``oracle_decide`` returns
-``Decision.PROMISE_VIOLATED`` so that reduction pipelines can be exercised on
-adversarial inputs.
+Each kind's Output clause, and every promise statement about b and about
+the value compared with it, has one home, :func:`_output`; the promise check,
+the oracle, the series decision and ``compile-circuit`` read it by one rule,
+:meth:`Output.decide`.  Promise violations are data, not exceptions:
+``oracle_decide`` returns ``Decision.PROMISE_VIOLATED`` so that reduction
+pipelines can be exercised on adversarial inputs.
 """
 
 from __future__ import annotations
@@ -304,60 +307,76 @@ class Output:
     ``value`` is the number the kind compares with b.  The instance is a
     One-instance when ``value`` lies in the closed interval ``one`` and a
     Zero-instance when it lies in ``zero``; nothing lies in between.  b
-    itself lies in ``b_range``.  ``clauses`` are the promise's statements
-    about all this, as (name, declared, measured, intervals): each holds when
-    its measured number lies in one of its intervals.  Every test widens its
-    intervals by the same ``tol``.
+    itself lies in ``b_range``.  The promise's statements come in two
+    groups: ``exact`` ones, (name, declared, measured, intervals), hold when
+    their measured number lies in one of their intervals; ``clauses``,
+    (name, declared, intervals), are about ``value`` and hold when the
+    interval where it is known to lie meets one of theirs.  Every reading
+    widens the intervals by the same ``tol``.
     """
 
     value: float
     one: tuple[float, float]
     zero: tuple[float, float]
-    clauses: tuple[tuple[str, float, float, tuple[tuple[float, float], ...]], ...]
+    exact: tuple[tuple[str, float, float, tuple[tuple[float, float], ...]], ...]
+    clauses: tuple[tuple[str, float, tuple[tuple[float, float], ...]], ...]
     b_range: tuple[float, float] = (-math.inf, math.inf)
 
     def side(self, tol: float, below: float = 0.0, above: float = 0.0) -> DecisionValue:
         """One or Zero as [value - below, value + above], where the true value
         is known to lie (width 0 for an exact value), meets ``one`` or ``zero``."""
         lo, hi = self.value - below, self.value + above
-        for verdict, (start, end) in ((DecisionValue.ONE, self.one), (DecisionValue.ZERO, self.zero)):
-            if start - tol <= hi and lo <= end + tol:
+        for verdict, interval in ((DecisionValue.ONE, self.one), (DecisionValue.ZERO, self.zero)):
+            if _meets(lo, hi, (interval,), tol):
                 return verdict
         return DecisionValue.PROMISE_VIOLATED
 
-    def checks(self, tol: float) -> list[PromiseCheck]:
-        return [PromiseCheck(name, declared, measured, _within(measured, intervals, tol))
-                for name, declared, measured, intervals in self.clauses]
+    def checks(self, tol: float, below: float = 0.0, above: float = 0.0) -> list[PromiseCheck]:
+        """Every statement, the exact ones first, with ``value`` in [value - below, value + above]."""
+        lo, hi = self.value - below, self.value + above
+        return [PromiseCheck(name, declared, measured, _meets(measured, measured, intervals, tol))
+                for name, declared, measured, intervals in self.exact] + [
+                PromiseCheck(name, declared, self.value, _meets(lo, hi, intervals, tol))
+                for name, declared, intervals in self.clauses]
+
+    def decide(self, tol: float, below: float = 0.0, above: float = 0.0) -> DecisionValue:
+        """:meth:`side` when every one of :meth:`checks` holds, else PromiseViolated."""
+        if all(c.passed for c in self.checks(tol, below, above)):
+            return self.side(tol, below, above)
+        return DecisionValue.PROMISE_VIOLATED
 
 
-def _within(x: float, intervals, tol: float) -> bool:
-    """``x`` lies in one of the closed ``intervals``, each widened by ``tol``."""
-    return any(lo - tol <= x <= hi + tol for lo, hi in intervals)
+def _meets(lo: float, hi: float, intervals, tol: float) -> bool:
+    """[lo, hi] meets one of the closed ``intervals``, each widened by ``tol``."""
+    return any(start - tol <= hi and lo <= end + tol for start, end in intervals)
 
 
-def _output(inst: ProblemInstance, q: float | complex) -> Output:
+def _output(inst: ProblemInstance, q: float | complex | None) -> Output:
     """The Output clause of ``inst``'s kind at decision quantity ``q``: the
-    one place where a kind's quantity becomes the value compared with b."""
+    one place where a kind's quantity becomes the value compared with b.  A
+    singular MATINV-family matrix (``q`` None) has no entry to compare: its
+    one clause, "A invertible" (measured 0), holds nowhere."""
     kind, p, inf = inst.kind, inst.params, math.inf
+    exact = (("|b| <= kappa", p.kappa, abs(inst.b), ((-inf, p.kappa),)),) if kind is Kind.V_MATINV else ()
+    if q is None:
+        nowhere = (inf, -inf)
+        return Output(0.0, nowhere, nowhere, exact, (("A invertible", 1.0, ()),))
     if kind is Kind.SINGULAR or kind in VERIFICATION_KINDS:
         one, zero = (-inf, 0.0), (p.epsilon, inf)
         if kind is Kind.SINGULAR:
-            sigma = float(q)
-            return Output(sigma, one, zero, (
-                ("sigma_min in {0} u [eps, 1]", p.epsilon, sigma, (one, (p.epsilon, 1.0))),))
-        dist = abs(q - inst.b)
-        return Output(dist, one, zero, (
-            ("|quantity - b| in {0} u [eps, 2*kappa]", p.epsilon, dist, (one, zero)),
-            ("|quantity - b| <= 2*kappa", 2 * p.kappa, dist, ((-inf, 2 * p.kappa),)),
+            return Output(float(q), one, zero, (), (
+                ("sigma_min in {0} u [eps, 1]", p.epsilon, (one, (p.epsilon, 1.0))),))
+        return Output(abs(q - inst.b), one, zero, exact, (
+            ("|quantity - b| in {0} u [eps, 2*kappa]", p.epsilon, (one, zero)),
+            ("|quantity - b| <= 2*kappa", 2 * p.kappa, ((-inf, 2 * p.kappa),)),
         ))
     b = float(np.real(inst.b))
     one, zero = (b, inf), (-inf, b - p.epsilon)
     if kind in (Kind.DET, Kind.DET_PLUS):
-        logdet, b_range = float(q), (-inf, 0.0)
-        return Output(logdet, one, zero, (
-            ("b <= 0", 0.0, b, (b_range,)),
-            ("log|det| in (-inf, b-eps] u [b, 0]", b, logdet, (one, zero)),
-            ("log|det| <= 0", 0.0, logdet, ((-inf, 0.0),)),
+        b_range = (-inf, 0.0)
+        return Output(float(q), one, zero, (("b <= 0", 0.0, b, (b_range,)),), (
+            ("log|det| in (-inf, b-eps] u [b, 0]", b, (one, zero)),
+            ("log|det| <= 0", 0.0, ((-inf, 0.0),)),
         ), b_range)
     # the entry kinds compare the entry's magnitude (a reduced MATINV+ entry
     # may carry a phase), except ITMATPROD>=0, whose entry is promised real
@@ -366,19 +385,10 @@ def _output(inst: ProblemInstance, q: float | complex) -> Output:
     cap, b_range = p.kappa * (len(inst.E) if kind is Kind.SUMITMATPROD else 1), (0.0, inf)
     zero = (0.0, b - p.epsilon)  # a magnitude, or the entry ITMATPROD>=0 promises nonnegative
     realness = (("entry is real nonnegative", 0.0, float(abs(np.imag(q))), ((-inf, 0.0),)),) if real else ()
-    return Output(entry, one, zero, (
-        *realness,
-        ("b >= 0", 0.0, b, (b_range,)),
-        ("quantity in [0, b-eps] u [b, cap]", b, entry, (one, zero)),
-        ("quantity <= cap", cap, entry, ((-inf, cap),)),
+    return Output(entry, one, zero, (*realness, ("b >= 0", 0.0, b, (b_range,))), (
+        ("quantity in [0, b-eps] u [b, cap]", b, (one, zero)),
+        ("quantity <= cap", cap, ((-inf, cap),)),
     ), b_range)
-
-
-def _gap_checks(inst: ProblemInstance, q: float | complex | None, tol: float) -> list[PromiseCheck]:
-    """The promise's statements about the instance's Output clause."""
-    if q is None:
-        return [PromiseCheck("A invertible", 1.0, 0.0, False)]
-    return _output(inst, q).checks(tol)
 
 
 def spectral_checks(kind: Kind, spec: Spectrum, kappa: float, tol: float) -> list[PromiseCheck]:
@@ -400,23 +410,17 @@ def spectral_checks(kind: Kind, spec: Spectrum, kappa: float, tol: float) -> lis
 
 
 def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseReport:
-    """Measure every Promise clause of the instance's problem definition."""
+    """Measure every Promise clause: its kind's conditioning, then its Output clause's."""
     kind, p = inst.kind, inst.params
-    checks: list[PromiseCheck] = []
-
     if kind in PRODUCT_KINDS:
         worst = inst.sigma1_sweep
-        checks.append(PromiseCheck("sigma1(all partial products) <= kappa", p.kappa, worst, worst <= p.kappa + tol))
+        checks = [PromiseCheck("sigma1(all partial products) <= kappa", p.kappa, worst, worst <= p.kappa + tol)]
     elif kind in (Kind.MATPOW, Kind.V_MATPOW):
         worst = inst.sigma1_sweep
-        checks.append(PromiseCheck("sigma1(A^j) <= kappa for j in [m]", p.kappa, worst, worst <= p.kappa + tol))
+        checks = [PromiseCheck("sigma1(A^j) <= kappa for j in [m]", p.kappa, worst, worst <= p.kappa + tol)]
     else:
-        checks.extend(spectral_checks(kind, inst.spectrum, p.kappa, tol))
-        if kind is Kind.V_MATINV:
-            checks.append(PromiseCheck("|b| <= kappa", p.kappa, abs(inst.b), abs(inst.b) <= p.kappa + tol))
-
-    checks.extend(_gap_checks(inst, decision_quantity(inst), tol))
-    return PromiseReport(tuple(checks))
+        checks = spectral_checks(kind, inst.spectrum, p.kappa, tol)
+    return PromiseReport(tuple(checks + _output(inst, decision_quantity(inst)).checks(tol)))
 
 
 def oracle_decide(
@@ -424,28 +428,25 @@ def oracle_decide(
 ) -> Decision:
     """Ground-truth decision: the instance's decision quantity (a sparse or
     dense LU, or a row sweep through the stored factors; see
-    :func:`decision_quantity`) placed on its kind's Output clause, with the
-    same ``tol`` on both sides that the promise check uses.
+    :func:`decision_quantity`) placed on its kind's Output clause by
+    :meth:`Output.decide`, with the same ``tol`` that the promise check uses.
 
     ``check`` selects how much of the promise is verified first: "full" runs
     every clause (singular-value sweeps included), "gap" only the Output
-    clause's own statements (the decision quantity in its promised two-sided
-    interval), "none" skips straight to the comparison.  Conditioning
-    clauses of reduced instances are covered by the per-rule bound suite, so
-    chain-level callers use "gap" to stay within time budgets on large
-    compositions.
+    clause's own statements (b's range, vMATINV's |b| <= kappa and the
+    decision quantity in its promised two-sided interval), "none" skips
+    straight to the comparison.  Conditioning clauses of reduced instances
+    are covered by the per-rule bound suite, so chain-level callers use
+    "gap" to stay within time budgets on large compositions.
     """
     if check not in ("full", "gap", "none"):
         raise ValueError("check must be 'full', 'gap' or 'none'")
     q = decision_quantity(inst)
-    if q is None:
-        return Decision(DecisionValue.PROMISE_VIOLATED)
     out = _output(inst, q)
-    if check == "full":
-        kept = check_promise(inst, tol).overall
-    else:
-        kept = check == "none" or all(c.passed for c in out.checks(tol))
-    return Decision(out.side(tol) if kept else DecisionValue.PROMISE_VIOLATED, q)
+    if check == "none":
+        return Decision(out.side(tol), q)
+    kept = check == "gap" or check_promise(inst, tol).overall
+    return Decision(out.decide(tol) if kept else DecisionValue.PROMISE_VIOLATED, q)
 
 
 # ---------------------------------------------------------------------------

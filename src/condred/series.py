@@ -10,9 +10,11 @@ Both series run on :func:`condred.matcore.running_products`: the log series
 traces each full power of I - H, the Neumann entry sweeps row s through
 I - H.  Each solver first checks the promise its certificate needs, the
 spectral clauses of its kind (:func:`condred.problems.spectral_checks`), on
-one decomposition of its matrix.  :func:`decide` places a series value,
-widened by its certificate, on the instance's Output clause, as the exact
-oracle places the exact value.
+one decomposition of its matrix.  :func:`decide` reads the instance's
+Output clause on the interval a series value and its certificate give, by
+the rule the exact oracle reads the exact value with
+(:meth:`condred.problems.Output.decide`): b's statements are read exactly,
+the statements about the compared value on that interval.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def neumann_inverse_entry(
 
 
 def decide(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> tuple[Decision, ApproxResult]:
-    """A DET+ or MATINV+ instance decided by :meth:`condred.problems.Output.side`
+    """A DET+ or MATINV+ instance decided by :meth:`condred.problems.Output.decide`
     on the interval its series certifies, with the compared value as witness;
     ValueError for any other kind, before any work."""
     p = inst.params
@@ -144,4 +146,4 @@ def decide(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> tuple[Decision, A
     else:
         raise ValueError("--method series needs a DET+ or MATINV+ instance")
     out = _output(inst, approx.value)
-    return Decision(out.side(tol, below, above), out.value), approx
+    return Decision(out.decide(tol, below, above), out.value), approx

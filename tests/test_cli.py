@@ -314,6 +314,19 @@ class TestCli:
         assert doc["simulated_acceptance"] == 0.0  # identity circuit never accepts
         assert doc["decisions"]["oracle"]["value"] == "Zero"
 
+    def test_compile_itmatprod_reads_the_acceptance_as_its_oracle_does(self, tmp_path):
+        # acceptance tol/2 below 2/3: the ITMATPROD oracle says One, and so
+        # does the expected verdict, read on the same Output clause with the
+        # same tol (a hand-written threshold said PromiseViolated, exit 1)
+        theta = 2 * math.asin(math.sqrt(2 / 3 - matcore.DEFAULT_TOL / 2))
+        ry = np.array([[math.cos(theta / 2), -math.sin(theta / 2)], [math.sin(theta / 2), math.cos(theta / 2)]])
+        path, report = tmp_path / "circ.json", tmp_path / "report.json"
+        save_json(circuit_to_json(GeneralCircuit(1, (unitary_gate(ry, (1,), 1),))), path)
+        assert run("compile-circuit", path, "--target", "itmatprod", "--out", tmp_path / "out.json",
+                   "--report", report) == 0
+        decisions = json.loads(report.read_text())["decisions"]
+        assert (decisions["expected"], decisions["oracle"]["value"]) == ("One", "One")
+
     @pytest.mark.parametrize("kind", ["MATINV+", "DET+"])
     def test_solve_series_vs_oracle(self, kind, tmp_path):
         for seed in range(10):
@@ -346,6 +359,10 @@ class TestCli:
         (Kind.MATINV_PLUS, 0.5, dict(s=1, t=1, b=2.2)),
         # ln det H = -0.693 and the series gives -0.691 - [0, 0.3], inside (-1.0, -0.4)
         (Kind.DET_PLUS, 0.6, dict(b=-0.4)),
+        # b outside its range (DET+ b <= 0, MATINV+ b >= 0), read exactly by
+        # the series too; it used to decide these Zero and One with exit 0
+        (Kind.DET_PLUS, 0.6, dict(b=0.1)),
+        (Kind.MATINV_PLUS, 0.5, dict(s=1, t=1, b=-0.1)),
     ])
     def test_series_certified_inside_the_gap_is_promise_violated(self, kind, epsilon, where, tmp_path, capsys):
         inst = problems.ProblemInstance(kind, ConditionParams(2, 1, 2.0, epsilon), (np.diag([0.5, 1.0]),), **where)
@@ -356,6 +373,19 @@ class TestCli:
             assert json.loads(report.read_text())["decisions"][method]["value"] == "PromiseViolated"
         assert capsys.readouterr().out.splitlines()[-1].startswith("series: PromiseViolated")
         assert run("verify", path) == 1
+
+    def test_vmatinv_b_beyond_kappa_breaks_the_gap_check(self, tmp_path, capsys):
+        # kappa = 2 and b = 2.5: verify saw |b| <= kappa fail, while the gap
+        # check of chain and solve decided Zero with exit 0
+        inst = problems.ProblemInstance(Kind.V_MATINV, ConditionParams(2, 1, 2.0, 0.5), (np.diag([0.5, 1.0]),),
+                                        s=1, t=1, b=2.5)
+        path = tmp_path / "v.json"
+        save_json(instance_to_json(inst), path)
+        assert run("verify", path) == 1
+        assert "VIOLATED: |b| <= kappa" in capsys.readouterr().out
+        assert run("chain", path, "--rules", ",", "--out", tmp_path / "out.json") == 1
+        assert capsys.readouterr().out.endswith("decisions PromiseViolated/PromiseViolated agree\n")
+        assert run("solve", path, "--check", "gap") == 1
 
     def test_solve_series_wrong_kind(self, inst_file):
         assert run("solve", inst_file, "--method", "series") == 2
@@ -725,6 +755,25 @@ def test_bad_circuit_exits_without_traceback(doc, tmp_path, capsys):
     assert run("compile-circuit", path, "--out", tmp_path / "out.json") == 2
     assert capsys.readouterr().err.startswith("schema error: ")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_a_circuit_with_a_proof_register_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({**_circuit(qubits=2), "merlin_qubits": 1}))
+    assert run("compile-circuit", path, "--out", tmp_path / "out.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: merlin_qubits=1: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("role", ["input", "--out", "--report"])
+def test_a_path_that_names_a_directory_is_a_usage_error(role, inst_file, tmp_path, capsys):
+    argv = {"input": ["solve", tmp_path],
+            "--out": ["gen", "--kind", "DET", "--n", 2, "--out", tmp_path],
+            "--report": ["verify", inst_file, "--report", tmp_path]}[role]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
 
 
 def test_singular_reduce_reports_promise_violated(tmp_path, capsys):

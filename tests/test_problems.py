@@ -141,6 +141,25 @@ class TestOracle:
         assert out.side(DEFAULT_TOL, eps / 4, eps / 4) is DecisionValue.ONE
         assert out.side(DEFAULT_TOL, eps / 4, 0.0) is DecisionValue.PROMISE_VIOLATED
 
+    def test_vmatinv_b_beyond_kappa_breaks_the_gap_check(self):
+        # |b| <= kappa is a statement of vMATINV's Output clause, so the gap
+        # check reads it as the full check does; the gap check said Zero
+        inst = ProblemInstance(Kind.V_MATINV, ConditionParams(2, 1, 2.0, 0.5), (np.diag([0.5, 1.0]),),
+                               s=1, t=1, b=2.5)
+        assert check_promise(inst).failing() == ["|b| <= kappa"]
+        for check in ("full", "gap"):
+            assert oracle_decide(inst, check=check).value is DecisionValue.PROMISE_VIOLATED, check
+        assert oracle_decide(inst, check="none").value is DecisionValue.ZERO
+
+    def test_a_certified_interval_breaks_a_clause_only_when_it_misses_it(self):
+        # MATINV+ with b = 2, eps = 0.4 and cap = kappa = 2: the clause
+        # "quantity <= cap" holds on [2.1 - 0.2, 2.1 + 0.2] but not at 2.1
+        inst = ProblemInstance(Kind.MATINV_PLUS, ConditionParams(2, 1, 2.0, 0.4), (np.eye(2),), s=1, t=1, b=2.0)
+        out = _output(inst, 2.1)
+        assert out.decide(DEFAULT_TOL) is DecisionValue.PROMISE_VIOLATED
+        assert out.decide(DEFAULT_TOL, 0.2, 0.2) is DecisionValue.ONE
+        assert [c.passed for c in out.checks(DEFAULT_TOL, 0.05, 0.05)] == [True, True, False]
+
     @pytest.mark.parametrize("entry", [-0.5, -2 * DEFAULT_TOL, -DEFAULT_TOL / 2])
     def test_nonneg_entry_below_zero(self, entry):
         # ITMATPROD>=0's Zero side is [0, b-eps]: an entry below -tol breaks

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from condred.matcore import random_unitary
-from condred.problems import ConditionParams, DecisionValue, Kind, ProblemInstance, oracle_decide
+from condred.problems import (
+    DEFAULT_TOL,
+    ConditionParams,
+    DecisionValue,
+    Kind,
+    ProblemInstance,
+    gen_instance,
+    oracle_decide,
+)
 from condred.series import (
     PromiseViolation,
     absdet_multiplicative,
@@ -171,3 +179,25 @@ class TestDecide:
                      ProblemInstance(Kind.DET_PLUS, ConditionParams(2, 1, 2.0, 0.6), (h,), b=-0.4)):
             assert decide(inst)[0].value is DecisionValue.PROMISE_VIOLATED, inst.kind
             assert oracle_decide(inst).value is DecisionValue.PROMISE_VIOLATED
+
+
+@pytest.mark.parametrize("kind", [Kind.DET_PLUS, Kind.MATINV_PLUS])
+def test_the_series_never_decides_against_the_oracle(kind):
+    # b moved across the gap and out of b's range (DET+ b <= 0, MATINV+
+    # b >= 0).  Where the oracle decides a side, the true value lies in it
+    # and in the certified interval, so the series decides that side too; a
+    # b out of its range is read exactly, so both say PromiseViolated.  A
+    # value inside the gap is a broken promise that an interval meeting a
+    # side cannot see, and no verdict is asked of the series there.
+    eps = 0.3
+    for n in (2, 3, 4):
+        for seed in range(4):
+            inst = gen_instance(kind, ConditionParams(n, 1, 4.0, eps), seed)
+            value = inst.quantity.real if kind is Kind.DET_PLUS else abs(inst.quantity)
+            shifts = (-1.5 * eps, -eps, -0.5 * eps, -DEFAULT_TOL, 0.0, DEFAULT_TOL, 0.5 * eps, eps)
+            for b in [inst.b, *(value + d for d in shifts), 0.1 if kind is Kind.DET_PLUS else -0.1]:
+                inst_b = ProblemInstance(kind, inst.params, inst.forms, s=inst.s, t=inst.t, b=b)
+                series, oracle = decide(inst_b)[0].value, oracle_decide(inst_b).value
+                in_range = b <= 0 if kind is Kind.DET_PLUS else b >= 0
+                if oracle is not DecisionValue.PROMISE_VIOLATED or not in_range:
+                    assert series is oracle, (n, seed, b)
