@@ -231,9 +231,10 @@ def eliminate_measurements(
 ) -> tuple[ProblemInstance, list[ReductionRecord]]:
     """Full pipeline: encode, then ITMATPROD -> MATPOW -> MATINV -> MATINV+.
 
-    The designated entry of the resulting positive-definite system encodes
-    the acceptance probability; deciding the instance agrees with
-    thresholding ``simulate_acceptance`` at 2/3 versus 1/3.
+    The designated entry of the resulting positive-definite system is
+    3*(1 + 2^h) times the acceptance probability; deciding it at the
+    tolerance the chain carries (:func:`condred.reductions.carried_tol`)
+    agrees with thresholding ``simulate_acceptance`` at 2/3 versus 1/3.
     """
     return chain(circuit_to_itmatprod(circ), ELIMINATION_RULES)
 

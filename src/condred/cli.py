@@ -13,6 +13,7 @@ Exit status: 0 success, 1 promise violation detected, 2 usage/schema error,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import sys
@@ -150,13 +151,13 @@ def cmd_verify(args) -> int:
 
 
 def _decide_ends(args, doc, inst, out, records, command, head: str, extra: dict) -> int:
-    """The tail shared by ``reduce`` and ``chain``: save ``out``, decide both
-    ends, print ``head`` followed by the two decisions, and write the report
-    (``extra`` goes before the decisions).  Exit 1 when the source violates
-    its promise or the decisions disagree."""
+    """The tail shared by ``reduce`` and ``chain``: save ``out``, decide the
+    source at ``--tol`` and the end at the tolerance the chain carries there,
+    print ``head`` and the two decisions, and write the report (``extra`` goes
+    first).  Exit 1 when the source violates its promise or the ends disagree."""
     out_digest = save_json(instance_to_json(out), args.out)
     src_dec = oracle_decide(inst, tol=args.tol, check=args.check)
-    dst_dec = oracle_decide(out, tol=args.tol, check=args.check)
+    dst_dec = oracle_decide(out, tol=reductions.carried_tol(records, args.tol), check=args.check)
     agree = src_dec.value == dst_dec.value
     print(f"{head}decisions {src_dec.value.value}/{dst_dec.value.value} {'agree' if agree else 'DISAGREE'}")
     _emit_report(args, {
@@ -211,7 +212,7 @@ def cmd_compile_circuit(args) -> int:
     prob = simulate_acceptance(circ)
     inst, records = reductions.chain(src, () if args.target == "itmatprod" else ELIMINATION_RULES)
     out_digest = save_json(instance_to_json(inst), args.out)
-    dec = oracle_decide(inst, tol=args.tol, check=args.check)
+    dec = oracle_decide(inst, tol=reductions.carried_tol(records, args.tol), check=args.check)
     expected = _output(src, prob).decide(args.tol)  # the acceptance on the encoding's Output clause
     agree = dec.value == expected
     print(
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     args.started = time.perf_counter()
     try:
+        for path in (getattr(args, "out", None), args.report):  # refused before any work
+            if path is not None and Path(path).is_dir():
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
         return args.func(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -186,8 +186,31 @@ class ProblemInstance:
 
     @cached_property
     def quantity(self) -> float | complex | None:
-        """:func:`decision_quantity`, computed on first read and kept."""
-        return _quantity(self)
+        """The exact quantity each Output clause compares against b, made on
+        first read and kept: log|det| for the DET kinds, by a triangular
+        factorization; powers, product entries and sums over E by sweeping
+        row s, or the rows of E, through the stored factors; sigma_min, read
+        from the spectral record, for SINGULAR.  None for a MATINV-family
+        matrix that is exactly singular (no inverse entry: the promise breaks)."""
+        kind, p = self.kind, self.params
+        if kind in (Kind.DET, Kind.DET_PLUS):
+            return log_abs_det(self.forms[0])
+        if kind in (Kind.MATINV, Kind.MATINV_PLUS, Kind.V_MATINV):
+            try:
+                return inverse_entry(self.forms[0], self.s, self.t)
+            except np.linalg.LinAlgError:
+                return None
+        if kind in (Kind.MATPOW, Kind.V_MATPOW):
+            return complex(_rows_of_product((self.forms[0],) * p.m, [self.s])[0, self.t - 1])
+        if kind in (Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, Kind.V_ITMATPROD):
+            return complex(_rows_of_product(self.forms, [self.s])[0, self.t - 1])
+        if kind is Kind.SUMITMATPROD:
+            rows = np.unique([s for s, _ in self.E])
+            prod = _rows_of_product(self.forms, rows)
+            return complex(sum(prod[np.searchsorted(rows, s), t - 1] for s, t in self.E))
+        if kind is Kind.SINGULAR:
+            return float(self.spectrum.sigma[-1])
+        raise ValueError(f"unknown kind {kind}")
 
 
 class DecisionValue(str, enum.Enum):
@@ -259,45 +282,6 @@ def max_power_sigma1(a, m: int) -> float:
     """Largest sigma1 over the powers A^1 .. A^m; ``a`` is dense or sparse."""
     eye = np.eye(a.shape[0], dtype=np.complex128)
     return max(float(svd_values(powed)[0]) for powed in running_products(eye, (a,) * m))
-
-
-def decision_quantity(inst: ProblemInstance) -> float | complex | None:
-    """The exact quantity each Output clause compares against b.
-
-    DET-family returns log|det| (the comparison happens on the log scale),
-    computed by triangular factorization with log-magnitude accumulation.
-    Powers, product entries and sums over E sweep row s, or the rows of E,
-    through the stored factors (:func:`condred.matcore.running_products`);
-    only SINGULAR reads the dense view.  The MATINV family returns None when
-    its matrix is exactly singular (no inverse entry: the promise breaks).
-
-    An instance is immutable, so its quantity is computed once and kept on
-    it (``inst.quantity``), as its dense view is: the identity residual, the
-    promise check and the oracle of one command share one factorization.
-    """
-    return inst.quantity
-
-
-def _quantity(inst: ProblemInstance) -> float | complex | None:
-    kind, p = inst.kind, inst.params
-    if kind in (Kind.DET, Kind.DET_PLUS):
-        return log_abs_det(inst.forms[0])
-    if kind in (Kind.MATINV, Kind.MATINV_PLUS, Kind.V_MATINV):
-        try:
-            return inverse_entry(inst.forms[0], inst.s, inst.t)
-        except np.linalg.LinAlgError:
-            return None
-    if kind in (Kind.MATPOW, Kind.V_MATPOW):
-        return complex(_rows_of_product((inst.forms[0],) * p.m, [inst.s])[0, inst.t - 1])
-    if kind in (Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, Kind.V_ITMATPROD):
-        return complex(_rows_of_product(inst.forms, [inst.s])[0, inst.t - 1])
-    if kind is Kind.SUMITMATPROD:
-        rows = np.unique([s for s, _ in inst.E])
-        prod = _rows_of_product(inst.forms, rows)
-        return complex(sum(prod[np.searchsorted(rows, s), t - 1] for s, t in inst.E))
-    if kind is Kind.SINGULAR:
-        return float(inst.spectrum.sigma[-1])
-    raise ValueError(f"unknown kind {kind}")
 
 
 @dataclass(frozen=True)
@@ -395,7 +379,9 @@ def spectral_checks(kind: Kind, spec: Spectrum, kappa: float, tol: float) -> lis
     """The spectral clauses of a one-matrix kind, read on its matrix's
     record: A Hermitian and sigma1 <= 1 for SINGULAR; sigma1 <= 1 and
     sigma_min >= 1/kappa for the others, and for DET+ and MATINV+ also H
-    Hermitian and, when it is, H positive definite."""
+    Hermitian and, when it is, H positive definite: lambda_min > 0, a sign
+    that no tol moves (its size is the sigma_min clause's), so a larger tol
+    makes no clause stricter."""
     s1, sn, herm = float(spec.sigma[0]), float(spec.sigma[-1]), spec.defect
     sigma1 = PromiseCheck("sigma1 <= 1", 1.0, s1, s1 <= 1 + tol)
     if kind is Kind.SINGULAR:
@@ -405,7 +391,7 @@ def spectral_checks(kind: Kind, spec: Spectrum, kappa: float, tol: float) -> lis
         checks.append(PromiseCheck("H Hermitian", tol, herm, herm <= tol))
         if herm <= tol:
             lam_min = float(spec.lam[-1])
-            checks.append(PromiseCheck("H positive definite", 0.0, lam_min, lam_min > tol))
+            checks.append(PromiseCheck("H positive definite", 0.0, lam_min, lam_min > 0.0))
     return checks
 
 
@@ -420,7 +406,7 @@ def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseRep
         checks = [PromiseCheck("sigma1(A^j) <= kappa for j in [m]", p.kappa, worst, worst <= p.kappa + tol)]
     else:
         checks = spectral_checks(kind, inst.spectrum, p.kappa, tol)
-    return PromiseReport(tuple(checks + _output(inst, decision_quantity(inst)).checks(tol)))
+    return PromiseReport(tuple(checks + _output(inst, inst.quantity).checks(tol)))
 
 
 def oracle_decide(
@@ -428,7 +414,7 @@ def oracle_decide(
 ) -> Decision:
     """Ground-truth decision: the instance's decision quantity (a sparse or
     dense LU, or a row sweep through the stored factors; see
-    :func:`decision_quantity`) placed on its kind's Output clause by
+    :attr:`ProblemInstance.quantity`) placed on its kind's Output clause by
     :meth:`Output.decide`, with the same ``tol`` that the promise check uses.
 
     ``check`` selects how much of the promise is verified first: "full" runs
@@ -441,7 +427,7 @@ def oracle_decide(
     """
     if check not in ("full", "gap", "none"):
         raise ValueError("check must be 'full', 'gap' or 'none'")
-    q = decision_quantity(inst)
+    q = inst.quantity
     out = _output(inst, q)
     if check == "none":
         return Decision(out.side(tol), q)

@@ -9,13 +9,15 @@ carrying the parameter map and the declared singular-value bounds;
 :func:`measure_record` fills in the measured values for verification.
 
 A rule is one ``_rule(...)`` entry in :data:`RULES` plus its builder.  The
-entry is the only place that names the rule and gives its input and output
-kinds; it holds the defining identity, written against
-:func:`condred.problems.decision_quantity`, checks the input kind and writes
-the record.  The builder makes the target with the output kind it is given
-and returns it with its answer map and its declared bounds, each with the
-function that measures it.  One builder can serve several entries: the
-verification variants reuse the base builders with their own kinds.
+entry names the rule, gives its input and output kinds and states its map f
+on the decision quantity (``inst.quantity``), with the remainder interval
+that a series rule adds (:class:`AnswerMap`).  From that one statement come
+b_hat, the defining identity |q_hat - f(q)|, the remainder bounds, the
+record's answer-map text and the tolerance a target is read at
+(:func:`carried_tol`).  The builder makes the target with the output kind
+and b_hat it is given and returns it with its declared conditioning bounds,
+each with the function that measures it; the verification variants reuse
+the base builders.
 
 Every block matrix a rule builds out of its input's matrices, identities
 and scalars is stated as a layout, a list of blocks and their positions, and
@@ -35,6 +37,7 @@ Two printed-form corrections are applied deliberately:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -42,20 +45,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .matcore import _frozen, adjoint, as_form, dense_form, gram, nonzeros, svd_values
-from .problems import ConditionParams, Kind, ProblemInstance, decision_quantity
+from .problems import ConditionParams, Kind, ProblemInstance
 from .series import PromiseViolation, log_series, logdet_terms, neumann_series, neumann_terms
 from .series import log_count as _log_count
 
-#: measures one quantity on a (source, target) pair of one application
-Measure = Callable[[ProblemInstance, ProblemInstance], float]
+#: measures one quantity of one application (source, target); None if a decision quantity it needs does not exist
+Measure = Callable[[ProblemInstance, ProblemInstance], float | None]
 
 
 @dataclass(frozen=True)
 class Bound:
-    """One declared conditioning bound; ``upper`` tells which way it points.
-
-    ``measure(src, dst)`` computes the bounded quantity of one application.
-    """
+    """One declared bound; ``upper`` tells which way it points, and
+    ``measure(src, dst)`` computes the bounded quantity of one application."""
 
     quantity: str
     declared: float
@@ -73,46 +74,84 @@ class Bound:
 
 @dataclass(frozen=True)
 class ReductionRecord:
+    """One application's record; ``carry(tol)`` is the tolerance its target
+    is read at when its source is read at ``tol`` (:meth:`AnswerMap.carry`)."""
+
     rule: str
     input_params: ConditionParams
     output_params: ConditionParams
     answer_map: str
     declared_bounds: tuple[Bound, ...] = ()
     measured: bool = False
+    carry: Callable[[float], float] = field(kw_only=True, compare=False, repr=False)
 
 
-#: what a builder returns: the target, its answer map and its declared bounds
-Built = tuple[ProblemInstance, str, tuple[Bound, ...]]
-#: builds a rule's target, of the output kind it is given, from a source
-Builder = Callable[[ProblemInstance, Kind], Built]
+@dataclass(frozen=True)
+class AnswerMap:
+    """How one application moves the decision quantity q, and b with it.
+
+    The target's quantity is f(q) + r, r in ``remainder`` ((0, 0) for an
+    exact rule), so b_hat = f(b) + the remainder's low end.  f is affine with
+    ``slope`` a, or monotone on the nonnegative values of the entry kinds
+    (``slope`` None); ``text`` states it.  A series rule's target sums the
+    truncation ``series(src, dst)`` of q exactly.  ``f`` is None, and the
+    slope 1, for a rule whose target has no b (vmatinv_to_singular).
+    """
+
+    f: Callable | None
+    text: str
+    slope: float | None = None
+    remainder: tuple[float, float] = (0.0, 0.0)
+    series: Callable[[ProblemInstance, ProblemInstance], complex] | None = None
+
+    def carry(self, b, tol: float) -> float:
+        """The image of [b - tol, b + tol] under f on its narrower side, so a
+        target is never read more leniently than its source: a*tol if affine."""
+        if self.slope is not None:
+            return self.slope * tol
+        b = float(np.real(b))
+        return min(self.f(b + tol) - self.f(b), self.f(b) - self.f(max(b - tol, 0.0)))
+
+    def offset(self, src: ProblemInstance, dst: ProblemInstance, part=abs, series: bool = False) -> float | None:
+        """part(q_hat - f(x)), x the source's quantity or, with ``series``, the
+        truncation the target sums; None when a quantity does not exist."""
+        x = self.series(src, dst) if series else src.quantity
+        return None if x is None or dst.quantity is None else float(part(dst.quantity - self.f(x)))
+
+    def bounds(self) -> tuple[Bound, ...]:
+        """The remainder's bounds, on r = q_hat - f(q): |r| <= hi for a
+        symmetric interval, else lo <= Re r <= hi."""
+        lo, hi = self.remainder
+        if lo == -hi:
+            return (Bound("|series remainder|", hi, measure=self.offset),) if hi else ()
+        real = functools.partial(self.offset, part=np.real)
+        return Bound("series remainder", hi, measure=real), Bound("series remainder", lo, upper=False, measure=real)
 
 
-# measures and identity terms shared by several rules; a bound on a sigma or
-# a lambda of the target reads its spectral record, ``dst.spectrum``
+def _map(f: Callable, form: str, lhs: str, rhs: str, slope=None, remainder=(0.0, 0.0), series=None) -> AnswerMap:
+    """f, with text ``form`` ({} its argument), from ``rhs``, the source's quantity, to ``lhs``, the target's."""
+    lo, hi = remainder
+    shift = f" {'-+'[lo > 0]} {abs(lo):.12g}" if lo else ""
+    text = f"b_hat = {form.format('b')}{shift}; {lhs} = {form.format(rhs)}"
+    return AnswerMap(f, text + (f" + r, r in [{lo:.12g}, {hi:.12g}]" if hi else ""), slope, remainder, series)
+
+
+def _affine(a, c, lhs: str, rhs: str, remainder=(0.0, 0.0), series=None) -> AnswerMap:
+    """f(q) = a*q + c."""
+    form = ("{}" if a == 1 else f"{a}*{{}}") + (f" + {c:.12g}" if c else "")
+    return _map(lambda q: a * q + c, form, lhs, rhs, a, remainder, series)
+
+
+#: what a builder returns: the target and its declared conditioning bounds
+Built = tuple[ProblemInstance, tuple[Bound, ...]]
+
+
+# a bound on a sigma or a lambda of the target reads its spectral record,
+# ``dst.spectrum``; the sweeps of a product or power kind read ``sigma1_sweep``
 
 
 def _sigma1_sweep(src: ProblemInstance, dst: ProblemInstance) -> float:
     return dst.sigma1_sweep
-
-
-class _Undefined(Exception):
-    """A decision quantity does not exist: its matrix is exactly singular."""
-
-
-def _quantity(inst: ProblemInstance) -> float | complex:
-    q = decision_quantity(inst)
-    if q is None:
-        raise _Undefined
-    return q
-
-
-def _off_by(dst: ProblemInstance, want: float | complex) -> float:
-    """|q - want| for the target's decision quantity q: an identity's residual."""
-    return float(abs(_quantity(dst) - want))
-
-
-def _quantity_difference(src: ProblemInstance, dst: ProblemInstance) -> float:
-    return _off_by(dst, _quantity(src))
 
 
 #: one n x n block of a layout: (block row, block column, sign, block), where
@@ -191,19 +230,17 @@ def _entries(block, n: int, dense: bool) -> tuple[np.ndarray, ...]:
 # product / powering / inversion chain
 
 
-def _itmatprod_to_matpow(inst: ProblemInstance, kind: Kind) -> Built:
+def _itmatprod_to_matpow(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     p = inst.params
     n, m = p.n, p.m
     # A_1, ..., A_m immediately above the diagonal blocks
     big = _block_matrix(n, m + 1, inst.forms, layout=lambda *a: [(r, r + 1, 1, a[r]) for r in range(m)])
     out_params = ConditionParams(n * (m + 1), m, p.kappa, p.epsilon)
-    out = ProblemInstance(kind, out_params, (big,), s=inst.s, t=n * m + inst.t, b=inst.b)
-    return out, "b_hat = b; A_hat^m[s, nm+t] = A_{1,m}[s,t]", (
-        Bound("sigma1(A_hat^j), j in [m]", p.kappa, measure=_sigma1_sweep),
-    )
+    out = ProblemInstance(kind, out_params, (big,), s=inst.s, t=n * m + inst.t, b=b_hat)
+    return out, (Bound("sigma1(A_hat^j), j in [m]", p.kappa, measure=_sigma1_sweep),)
 
 
-def _matpow_to_matinv(inst: ProblemInstance, kind: Kind) -> Built:
+def _matpow_to_matinv(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     p = inst.params
     n, m = p.n, p.m
     c = math.ceil(1.0 + p.kappa)
@@ -213,19 +250,14 @@ def _matpow_to_matinv(inst: ProblemInstance, kind: Kind) -> Built:
         layout=lambda a: [(r, r, 1, 1.0) for r in range(m + 1)] + [(r, r + 1, -1, a) for r in range(m)],
     )
     out_params = ConditionParams(n * (m + 1), 1, (1.0 + m * p.kappa) * c, c * p.epsilon)
-    out = ProblemInstance(kind, out_params, (z,), s=inst.s, t=n * m + inst.t, b=c * inst.b)
-    return out, f"b_hat = ceil(1+kappa)*b = {c}*b; Z_hat^-1[s, nm+t] = {c}*A^m[s,t]", (
+    out = ProblemInstance(kind, out_params, (z,), s=inst.s, t=n * m + inst.t, b=b_hat)
+    return out, (
         Bound("sigma1(Z_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
         Bound("sigma1(Z_hat^-1)", (1.0 + m * p.kappa) * c, measure=lambda _, dst: 1 / dst.spectrum.sigma[-1]),
     )
 
 
-def _scaled_power_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
-    """Z_hat^-1[s, nm+t] = ceil(1+kappa) * A^m[s,t]."""
-    return _off_by(dst, math.ceil(1 + src.params.kappa) * _quantity(src))
-
-
-def _matinv_to_posmatinv(inst: ProblemInstance, kind: Kind) -> Built:
+def _matinv_to_posmatinv(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     p = inst.params
     n = p.n
     # H = [[A^dag A, -A^dag], [-A, 2I]] / 3, with A^dag built once; the
@@ -237,11 +269,10 @@ def _matinv_to_posmatinv(inst: ProblemInstance, kind: Kind) -> Built:
         ],
     )
     out_params = ConditionParams(2 * n, 1, (3.0 * p.kappa) ** 2, 3.0 * p.epsilon)
-    out = ProblemInstance(kind, out_params, (h,), s=inst.s, t=inst.t + n, b=3.0 * float(np.real(inst.b)))
-    return out, "b_hat = 3b; H_hat^-1[s, t+n] = 3*A^-1[s,t]", (
+    out = ProblemInstance(kind, out_params, (h,), s=inst.s, t=inst.t + n, b=b_hat)
+    return out, (
         Bound("sigma1(H_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
-        Bound("lambda_min(H_hat)", (3.0 * p.kappa) ** -2, upper=False,
-              measure=lambda _, dst: dst.spectrum.lam[-1]),
+        Bound("lambda_min(H_hat)", (3.0 * p.kappa) ** -2, upper=False, measure=lambda _, dst: dst.spectrum.lam[-1]),
     )
 
 
@@ -249,7 +280,7 @@ def _matinv_to_posmatinv(inst: ProblemInstance, kind: Kind) -> Built:
 # determinant chain
 
 
-def _posdet_to_sumitmatprod(inst: ProblemInstance, kind: Kind) -> Built:
+def _posdet_to_sumitmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     p = inst.params
     n, kappa, eps = p.n, p.kappa, p.epsilon
     l_hat = _log_count(kappa)
@@ -258,7 +289,8 @@ def _posdet_to_sumitmatprod(inst: ProblemInstance, kind: Kind) -> Built:
     dim = n * (l_hat + m_hat)
     # k-th factor: identity on the first l_hat + (k-1) diagonal blocks, then
     # I - H on the rest; the first factor instead carries -(I-H)/(j+1) in
-    # block l_hat + j, the weights of the log series
+    # block l_hat + j, the weights of the log series; the first l_hat blocks
+    # add n*l_hat to the diagonal sum
     mats = tuple(
         _block_matrix(
             n, l_hat + m_hat, (x,),
@@ -271,93 +303,65 @@ def _posdet_to_sumitmatprod(inst: ProblemInstance, kind: Kind) -> Built:
         for k in range(1, m_hat + 1)
     )
     pairs = tuple((d, d) for d in range(1, dim + 1))
-    b_hat = n * l_hat + float(np.real(inst.b))
     out_params = ConditionParams(dim, m_hat, 1.0, eps / 2.0)
     out = ProblemInstance(kind, out_params, mats, E=pairs, b=b_hat)
-    answer_map = (
-        f"b_hat = n*l_hat + b with l_hat={l_hat}, m_hat={m_hat}; "
-        "diagonal sum = n*l_hat + ln det H + tr(remainder)"
-    )
-    return out, answer_map, (
-        Bound("sigma1(all partial products)", 1.0, measure=_sigma1_sweep),
-        Bound("series remainder (one-sided)", eps / 2.0, measure=_log_remainder),
-        Bound("series remainder >= 0", 0.0, upper=False, measure=_log_remainder),
-    )
+    return out, (Bound("sigma1(all partial products)", 1.0, measure=_sigma1_sweep),)
 
 
-def _log_series_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
-    """Diagonal sum = n*l_hat - sum_k tr((I-H)^k)/k over the target's m terms."""
-    n, kappa = src.params.n, src.params.kappa
-    return _off_by(dst, n * _log_count(kappa) - log_series(src.matrix, dst.params.m))
-
-
-def _log_remainder(src: ProblemInstance, dst: ProblemInstance) -> float:
-    """Diagonal sum minus its exact value n*l_hat + ln det H."""
-    n, kappa = src.params.n, src.params.kappa
-    return _quantity(dst).real - (n * _log_count(kappa) + _quantity(src))
-
-
-def _itmatprod_to_nonneg(inst: ProblemInstance, kind: Kind) -> Built:
+def _itmatprod_to_nonneg(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     p = inst.params
     n, m = p.n, p.m
     # |t><t|, laid out in n blocks of size 1
     mid = _block_matrix(1, n, (), layout=lambda: [(inst.t - 1, inst.t - 1, 1, 1.0)])
     mats = inst.forms + (mid,) + tuple(adjoint(a) for a in reversed(inst.forms))
     out_params = ConditionParams(n, 2 * m + 1, p.kappa**2, p.epsilon**2)
-    b = float(np.real(inst.b))
-    out = ProblemInstance(kind, out_params, mats, s=inst.s, t=inst.s, b=b * b)
-    return out, "b_hat = b^2; A_hat_{1,2m+1}[s,s] = |A_{1,m}[s,t]|^2", (
-        Bound("sigma1(all partial products)", p.kappa**2, measure=_sigma1_sweep),
-    )
+    out = ProblemInstance(kind, out_params, mats, s=inst.s, t=inst.s, b=b_hat)
+    return out, (Bound("sigma1(all partial products)", p.kappa**2, measure=_sigma1_sweep),)
 
 
-def _nonneg_to_det(inst: ProblemInstance, kind: Kind) -> Built:
+def _nonneg_to_det(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
+    if b_hat > 0:
+        raise ValueError("degenerate corner: rescaled determinant threshold above 1")
     p = inst.params
     n, m, kappa = p.n, p.m, p.kappa
-    big_n = n * (m + 1)
-    l_hat = _log_count(2.0 + kappa)
     bump = np.zeros((n, n), dtype=np.complex128)
     bump[inst.t - 1, inst.s - 1] = 1.0
     # C = exp(-l_hat) (I - superdiag(A_1, ..., A_m) + |nm+t><s|)
     c_hat = _block_matrix(
-        n, m + 1, inst.forms, scale=(np.multiply, math.exp(-l_hat)),
+        n, m + 1, inst.forms, scale=(np.multiply, math.exp(-_log_count(2.0 + kappa))),
         layout=lambda *a: [(r, r, 1, 1.0) for r in range(m + 1)]
         + [(r, r + 1, -1, a[r]) for r in range(m)] + [(m, 0, 1, bump)],
     )
-    b = float(np.real(inst.b))
-    b_hat = math.log1p(b) - l_hat * big_n
-    if b_hat > 0:
-        raise ValueError("degenerate corner: rescaled determinant threshold above 1")
-    out_params = ConditionParams(big_n, 1, (2.0 + m * kappa) ** 3, p.epsilon / (2.0 + 2.0 * kappa))
+    out_params = ConditionParams(n * (m + 1), 1, (2.0 + m * kappa) ** 3, p.epsilon / (2.0 + 2.0 * kappa))
     out = ProblemInstance(kind, out_params, (c_hat,), b=b_hat)
-    return out, f"b_hat = ln(1+b) - l_hat*(nm+n) with l_hat={l_hat}; det(C) = 1 + A_{{1,m}}[s,t]", (
+    return out, (
         Bound("sigma1(C_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
         Bound("sigma_min(C_hat)", (2.0 + m * kappa) ** -3, upper=False,
               measure=lambda _, dst: dst.spectrum.sigma[-1]),
     )
 
 
-def _rank_one_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
-    """ln|det C_hat| = ln(1 + A_{1,m}[s,t]) - l_hat*n*(m+1)."""
-    n, m, kappa = src.params.n, src.params.m, src.params.kappa
-    entry = float(np.real(_quantity(src)))
-    return _off_by(dst, math.log1p(entry) - _log_count(2.0 + kappa) * n * (m + 1))
+def _rank_one_map(p: ConditionParams) -> AnswerMap:
+    """det C = 1 + A_{1,m}[s,t], and each of C_hat's n(m+1) rows is C's scaled by exp(-l_hat)."""
+    l_hat, big_n = _log_count(2.0 + p.kappa), p.n * (p.m + 1)
+    return _map(lambda q: math.log1p(float(np.real(q))) - l_hat * big_n,
+                f"ln(1+{{}}) - {l_hat}*{big_n}", "ln|det C_hat|", "A_{1,m}[s,t]")
 
 
-def _det_to_posdet(inst: ProblemInstance, kind: Kind) -> Built:
+def _det_to_posdet(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     p = inst.params
     h = gram(inst.forms[0], left=False)
     # the declared gap parameter is eps/2 although squaring the
-    # determinant doubles the realized log gap; the record carries both
+    # determinant doubles the realized log gap
     out_params = ConditionParams(p.n, 1, p.kappa**2, p.epsilon / 2.0)
-    out = ProblemInstance(kind, out_params, (h,), b=2.0 * float(np.real(inst.b)))
-    return out, "b_hat = 2b; det(H_hat) = |det A|^2 (declared gap eps/2, realized 2*eps)", (
+    out = ProblemInstance(kind, out_params, (h,), b=b_hat)
+    return out, (
         Bound("sigma1(H_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
         Bound("lambda_min(H_hat)", p.kappa**-2, upper=False, measure=lambda _, dst: dst.spectrum.lam[-1]),
     )
 
 
-def _posmatinv_to_sumitmatprod(inst: ProblemInstance, kind: Kind) -> Built:
+def _posmatinv_to_sumitmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     p = inst.params
     n, kappa, eps = p.n, p.kappa, p.epsilon
     m_hat = neumann_terms(kappa, eps)
@@ -372,14 +376,9 @@ def _posmatinv_to_sumitmatprod(inst: ProblemInstance, kind: Kind) -> Built:
     )
     # j = 0 included so the diagonal picks up the identity term of the series
     pairs = tuple((inst.s + j * n, inst.t + j * n) for j in range(m_hat + 1))
-    b_hat = float(np.real(inst.b)) - eps / 4.0
     out_params = ConditionParams(dim, m_hat, 1.0, eps / 2.0)
     out = ProblemInstance(kind, out_params, mats, E=pairs, b=b_hat)
-    answer_map = f"b_hat = b - eps/4 with m_hat={m_hat}; sum over E = sum_j (I-H)^j[s,t] = H^-1[s,t] + remainder"
-    return out, answer_map, (
-        Bound("sigma1(all partial products)", 1.0, measure=_sigma1_sweep),
-        Bound("|Neumann remainder|", eps / 4.0, measure=_quantity_difference),
-    )
+    return out, (Bound("sigma1(all partial products)", 1.0, measure=_sigma1_sweep),)
 
 
 def _exchanged(n: int, a: int) -> np.ndarray:
@@ -389,7 +388,7 @@ def _exchanged(n: int, a: int) -> np.ndarray:
     return idx
 
 
-def _sumitmatprod_to_itmatprod(inst: ProblemInstance, kind: Kind) -> Built:
+def _sumitmatprod_to_itmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     p = inst.params
     n, m = p.n, p.m
     n_e = len(inst.E)
@@ -410,8 +409,8 @@ def _sumitmatprod_to_itmatprod(inst: ProblemInstance, kind: Kind) -> Built:
     ) + (fan_adj,)
     kappa_hat = 2.0 * n_e * p.kappa
     out_params = ConditionParams(n * n_e, m + 2, kappa_hat, p.epsilon)
-    out = ProblemInstance(kind, out_params, mats, s=1, t=1, b=float(np.real(inst.b)))
-    return out, "b_hat = b; A_hat_{0,m+1}[1,1] = sum over E of A_{1,m}[s,t]", (
+    out = ProblemInstance(kind, out_params, mats, s=1, t=1, b=b_hat)
+    return out, (
         Bound("sigma1(fan-out factor)", math.sqrt(2.0 * n_e), measure=lambda _, dst: dst.spectrum.sigma[0]),
         Bound("sigma1(all partial products)", kappa_hat, measure=_sigma1_sweep),
     )
@@ -430,7 +429,7 @@ def _singular_b(inst: ProblemInstance) -> np.ndarray:
     return b_mat
 
 
-def _vmatinv_to_singular(inst: ProblemInstance, kind: Kind) -> Built:
+def _vmatinv_to_singular(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     p = inst.params
     n, kappa = p.n, p.kappa
     b = complex(inst.b)
@@ -453,24 +452,22 @@ def _vmatinv_to_singular(inst: ProblemInstance, kind: Kind) -> Built:
     eps_hat = (2.0 / 3.0) * p.epsilon / (c * (2.0 * c + 1.0) ** 2)
     out_params = ConditionParams(2 * n + 2, 1, 1.0, eps_hat)
     out = ProblemInstance(kind, out_params, (h,))
-    answer_map = (
-        "sigma_min(H_hat) = 0 iff A^-1[s,t] = b; "
-        "det(C_hat) = (b - A^-1[s,t])/(2*ceil(kappa)) * det(B_hat)"
-    )
-    return out, answer_map, (
+    return out, (
         Bound("sigma1(H_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
-        Bound("sigma_{n+1}(B_hat)", 2.0 / 3.0, upper=False,
-              measure=lambda src, dst: float(svd_values(_singular_b(src))[-1])),
+        Bound("sigma_{n+1}(B_hat)", 2.0 / 3.0, upper=False, measure=lambda src, _: svd_values(_singular_b(src))[-1]),
     )
 
 
-def _singular_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
+def _singular_identity(src: ProblemInstance, dst: ProblemInstance) -> float | None:
     """det(C_hat) = (b - A^-1[s,t])/(2c) * det(B_hat), relative to max(1, |det B_hat|)."""
+    if src.quantity is None:
+        return None
     c, n = math.ceil(src.params.kappa), src.params.n
     c_hat = dst.matrix[: n + 1, n + 1 :] * (2 * c + 1)
     det_b = np.linalg.det(_singular_b(src))
-    want = (complex(src.b) - _quantity(src)) / (2 * c) * det_b
+    want = (complex(src.b) - src.quantity) / (2 * c) * det_b
     return float(abs(np.linalg.det(c_hat) - want) / max(1.0, abs(det_b)))
+
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +477,16 @@ def _singular_identity(src: ProblemInstance, dst: ProblemInstance) -> float:
 @dataclass(frozen=True)
 class Rule:
     """A reduction: ``apply`` maps an instance of ``input_kind`` to one of
-    ``output_kind`` and its record; ``identity`` is the residual of its
-    defining identity, which evaluates the source and target decision
-    quantities independently."""
+    ``output_kind`` and its record; ``answer(params)`` is its map for a
+    source with those parameters, and ``identity`` the residual of its
+    defining identity, on independently evaluated decision quantities."""
 
     name: str
     input_kind: Kind
     output_kind: Kind
     apply: Callable[[ProblemInstance], tuple[ProblemInstance, ReductionRecord]] = field(repr=False)
     identity: Measure = field(repr=False)
+    answer: Callable[[ConditionParams], AnswerMap] = field(repr=False)
 
 
 def _check_input(name: str, want: Kind, got: Kind) -> None:
@@ -496,43 +494,59 @@ def _check_input(name: str, want: Kind, got: Kind) -> None:
         raise ValueError(f"rule {name} expects {want.value}, got {got.value}")
 
 
-def _rule(name: str, input_kind: Kind, output_kind: Kind, build: Builder, identity: Measure) -> Rule:
-    """The rule ``name``: ``build(inst, output_kind)`` makes its target, and
-    ``apply`` checks the input kind and writes the record."""
+def _rule(name: str, input_kind: Kind, output_kind: Kind, build: Callable[..., Built],
+          answer: Callable[[ConditionParams], AnswerMap], identity: Measure | None = None) -> Rule:
+    """The rule ``name``: ``answer`` states its map, ``build(inst,
+    output_kind, b_hat)`` makes its target, and ``apply`` checks the input
+    kind and writes the record.  Unless one is given, the identity is
+    |q_hat - f(q)|, with the truncation in place of q for a series rule."""
 
     def apply(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
         _check_input(name, input_kind, inst.kind)
         try:
-            out, answer_map, bounds = build(inst, output_kind)
+            m = answer(inst.params)
+            out, bounds = build(inst, output_kind, None if m.f is None else m.f(inst.b) + m.remainder[0])
         except OverflowError as exc:  # a float ``**`` past the largest double
             raise ValueError(f"rule {name}: output parameters overflow") from exc
-        return out, ReductionRecord(name, inst.params, out.params, answer_map, bounds)
+        return out, ReductionRecord(name, inst.params, out.params, m.text, bounds + m.bounds(),
+                                    carry=functools.partial(m.carry, inst.b))
 
-    return Rule(name, input_kind, output_kind, apply, identity)
+    def mapped(src: ProblemInstance, dst: ProblemInstance) -> float | None:
+        return (m := answer(src.params)).offset(src, dst, series=m.series is not None)
 
+    return Rule(name, input_kind, output_kind, apply, identity or mapped, answer)
+
+
+#: the builder and map of the powering and inversion steps, shared with their verification variants
+_POWER = (_itmatprod_to_matpow, lambda p: _affine(1, 0, "A_hat^m[s, nm+t]", "A_{1,m}[s,t]"))
+_INVERSE = (_matpow_to_matinv, lambda p: _affine(math.ceil(1 + p.kappa), 0, "Z_hat^-1[s, nm+t]", "A^m[s,t]"))
 
 RULES: dict[str, Rule] = {
     r.name: r
     for r in (
-        _rule("itmatprod_to_matpow", Kind.ITMATPROD, Kind.MATPOW, _itmatprod_to_matpow, _quantity_difference),
-        _rule("matpow_to_matinv", Kind.MATPOW, Kind.MATINV, _matpow_to_matinv, _scaled_power_identity),
+        _rule("itmatprod_to_matpow", Kind.ITMATPROD, Kind.MATPOW, *_POWER),
+        _rule("matpow_to_matinv", Kind.MATPOW, Kind.MATINV, *_INVERSE),
         _rule("matinv_to_posmatinv", Kind.MATINV, Kind.MATINV_PLUS, _matinv_to_posmatinv,
-              lambda src, dst: float(abs(abs(_quantity(dst)) - 3 * abs(_quantity(src))))),
+              lambda p: _affine(3, 0, "H_hat^-1[s, t+n]", "A^-1[s,t]")),
         _rule("posdet_to_sumitmatprod", Kind.DET_PLUS, Kind.SUMITMATPROD, _posdet_to_sumitmatprod,
-              _log_series_identity),
+              lambda p: _affine(1, p.n * _log_count(p.kappa), "sum over E", "ln det H", (0.0, p.epsilon / 2.0),
+                                lambda src, dst: -log_series(src.matrix, dst.params.m))),
         _rule("itmatprod_to_nonneg", Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, _itmatprod_to_nonneg,
-              lambda src, dst: _off_by(dst, abs(_quantity(src)) ** 2)),
-        _rule("nonneg_to_det", Kind.ITMATPROD_NONNEG, Kind.DET, _nonneg_to_det, _rank_one_identity),
+              lambda p: _map(lambda q: abs(q) ** 2, "|{}|^2", "A_hat_{1,2m+1}[s,s]", "A_{1,m}[s,t]")),
+        _rule("nonneg_to_det", Kind.ITMATPROD_NONNEG, Kind.DET, _nonneg_to_det, _rank_one_map),
         _rule("det_to_posdet", Kind.DET, Kind.DET_PLUS, _det_to_posdet,
-              lambda src, dst: _off_by(dst, 2 * _quantity(src))),
+              lambda p: _affine(2, 0, "ln det H_hat", "ln|det A|")),
         _rule("posmatinv_to_sumitmatprod", Kind.MATINV_PLUS, Kind.SUMITMATPROD, _posmatinv_to_sumitmatprod,
-              lambda src, dst: _off_by(dst, neumann_series(src.matrix, src.s, src.t, dst.params.m))),
+              lambda p: _affine(1, 0, "sum over E", "H^-1[s,t]", (-p.epsilon / 4.0, p.epsilon / 4.0),
+                                lambda src, dst: neumann_series(src.matrix, src.s, src.t, dst.params.m))),
         _rule("sumitmatprod_to_itmatprod", Kind.SUMITMATPROD, Kind.ITMATPROD, _sumitmatprod_to_itmatprod,
-              _quantity_difference),
-        _rule("vmatinv_to_singular", Kind.V_MATINV, Kind.SINGULAR, _vmatinv_to_singular, _singular_identity),
-        _rule("vitmatprod_to_vmatpow", Kind.V_ITMATPROD, Kind.V_MATPOW, _itmatprod_to_matpow,
-              _quantity_difference),
-        _rule("vmatpow_to_vmatinv", Kind.V_MATPOW, Kind.V_MATINV, _matpow_to_matinv, _scaled_power_identity),
+              lambda p: _affine(1, 0, "A_hat_{0,m+1}[1,1]", "sum over E of A_{1,m}[s,t]")),
+        # a sigma_min test has no b: this rule maps no quantity, and its end is read at the source's tol
+        _rule("vmatinv_to_singular", Kind.V_MATINV, Kind.SINGULAR, _vmatinv_to_singular, lambda p: AnswerMap(
+            None, "sigma_min(H_hat) = 0 iff A^-1[s,t] = b; "
+            "det(C_hat) = (b - A^-1[s,t])/(2*ceil(kappa)) * det(B_hat)", 1), _singular_identity),
+        _rule("vitmatprod_to_vmatpow", Kind.V_ITMATPROD, Kind.V_MATPOW, *_POWER),
+        _rule("vmatpow_to_vmatinv", Kind.V_MATPOW, Kind.V_MATINV, *_INVERSE),
     )
 }
 
@@ -543,15 +557,9 @@ DET_PLUS_CYCLE = ("posdet_to_sumitmatprod", "sumitmatprod_to_itmatprod", "itmatp
                   "det_to_posdet")
 
 
-def chain(
-    inst: ProblemInstance, path: list[str] | tuple[str, ...]
-) -> tuple[ProblemInstance, list[ReductionRecord]]:
-    """Compose rules; an empty path is the identity, and a path of one rule
-    applies it.
-
-    The path is type-checked before any work happens so an ill-typed request
-    fails fast instead of half-way through.
-    """
+def chain(inst: ProblemInstance, path: list[str] | tuple[str, ...]) -> tuple[ProblemInstance, list[ReductionRecord]]:
+    """Compose rules; an empty path is the identity.  The path is type-checked
+    before any work, so an ill-typed request fails fast, not half-way through."""
     kind = inst.kind
     for name in path:
         if name not in RULES:
@@ -566,24 +574,22 @@ def chain(
     return current, records
 
 
+def carried_tol(records: list[ReductionRecord], tol: float) -> float:
+    """The tolerance a chain's end is read at when its source is read at
+    ``tol``: ``tol`` carried through the answer map of each record in turn."""
+    return functools.reduce(lambda carried, rec: rec.carry(carried), records, tol)
+
+
 def identity_residual(rule: str, src: ProblemInstance, dst: ProblemInstance) -> float | None:
     """Residual of the rule's defining algebraic identity, evaluating the
     source and target decision quantities independently; None when one of
     them does not exist (an exactly singular matrix)."""
-    return _defined(RULES[rule].identity, src, dst)
+    return RULES[rule].identity(src, dst)
 
 
-def _defined(measure: Measure, src: ProblemInstance, dst: ProblemInstance) -> float | None:
-    try:
-        return float(measure(src, dst))
-    except _Undefined:
-        return None
-
-
-def measure_record(
-    record: ReductionRecord, src: ProblemInstance, dst: ProblemInstance
-) -> ReductionRecord:
+def measure_record(record: ReductionRecord, src: ProblemInstance, dst: ProblemInstance) -> ReductionRecord:
     """Fill in measured values for every declared bound of one application
     (None where the bound needs a decision quantity that does not exist)."""
-    measured = tuple(replace(b, measured=_defined(b.measure, src, dst)) for b in record.declared_bounds)
+    measured = tuple(replace(b, measured=None if (v := b.measure(src, dst)) is None else float(v))
+                     for b in record.declared_bounds)
     return replace(record, declared_bounds=measured, measured=True)

@@ -314,18 +314,23 @@ class TestCli:
         assert doc["simulated_acceptance"] == 0.0  # identity circuit never accepts
         assert doc["decisions"]["oracle"]["value"] == "Zero"
 
-    def test_compile_itmatprod_reads_the_acceptance_as_its_oracle_does(self, tmp_path):
-        # acceptance tol/2 below 2/3: the ITMATPROD oracle says One, and so
-        # does the expected verdict, read on the same Output clause with the
-        # same tol (a hand-written threshold said PromiseViolated, exit 1)
-        theta = 2 * math.asin(math.sqrt(2 / 3 - matcore.DEFAULT_TOL / 2))
+    @pytest.mark.parametrize("target", ["itmatprod", "matinv_plus"], ids=["itm", "plus"])
+    @pytest.mark.parametrize("acceptance,verdict", [(2 / 3 - matcore.DEFAULT_TOL / 2, "One"),
+                                                    (1 / 3 + matcore.DEFAULT_TOL / 2, "Zero")], ids=["one", "zero"])
+    def test_compile_itmatprod_reads_the_acceptance_as_its_oracle_does(self, target, acceptance, verdict, tmp_path):
+        # an acceptance tol/2 on the wrong side of 2/3 or 1/3: the expected
+        # verdict reads it on the encoding's Output clause at tol, and the
+        # oracle reads each end at the tolerance the chain carries there (the
+        # MATINV+ end, which scales the value and b by 9, said PromiseViolated
+        # at the unscaled tol)
+        theta = 2 * math.asin(math.sqrt(acceptance))
         ry = np.array([[math.cos(theta / 2), -math.sin(theta / 2)], [math.sin(theta / 2), math.cos(theta / 2)]])
         path, report = tmp_path / "circ.json", tmp_path / "report.json"
         save_json(circuit_to_json(GeneralCircuit(1, (unitary_gate(ry, (1,), 1),))), path)
-        assert run("compile-circuit", path, "--target", "itmatprod", "--out", tmp_path / "out.json",
+        assert run("compile-circuit", path, "--target", target, "--out", tmp_path / "out.json",
                    "--report", report) == 0
         decisions = json.loads(report.read_text())["decisions"]
-        assert (decisions["expected"], decisions["oracle"]["value"]) == ("One", "One")
+        assert (decisions["expected"], decisions["oracle"]["value"]) == (verdict, verdict)
 
     @pytest.mark.parametrize("kind", ["MATINV+", "DET+"])
     def test_solve_series_vs_oracle(self, kind, tmp_path):
@@ -403,8 +408,9 @@ class TestCli:
 
     def test_small_commands_stay_scipy_free(self, tmp_path):
         # the sparse kernels and builds import SciPy only for matrices stored
-        # sparse; gen, solve and reduce on n = 4 must not load it, nor solve
-        # on a nearly empty n = 80 matrix written in the dense schema
+        # sparse; gen, solve, reduce and verify on n = 4 must not load it, nor
+        # a chain whose outputs are all stored dense, nor solve on a nearly
+        # empty n = 80 matrix written in the dense schema
         big = instance_to_json(problems.ProblemInstance(
             Kind.MATINV, ConditionParams(80, 1, 4.0, 0.05), (np.diag(np.linspace(0.5, 1.0, 80)),),
             s=1, t=1, b=1.0))
@@ -423,6 +429,11 @@ class TestCli:
                 "assert main(['reduce', f'{d}/MATINV.json', '--rule', 'matinv_to_posmatinv',",
                 "             '--out', f'{d}/plus.json']) == 0",
                 "assert main(['solve', f'{d}/big.json']) == 0",
+                "assert main(['verify', d]) == 0",
+                "assert main(['gen', '--kind', 'ITMATPROD', '--n', '2', '--m', '2', '--kappa', '4',",
+                "             '--epsilon', '0.05', '--seed', '3', '--out', f'{d}/itm.json']) == 0",
+                "assert main(['chain', f'{d}/itm.json', '--rules',",
+                "             'itmatprod_to_matpow,matpow_to_matinv,matinv_to_posmatinv', '--out', f'{d}/end.json']) == 0",
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
             ]
         )
@@ -774,6 +785,24 @@ def test_a_path_that_names_a_directory_is_a_usage_error(role, inst_file, tmp_pat
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+
+def test_the_carried_tolerance_leaves_the_ends_conditioning_clauses_no_stricter(tmp_path):
+    # kappa = 1e4: lambda_min of the MATINV+ end, 1/(9 kappa^2) = 1.1e-9, lies
+    # below the carried 3*tol, at which a positive definiteness test against
+    # tol failed the end while verify passed it
+    inst = problems.ProblemInstance(Kind.MATINV, ConditionParams(2, 1, 1e4, 0.05), (np.diag([1.0, 1e-4]),),
+                                    s=2, t=2, b=5000.0)
+    save_json(instance_to_json(inst), tmp_path / "src.json")
+    assert run("reduce", tmp_path / "src.json", "--rule", "matinv_to_posmatinv", "--out", tmp_path / "o.json") == 0
+    assert run("verify", tmp_path / "o.json") == 0
+
+
+def test_a_report_path_that_names_a_directory_is_refused_before_any_work(inst_file, tmp_path, capsys):
+    out, _ = tmp_path / "o.json", capsys.readouterr()
+    assert run("reduce", inst_file, "--rule", "matinv_to_posmatinv", "--out", out, "--report", tmp_path) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_singular_reduce_reports_promise_violated(tmp_path, capsys):

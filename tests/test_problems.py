@@ -290,7 +290,7 @@ def _reference_verdicts(inst, tol):
     verdicts = [("sigma1 <= 1", sv[0] <= 1 + tol), ("sigma_min >= 1/kappa", sv[-1] >= 1 / p.kappa - tol),
                 ("H Hermitian", herm <= tol)]
     if herm <= tol:
-        verdicts.append(("H positive definite", np.linalg.eigvalsh(a)[0] > tol))
+        verdicts.append(("H positive definite", np.linalg.eigvalsh(a)[0] > 0))
     report = check_promise(inst, tol)
     return verdicts + [(c.name, c.passed) for c in report.checks[len(verdicts):]]  # the Output clause's
 
@@ -311,3 +311,12 @@ def test_the_spectral_record_agrees_with_an_svd_and_eigvalsh_reference():
             for tol in (1e-9, 1e-6, 1e-2):
                 got = [(c.name, c.passed) for c in check_promise(variant, tol).checks]
                 assert got == _reference_verdicts(variant, tol), (inst.kind, tol)
+
+
+@pytest.mark.parametrize("kind,where", [(Kind.DET_PLUS, dict(b=-30.0)), (Kind.MATINV_PLUS, dict(s=1, t=1, b=0.5))])
+def test_a_larger_tol_makes_no_spectral_clause_stricter(kind, where):
+    # lambda_min = 5e-10 > 0: H is positive definite however large tol is
+    # (the clause asked lambda_min > tol and so failed at every tol here)
+    inst = ProblemInstance(kind, ConditionParams(2, 1, 2.5e9, 0.1), (np.diag([1.0, 5e-10]),), **where)
+    for tol in (1e-9, 1e-6, 1e-3):
+        assert check_promise(inst, tol).overall, tol

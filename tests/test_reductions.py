@@ -14,10 +14,12 @@ import pytest
 
 from condred.matcore import random_unitary, svd_values
 from condred.problems import (
+    VERIFICATION_KINDS,
     ConditionParams,
     DecisionValue,
     Kind,
     ProblemInstance,
+    _output,
     gen_instance,
     oracle_decide,
 )
@@ -26,7 +28,9 @@ from condred.reductions import (
     MATINV_PLUS_CYCLE,
     RULES,
     _log_count,
+    carried_tol,
     chain,
+    identity_residual,
     measure_record,
 )
 from test_sparse_builds import _superdiag_blocks
@@ -173,9 +177,7 @@ class TestPosdetToSumitmatprod:
             inst = gen_instance(Kind.DET_PLUS, GEN_PARAMS[Kind.DET_PLUS], seed, want_one=True)
             out, rec = RULES["posdet_to_sumitmatprod"].apply(inst)
             rec = measure_record(rec, inst, out)
-            remainder = next(
-                b for b in rec.declared_bounds if b.quantity == "series remainder (one-sided)"
-            )
+            remainder = next(b for b in rec.declared_bounds if b.quantity == "series remainder" and b.upper)
             assert -1e-10 <= remainder.measured <= inst.params.epsilon / 2 + 1e-10
 
 
@@ -475,6 +477,40 @@ class TestBoundsAndDecisions:
         assert out.params.n == n * (m + 1)
         assert out.params.kappa == (1 + m * kappa) * c
         assert out.params.epsilon == c * eps
+
+
+class TestOneMap:
+    """Each rule's map f on the decision quantity gives b_hat, the identity
+    and the tolerance its target is read at."""
+
+    TOL = 1e-9
+
+    @pytest.mark.parametrize("rule_name", sorted(set(RULES) - {"vmatinv_to_singular"}))
+    def test_b_identity_and_verdicts_follow_the_map(self, rule_name):
+        rule = RULES[rule_name]
+        for seed in SEEDS[:3]:
+            for want_one in (True, False):
+                src = gen_instance(rule.input_kind, GEN_PARAMS[rule.input_kind], seed, want_one=want_one)
+                dst, (rec,) = chain(src, [rule_name])
+                m = rule.answer(src.params)
+                lo, hi = m.remainder
+                assert dst.b == m.f(src.b) + lo
+                residual = abs(dst.quantity - m.f(src.quantity))
+                if m.series is None:
+                    assert identity_residual(rule_name, src, dst) == residual
+                else:  # the remainder bounds measure q_hat - f(q)
+                    assert residual <= max(-lo, hi) + 1e-12
+                    assert all(b.measured is not None for b in measure_record(rec, src, dst).declared_bounds)
+                # b tol/2 either side of the value (One) or of value + eps (Zero)
+                verification = rule.input_kind in VERIFICATION_KINDS
+                base = src.quantity if verification else _output(src, src.quantity).value
+                want = DecisionValue.ONE if want_one else DecisionValue.ZERO
+                for delta in (-self.TOL / 2, self.TOL / 2):
+                    moved = ProblemInstance(src.kind, src.params, src.forms, src.s, src.t, src.E,
+                                            base + delta + (0.0 if want_one else src.params.epsilon))
+                    end, records = chain(moved, [rule_name])
+                    assert oracle_decide(moved, self.TOL, "gap").value is want, (seed, delta, "source")
+                    assert oracle_decide(end, carried_tol(records, self.TOL), "gap").value is want, (seed, delta)
 
 
 class TestChain:
