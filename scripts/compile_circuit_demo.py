@@ -24,7 +24,7 @@ from condred.circuits import (
     unitary_gate,
 )
 from condred.problems import DEFAULT_TOL, _output, oracle_decide, product_entry
-from condred.reductions import chain
+from condred.reductions import carried_tol, chain
 from condred.serialize import circuit_to_json, save_json
 
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -72,8 +72,9 @@ def main() -> None:
     for rec in records:
         print(f"  {rec.rule}: n {rec.input_params.n} -> {rec.output_params.n}, "
               f"kappa {rec.input_params.kappa:g} -> {rec.output_params.kappa:g}")
-    dec = oracle_decide(plus, check="gap")
-    # the acceptance read on the encoding's Output clause, as compile-circuit reads it
+    # the end's value read at the tolerance the chain carries, and the
+    # acceptance read on the encoding's Output clause, as compile-circuit reads them
+    dec = oracle_decide(plus, check="gap", value_tol=carried_tol(records, DEFAULT_TOL))
     expected = _output(inst, prob).decide(DEFAULT_TOL)
     print(f"measurement-free instance: {plus.kind.value} of dimension {plus.params.n}")
     print(f"oracle decision: {dec.value.value} "

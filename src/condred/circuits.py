@@ -232,8 +232,8 @@ def eliminate_measurements(
     """Full pipeline: encode, then ITMATPROD -> MATPOW -> MATINV -> MATINV+.
 
     The designated entry of the resulting positive-definite system is
-    3*(1 + 2^h) times the acceptance probability; deciding it at the
-    tolerance the chain carries (:func:`condred.reductions.carried_tol`)
+    3*(1 + 2^h) times the acceptance probability; deciding it, with its value
+    read at the tolerance the chain carries (:func:`condred.reductions.carried_tol`),
     agrees with thresholding ``simulate_acceptance`` at 2/3 versus 1/3.
     """
     return chain(circuit_to_itmatprod(circ), ELIMINATION_RULES)

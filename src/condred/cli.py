@@ -56,21 +56,10 @@ def _report_checks(report) -> list[dict]:
 
 
 def _record_to_json(rec: reductions.ReductionRecord) -> dict:
-    return {
-        "rule": rec.rule,
-        "input_params": vars(rec.input_params),
-        "output_params": vars(rec.output_params),
-        "answer_map": rec.answer_map,
-        "bounds": [
-            {
-                "quantity": b.quantity,
-                "declared": b.declared,
-                "direction": "upper" if b.upper else "lower",
-                "measured": b.measured,
-            }
-            for b in rec.declared_bounds
-        ],
-    }
+    bounds = [{"quantity": b.quantity, "declared": b.declared, "direction": "upper" if b.upper else "lower",
+               "measured": b.measured} for b in rec.declared_bounds]
+    return {"rule": rec.rule, "input_params": vars(rec.input_params), "output_params": vars(rec.output_params),
+            "answer_map": rec.map.text, "bounds": bounds}
 
 
 def _emit_report(args, payload: dict) -> None:
@@ -98,11 +87,11 @@ def _refused(exc: Exception) -> int:
     return EXIT_USAGE
 
 
-def _decision_json(d) -> dict:
+def _decision_json(d, **extra) -> dict:
     w = d.witness_value
     if isinstance(w, complex):
         w = [w.real, w.imag]
-    return {"value": d.value.value, "witness_value": w}
+    return {"value": d.value.value, "witness_value": w, **extra}
 
 
 def cmd_gen(args) -> int:
@@ -152,12 +141,14 @@ def cmd_verify(args) -> int:
 
 def _decide_ends(args, doc, inst, out, records, command, head: str, extra: dict) -> int:
     """The tail shared by ``reduce`` and ``chain``: save ``out``, decide the
-    source at ``--tol`` and the end at the tolerance the chain carries there,
-    print ``head`` and the two decisions, and write the report (``extra`` goes
-    first).  Exit 1 when the source violates its promise or the ends disagree."""
+    source at ``--tol`` and the end's value at the tolerance the chain
+    carries there (its other clauses at ``--tol``), print ``head`` and the
+    two decisions, and write the report (``extra`` goes first).  Exit 1 when
+    the source violates its promise or the ends disagree."""
     out_digest = save_json(instance_to_json(out), args.out)
     src_dec = oracle_decide(inst, tol=args.tol, check=args.check)
-    dst_dec = oracle_decide(out, tol=reductions.carried_tol(records, args.tol), check=args.check)
+    value_tol = reductions.carried_tol(records, args.tol)
+    dst_dec = oracle_decide(out, tol=args.tol, check=args.check, value_tol=value_tol)
     agree = src_dec.value == dst_dec.value
     print(f"{head}decisions {src_dec.value.value}/{dst_dec.value.value} {'agree' if agree else 'DISAGREE'}")
     _emit_report(args, {
@@ -165,7 +156,7 @@ def _decide_ends(args, doc, inst, out, records, command, head: str, extra: dict)
         "input_digest": digest(doc),
         "output_digest": out_digest,
         **extra,
-        "decisions": {"source": _decision_json(src_dec), "target": _decision_json(dst_dec)},
+        "decisions": {"source": _decision_json(src_dec), "target": _decision_json(dst_dec, value_tol=value_tol)},
         "provenance": [_record_to_json(r) for r in records],
     })
     if src_dec.value is DecisionValue.PROMISE_VIOLATED or not agree:
@@ -212,7 +203,8 @@ def cmd_compile_circuit(args) -> int:
     prob = simulate_acceptance(circ)
     inst, records = reductions.chain(src, () if args.target == "itmatprod" else ELIMINATION_RULES)
     out_digest = save_json(instance_to_json(inst), args.out)
-    dec = oracle_decide(inst, tol=reductions.carried_tol(records, args.tol), check=args.check)
+    value_tol = reductions.carried_tol(records, args.tol)
+    dec = oracle_decide(inst, tol=args.tol, check=args.check, value_tol=value_tol)
     expected = _output(src, prob).decide(args.tol)  # the acceptance on the encoding's Output clause
     agree = dec.value == expected
     print(
@@ -225,7 +217,7 @@ def cmd_compile_circuit(args) -> int:
         "input_digest": digest(doc),
         "output_digest": out_digest,
         "simulated_acceptance": prob,
-        "decisions": {"expected": expected.value, "oracle": _decision_json(dec)},
+        "decisions": {"expected": expected.value, "oracle": _decision_json(dec, value_tol=value_tol)},
         "provenance": [_record_to_json(r) for r in records],
     })
     if expected is DecisionValue.PROMISE_VIOLATED or not agree:

@@ -295,8 +295,9 @@ class Output:
     groups: ``exact`` ones, (name, declared, measured, intervals), hold when
     their measured number lies in one of their intervals; ``clauses``,
     (name, declared, intervals), are about ``value`` and hold when the
-    interval where it is known to lie meets one of theirs.  Every reading
-    widens the intervals by the same ``tol``.
+    interval where it is known to lie meets one of theirs.  A reading widens
+    the intervals by ``tol``, or those about ``value`` by ``value_tol`` if
+    given (the tolerance a chain carries to its end: ``carried_tol``).
     """
 
     value: float
@@ -315,18 +316,20 @@ class Output:
                 return verdict
         return DecisionValue.PROMISE_VIOLATED
 
-    def checks(self, tol: float, below: float = 0.0, above: float = 0.0) -> list[PromiseCheck]:
+    def checks(self, tol: float, below: float = 0.0, above: float = 0.0, *,
+               value_tol: float | None = None) -> list[PromiseCheck]:
         """Every statement, the exact ones first, with ``value`` in [value - below, value + above]."""
-        lo, hi = self.value - below, self.value + above
+        lo, hi, vt = self.value - below, self.value + above, tol if value_tol is None else value_tol
         return [PromiseCheck(name, declared, measured, _meets(measured, measured, intervals, tol))
                 for name, declared, measured, intervals in self.exact] + [
-                PromiseCheck(name, declared, self.value, _meets(lo, hi, intervals, tol))
+                PromiseCheck(name, declared, self.value, _meets(lo, hi, intervals, vt))
                 for name, declared, intervals in self.clauses]
 
-    def decide(self, tol: float, below: float = 0.0, above: float = 0.0) -> DecisionValue:
+    def decide(self, tol: float, below: float = 0.0, above: float = 0.0, *,
+               value_tol: float | None = None) -> DecisionValue:
         """:meth:`side` when every one of :meth:`checks` holds, else PromiseViolated."""
-        if all(c.passed for c in self.checks(tol, below, above)):
-            return self.side(tol, below, above)
+        if all(c.passed for c in self.checks(tol, below, above, value_tol=value_tol)):
+            return self.side(tol if value_tol is None else value_tol, below, above)
         return DecisionValue.PROMISE_VIOLATED
 
 
@@ -395,22 +398,22 @@ def spectral_checks(kind: Kind, spec: Spectrum, kappa: float, tol: float) -> lis
     return checks
 
 
+def _conditioning(inst: ProblemInstance, tol: float) -> list[PromiseCheck]:
+    """The conditioning clauses of ``inst``'s kind."""
+    kind, kappa = inst.kind, inst.params.kappa
+    if kind in PRODUCT_KINDS or kind in (Kind.MATPOW, Kind.V_MATPOW):
+        name = "sigma1(all partial products) <= kappa" if kind in PRODUCT_KINDS else "sigma1(A^j) <= kappa for j in [m]"
+        return [PromiseCheck(name, kappa, inst.sigma1_sweep, inst.sigma1_sweep <= kappa + tol)]
+    return spectral_checks(kind, inst.spectrum, kappa, tol)
+
+
 def check_promise(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> PromiseReport:
     """Measure every Promise clause: its kind's conditioning, then its Output clause's."""
-    kind, p = inst.kind, inst.params
-    if kind in PRODUCT_KINDS:
-        worst = inst.sigma1_sweep
-        checks = [PromiseCheck("sigma1(all partial products) <= kappa", p.kappa, worst, worst <= p.kappa + tol)]
-    elif kind in (Kind.MATPOW, Kind.V_MATPOW):
-        worst = inst.sigma1_sweep
-        checks = [PromiseCheck("sigma1(A^j) <= kappa for j in [m]", p.kappa, worst, worst <= p.kappa + tol)]
-    else:
-        checks = spectral_checks(kind, inst.spectrum, p.kappa, tol)
-    return PromiseReport(tuple(checks + _output(inst, inst.quantity).checks(tol)))
+    return PromiseReport(tuple(_conditioning(inst, tol) + _output(inst, inst.quantity).checks(tol)))
 
 
 def oracle_decide(
-    inst: ProblemInstance, tol: float = DEFAULT_TOL, check: str = "full"
+    inst: ProblemInstance, tol: float = DEFAULT_TOL, check: str = "full", *, value_tol: float | None = None
 ) -> Decision:
     """Ground-truth decision: the instance's decision quantity (a sparse or
     dense LU, or a row sweep through the stored factors; see
@@ -423,16 +426,17 @@ def oracle_decide(
     decision quantity in its promised two-sided interval), "none" skips
     straight to the comparison.  Conditioning clauses of reduced instances
     are covered by the per-rule bound suite, so chain-level callers use
-    "gap" to stay within time budgets on large compositions.
+    "gap" to stay within time budgets on large compositions.  The statements
+    about the compared value are read at ``value_tol`` if given, else ``tol``.
     """
     if check not in ("full", "gap", "none"):
         raise ValueError("check must be 'full', 'gap' or 'none'")
-    q = inst.quantity
+    q, value_tol = inst.quantity, tol if value_tol is None else value_tol
     out = _output(inst, q)
     if check == "none":
-        return Decision(out.side(tol), q)
-    kept = check == "gap" or check_promise(inst, tol).overall
-    return Decision(out.decide(tol) if kept else DecisionValue.PROMISE_VIOLATED, q)
+        return Decision(out.side(value_tol), q)
+    kept = check == "gap" or all(c.passed for c in _conditioning(inst, tol))
+    return Decision(out.decide(tol, value_tol=value_tol) if kept else DecisionValue.PROMISE_VIOLATED, q)
 
 
 # ---------------------------------------------------------------------------

@@ -74,16 +74,16 @@ class Bound:
 
 @dataclass(frozen=True)
 class ReductionRecord:
-    """One application's record; ``carry(tol)`` is the tolerance its target
-    is read at when its source is read at ``tol`` (:meth:`AnswerMap.carry`)."""
+    """One application's record: ``map`` is the rule's :class:`AnswerMap`
+    for this source and ``b`` the source's threshold."""
 
     rule: str
     input_params: ConditionParams
     output_params: ConditionParams
-    answer_map: str
+    map: AnswerMap = field(compare=False, repr=False)
+    b: float | complex
     declared_bounds: tuple[Bound, ...] = ()
     measured: bool = False
-    carry: Callable[[float], float] = field(kw_only=True, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -91,26 +91,27 @@ class AnswerMap:
     """How one application moves the decision quantity q, and b with it.
 
     The target's quantity is f(q) + r, r in ``remainder`` ((0, 0) for an
-    exact rule), so b_hat = f(b) + the remainder's low end.  f is affine with
-    ``slope`` a, or monotone on the nonnegative values of the entry kinds
-    (``slope`` None); ``text`` states it.  A series rule's target sums the
-    truncation ``series(src, dst)`` of q exactly.  ``f`` is None, and the
-    slope 1, for a rule whose target has no b (vmatinv_to_singular).
+    exact rule), so b_hat = f(b) + the remainder's low end.  f is increasing,
+    on the nonnegative numbers alone if ``nonneg`` (|q|^2 and ln(1+q) on the
+    entries); ``text`` states it.  A series rule's target sums the truncation
+    ``series(src, dst)`` of q exactly.  ``f`` is None for a rule whose target
+    has no b (vmatinv_to_singular).
     """
 
     f: Callable | None
     text: str
-    slope: float | None = None
+    nonneg: bool = False
     remainder: tuple[float, float] = (0.0, 0.0)
     series: Callable[[ProblemInstance, ProblemInstance], complex] | None = None
 
     def carry(self, b, tol: float) -> float:
         """The image of [b - tol, b + tol] under f on its narrower side, so a
-        target is never read more leniently than its source: a*tol if affine."""
-        if self.slope is not None:
-            return self.slope * tol
+        target's value is never read more leniently than its source's; ``tol``
+        itself if f is None."""
+        if self.f is None:
+            return tol
         b = float(np.real(b))
-        return min(self.f(b + tol) - self.f(b), self.f(b) - self.f(max(b - tol, 0.0)))
+        return min(self.f(b + tol) - self.f(b), self.f(b) - self.f(max(b - tol, 0.0) if self.nonneg else b - tol))
 
     def offset(self, src: ProblemInstance, dst: ProblemInstance, part=abs, series: bool = False) -> float | None:
         """part(q_hat - f(x)), x the source's quantity or, with ``series``, the
@@ -128,18 +129,18 @@ class AnswerMap:
         return Bound("series remainder", hi, measure=real), Bound("series remainder", lo, upper=False, measure=real)
 
 
-def _map(f: Callable, form: str, lhs: str, rhs: str, slope=None, remainder=(0.0, 0.0), series=None) -> AnswerMap:
+def _map(f: Callable, form: str, lhs: str, rhs: str, nonneg=False, remainder=(0.0, 0.0), series=None) -> AnswerMap:
     """f, with text ``form`` ({} its argument), from ``rhs``, the source's quantity, to ``lhs``, the target's."""
     lo, hi = remainder
     shift = f" {'-+'[lo > 0]} {abs(lo):.12g}" if lo else ""
     text = f"b_hat = {form.format('b')}{shift}; {lhs} = {form.format(rhs)}"
-    return AnswerMap(f, text + (f" + r, r in [{lo:.12g}, {hi:.12g}]" if hi else ""), slope, remainder, series)
+    return AnswerMap(f, text + (f" + r, r in [{lo:.12g}, {hi:.12g}]" if hi else ""), nonneg, remainder, series)
 
 
 def _affine(a, c, lhs: str, rhs: str, remainder=(0.0, 0.0), series=None) -> AnswerMap:
     """f(q) = a*q + c."""
     form = ("{}" if a == 1 else f"{a}*{{}}") + (f" + {c:.12g}" if c else "")
-    return _map(lambda q: a * q + c, form, lhs, rhs, a, remainder, series)
+    return _map(lambda q: a * q + c, form, lhs, rhs, remainder=remainder, series=series)
 
 
 #: what a builder returns: the target and its declared conditioning bounds
@@ -345,7 +346,7 @@ def _rank_one_map(p: ConditionParams) -> AnswerMap:
     """det C = 1 + A_{1,m}[s,t], and each of C_hat's n(m+1) rows is C's scaled by exp(-l_hat)."""
     l_hat, big_n = _log_count(2.0 + p.kappa), p.n * (p.m + 1)
     return _map(lambda q: math.log1p(float(np.real(q))) - l_hat * big_n,
-                f"ln(1+{{}}) - {l_hat}*{big_n}", "ln|det C_hat|", "A_{1,m}[s,t]")
+                f"ln(1+{{}}) - {l_hat}*{big_n}", "ln|det C_hat|", "A_{1,m}[s,t]", nonneg=True)
 
 
 def _det_to_posdet(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
@@ -477,8 +478,7 @@ def _singular_identity(src: ProblemInstance, dst: ProblemInstance) -> float | No
 @dataclass(frozen=True)
 class Rule:
     """A reduction: ``apply`` maps an instance of ``input_kind`` to one of
-    ``output_kind`` and its record; ``answer(params)`` is its map for a
-    source with those parameters, and ``identity`` the residual of its
+    ``output_kind`` and its record, and ``identity`` is the residual of its
     defining identity, on independently evaluated decision quantities."""
 
     name: str
@@ -486,7 +486,6 @@ class Rule:
     output_kind: Kind
     apply: Callable[[ProblemInstance], tuple[ProblemInstance, ReductionRecord]] = field(repr=False)
     identity: Measure = field(repr=False)
-    answer: Callable[[ConditionParams], AnswerMap] = field(repr=False)
 
 
 def _check_input(name: str, want: Kind, got: Kind) -> None:
@@ -508,13 +507,12 @@ def _rule(name: str, input_kind: Kind, output_kind: Kind, build: Callable[..., B
             out, bounds = build(inst, output_kind, None if m.f is None else m.f(inst.b) + m.remainder[0])
         except OverflowError as exc:  # a float ``**`` past the largest double
             raise ValueError(f"rule {name}: output parameters overflow") from exc
-        return out, ReductionRecord(name, inst.params, out.params, m.text, bounds + m.bounds(),
-                                    carry=functools.partial(m.carry, inst.b))
+        return out, ReductionRecord(name, inst.params, out.params, m, inst.b, bounds + m.bounds())
 
     def mapped(src: ProblemInstance, dst: ProblemInstance) -> float | None:
         return (m := answer(src.params)).offset(src, dst, series=m.series is not None)
 
-    return Rule(name, input_kind, output_kind, apply, identity or mapped, answer)
+    return Rule(name, input_kind, output_kind, apply, identity or mapped)
 
 
 #: the builder and map of the powering and inversion steps, shared with their verification variants
@@ -532,7 +530,7 @@ RULES: dict[str, Rule] = {
               lambda p: _affine(1, p.n * _log_count(p.kappa), "sum over E", "ln det H", (0.0, p.epsilon / 2.0),
                                 lambda src, dst: -log_series(src.matrix, dst.params.m))),
         _rule("itmatprod_to_nonneg", Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, _itmatprod_to_nonneg,
-              lambda p: _map(lambda q: abs(q) ** 2, "|{}|^2", "A_hat_{1,2m+1}[s,s]", "A_{1,m}[s,t]")),
+              lambda p: _map(lambda q: abs(q) ** 2, "|{}|^2", "A_hat_{1,2m+1}[s,s]", "A_{1,m}[s,t]", nonneg=True)),
         _rule("nonneg_to_det", Kind.ITMATPROD_NONNEG, Kind.DET, _nonneg_to_det, _rank_one_map),
         _rule("det_to_posdet", Kind.DET, Kind.DET_PLUS, _det_to_posdet,
               lambda p: _affine(2, 0, "ln det H_hat", "ln|det A|")),
@@ -544,7 +542,7 @@ RULES: dict[str, Rule] = {
         # a sigma_min test has no b: this rule maps no quantity, and its end is read at the source's tol
         _rule("vmatinv_to_singular", Kind.V_MATINV, Kind.SINGULAR, _vmatinv_to_singular, lambda p: AnswerMap(
             None, "sigma_min(H_hat) = 0 iff A^-1[s,t] = b; "
-            "det(C_hat) = (b - A^-1[s,t])/(2*ceil(kappa)) * det(B_hat)", 1), _singular_identity),
+            "det(C_hat) = (b - A^-1[s,t])/(2*ceil(kappa)) * det(B_hat)"), _singular_identity),
         _rule("vitmatprod_to_vmatpow", Kind.V_ITMATPROD, Kind.V_MATPOW, *_POWER),
         _rule("vmatpow_to_vmatinv", Kind.V_MATPOW, Kind.V_MATINV, *_INVERSE),
     )
@@ -575,9 +573,9 @@ def chain(inst: ProblemInstance, path: list[str] | tuple[str, ...]) -> tuple[Pro
 
 
 def carried_tol(records: list[ReductionRecord], tol: float) -> float:
-    """The tolerance a chain's end is read at when its source is read at
-    ``tol``: ``tol`` carried through the answer map of each record in turn."""
-    return functools.reduce(lambda carried, rec: rec.carry(carried), records, tol)
+    """The tolerance a chain end's value is read at (``value_tol`` of ``oracle_decide``) when its
+    source is read at ``tol``: ``tol`` carried through the answer map of each record in turn."""
+    return functools.reduce(lambda carried, rec: rec.map.carry(rec.b, carried), records, tol)
 
 
 def identity_residual(rule: str, src: ProblemInstance, dst: ProblemInstance) -> float | None:

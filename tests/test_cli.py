@@ -1,5 +1,6 @@
 """JSON round-trips and the batch command line front end."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from scipy import sparse
 from hypothesis import strategies as st
 
 from condred.circuits import GeneralCircuit, append_cleanup, simulate_acceptance, unitary_gate
-from condred import cli, matcore, problems
+from condred import cli, matcore, problems, reductions
 from condred.cli import main
 from condred.problems import ConditionParams, Kind, gen_instance
 import condred
@@ -320,17 +321,21 @@ class TestCli:
     def test_compile_itmatprod_reads_the_acceptance_as_its_oracle_does(self, target, acceptance, verdict, tmp_path):
         # an acceptance tol/2 on the wrong side of 2/3 or 1/3: the expected
         # verdict reads it on the encoding's Output clause at tol, and the
-        # oracle reads each end at the tolerance the chain carries there (the
-        # MATINV+ end, which scales the value and b by 9, said PromiseViolated
-        # at the unscaled tol)
+        # oracle reads each end's value at the tolerance the chain carries
+        # there (the MATINV+ end, which scales the value and b by 9, said
+        # PromiseViolated at the unscaled tol); the report names that
+        # tolerance, and solve at it gives the same verdict
         theta = 2 * math.asin(math.sqrt(acceptance))
         ry = np.array([[math.cos(theta / 2), -math.sin(theta / 2)], [math.sin(theta / 2), math.cos(theta / 2)]])
-        path, report = tmp_path / "circ.json", tmp_path / "report.json"
+        path, out, report = tmp_path / "circ.json", tmp_path / "out.json", tmp_path / "report.json"
         save_json(circuit_to_json(GeneralCircuit(1, (unitary_gate(ry, (1,), 1),))), path)
-        assert run("compile-circuit", path, "--target", target, "--out", tmp_path / "out.json",
-                   "--report", report) == 0
+        assert run("compile-circuit", path, "--target", target, "--out", out, "--report", report) == 0
         decisions = json.loads(report.read_text())["decisions"]
         assert (decisions["expected"], decisions["oracle"]["value"]) == (verdict, verdict)
+        value_tol = decisions["oracle"]["value_tol"]
+        assert value_tol == pytest.approx(1e-9 * (9 if target == "matinv_plus" else 1), rel=1e-6)
+        assert run("--tol", value_tol, "solve", out, "--check", "gap", "--report", report) == 0
+        assert json.loads(report.read_text())["decisions"]["oracle"]["value"] == verdict
 
     @pytest.mark.parametrize("kind", ["MATINV+", "DET+"])
     def test_solve_series_vs_oracle(self, kind, tmp_path):
@@ -787,15 +792,39 @@ def test_a_path_that_names_a_directory_is_a_usage_error(role, inst_file, tmp_pat
     assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
 
 
-def test_the_carried_tolerance_leaves_the_ends_conditioning_clauses_no_stricter(tmp_path):
-    # kappa = 1e4: lambda_min of the MATINV+ end, 1/(9 kappa^2) = 1.1e-9, lies
-    # below the carried 3*tol, at which a positive definiteness test against
-    # tol failed the end while verify passed it
-    inst = problems.ProblemInstance(Kind.MATINV, ConditionParams(2, 1, 1e4, 0.05), (np.diag([1.0, 1e-4]),),
-                                    s=2, t=2, b=5000.0)
-    save_json(instance_to_json(inst), tmp_path / "src.json")
-    assert run("reduce", tmp_path / "src.json", "--rule", "matinv_to_posmatinv", "--out", tmp_path / "o.json") == 0
-    assert run("verify", tmp_path / "o.json") == 0
+@pytest.mark.parametrize("seed", range(6))
+def test_an_itmatprod_at_b_zero_agrees_through_itmatprod_to_nonneg(seed, tmp_path, capsys):
+    # b = 0 carries the tolerance 0 through |q|^2; the end's realness clause,
+    # |Im q_hat| ~ 1e-19 from rounding, is still read at --tol
+    inst = gen_instance(Kind.ITMATPROD, ConditionParams(3, 3, 2.0, 0.02), seed)
+    zero_b = problems.ProblemInstance(inst.kind, inst.params, inst.forms, inst.s, inst.t, b=0.0)
+    save_json(instance_to_json(zero_b), tmp_path / "src.json")
+    for command, flag in (("reduce", "--rule"), ("chain", "--rules")):
+        assert run(command, tmp_path / "src.json", flag, "itmatprod_to_nonneg", "--out", tmp_path / "o.json") == 0
+        assert capsys.readouterr().out.endswith("decisions One/One agree\n")
+
+
+def test_a_full_check_reads_the_ends_conditioning_clauses_at_tol(inst_file, tmp_path, monkeypatch, capsys):
+    # a rule whose end breaks sigma1 <= 1 by 2*tol (H and b scaled alike, so
+    # the end stays a One-instance): at --tol 0.01 the MATINV+ end's value is
+    # read at the carried 3*tol, its conditioning still at tol
+    tol, rule = 0.01, reductions.RULES["matinv_to_posmatinv"]
+
+    def apply(inst):
+        out, rec = rule.apply(inst)
+        scale = (1 + 2 * tol) / out.spectrum.sigma[0]
+        return problems.ProblemInstance(out.kind, out.params, (out.matrix * scale,), out.s, out.t,
+                                        b=out.b / scale), rec
+
+    monkeypatch.setitem(reductions.RULES, rule.name, dataclasses.replace(rule, apply=apply))
+    report = tmp_path / "r.json"
+    assert run("--tol", tol, "chain", inst_file, "--rules", rule.name, "--check", "full",
+               "--out", tmp_path / "o.json", "--report", report) == 1
+    assert "decisions One/PromiseViolated DISAGREE" in capsys.readouterr().out
+    target = json.loads(report.read_text())["decisions"]["target"]
+    assert target["value_tol"] == pytest.approx(3 * tol)
+    assert run("--tol", tol, "verify", tmp_path / "o.json") == 1
+    assert "sigma1 <= 1" in capsys.readouterr().out
 
 
 def test_a_report_path_that_names_a_directory_is_refused_before_any_work(inst_file, tmp_path, capsys):
