@@ -35,9 +35,8 @@ from .problems import (
 from .serialize import (
     SchemaError,
     circuit_from_json,
-    digest,
+    instance_doc,
     instance_from_json,
-    instance_to_json,
     load_json,
     save_json,
 )
@@ -69,9 +68,9 @@ def _emit_report(args, payload: dict) -> None:
 
 
 def _load(args):
-    """The JSON document at ``args.path`` and the instance it holds."""
-    doc = load_json(args.path)
-    return doc, instance_from_json(doc)
+    """The digest of the JSON document at ``args.path`` and the instance it holds."""
+    doc, in_digest = load_json(args.path)
+    return in_digest, instance_from_json(doc)
 
 
 def _refused(exc: Exception) -> int:
@@ -102,7 +101,7 @@ def cmd_gen(args) -> int:
     except ValueError as exc:  # invalid or infeasible parameters
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_digest = save_json(instance_to_json(inst), args.out)
+    out_digest = save_json(instance_doc(inst), args.out)
     report = check_promise(inst, tol=args.tol)
     print(f"wrote {args.out}  kind={inst.kind.value}  promise={'pass' if report.overall else 'FAIL'}")
     _emit_report(args, {
@@ -121,9 +120,9 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     rows = []
     for path in paths:
-        doc = load_json(path)
+        doc, in_digest = load_json(path)
         report = check_promise(instance_from_json(doc), tol=args.tol)
-        rows.append((path, digest(doc), report))
+        rows.append((path, in_digest, report))
         verdict = "pass" if report.overall else "VIOLATED: " + ", ".join(report.failing())
         print(f"{path}: {verdict}")
     ok = sum(1 for _, _, r in rows if r.overall)
@@ -139,13 +138,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok == len(rows) else EXIT_PROMISE
 
 
-def _decide_ends(args, doc, inst, out, records, command, head: str, extra: dict) -> int:
+def _decide_ends(args, in_digest, inst, out, records, command, head: str, extra: dict) -> int:
     """The tail shared by ``reduce`` and ``chain``: save ``out``, decide the
     source at ``--tol`` and the end's value at the tolerance the chain
     carries there (its other clauses at ``--tol``), print ``head`` and the
     two decisions, and write the report (``extra`` goes first).  Exit 1 when
     the source violates its promise or the ends disagree."""
-    out_digest = save_json(instance_to_json(out), args.out)
+    out_digest = save_json(instance_doc(out), args.out)
     src_dec = oracle_decide(inst, tol=args.tol, check=args.check)
     value_tol = reductions.carried_tol(records, args.tol)
     dst_dec = oracle_decide(out, tol=args.tol, check=args.check, value_tol=value_tol)
@@ -153,7 +152,7 @@ def _decide_ends(args, doc, inst, out, records, command, head: str, extra: dict)
     print(f"{head}decisions {src_dec.value.value}/{dst_dec.value.value} {'agree' if agree else 'DISAGREE'}")
     _emit_report(args, {
         "command": command,
-        "input_digest": digest(doc),
+        "input_digest": in_digest,
         "output_digest": out_digest,
         **extra,
         "decisions": {"source": _decision_json(src_dec), "target": _decision_json(dst_dec, value_tol=value_tol)},
@@ -165,7 +164,7 @@ def _decide_ends(args, doc, inst, out, records, command, head: str, extra: dict)
 
 
 def cmd_reduce(args) -> int:
-    doc, inst = _load(args)
+    in_digest, inst = _load(args)
     try:
         out, (rec,) = reductions.chain(inst, [args.rule])
     except (KeyError, ValueError) as exc:
@@ -178,23 +177,23 @@ def cmd_reduce(args) -> int:
         f"(n={out.params.n}); identity residual "
         f"{'undefined' if residual is None else f'{residual:.3e}'}; "
     )
-    return _decide_ends(args, doc, inst, out, [rec], ["reduce", args.rule], head,
+    return _decide_ends(args, in_digest, inst, out, [rec], ["reduce", args.rule], head,
                         {"identity_residual": residual})
 
 
 def cmd_chain(args) -> int:
-    doc, inst = _load(args)
+    in_digest, inst = _load(args)
     path = [r for r in args.rules.split(",") if r] if args.rules else []
     try:
         out, records = reductions.chain(inst, path)
     except (KeyError, ValueError) as exc:
         return _refused(exc)
     head = f"chain of {len(path)} rules: {inst.kind.value} -> {out.kind.value} (n={out.params.n}); "
-    return _decide_ends(args, doc, inst, out, records, ["chain", args.rules], head, {})
+    return _decide_ends(args, in_digest, inst, out, records, ["chain", args.rules], head, {})
 
 
 def cmd_compile_circuit(args) -> int:
-    doc = load_json(args.path)
+    doc, in_digest = load_json(args.path)
     circ = append_cleanup(circuit_from_json(doc))
     try:
         src = circuit_to_itmatprod(circ)
@@ -202,7 +201,7 @@ def cmd_compile_circuit(args) -> int:
         return _refused(exc)
     prob = simulate_acceptance(circ)
     inst, records = reductions.chain(src, () if args.target == "itmatprod" else ELIMINATION_RULES)
-    out_digest = save_json(instance_to_json(inst), args.out)
+    out_digest = save_json(instance_doc(inst), args.out)
     value_tol = reductions.carried_tol(records, args.tol)
     dec = oracle_decide(inst, tol=args.tol, check=args.check, value_tol=value_tol)
     expected = _output(src, prob).decide(args.tol)  # the acceptance on the encoding's Output clause
@@ -214,7 +213,7 @@ def cmd_compile_circuit(args) -> int:
     )
     _emit_report(args, {
         "command": ["compile-circuit", args.target],
-        "input_digest": digest(doc),
+        "input_digest": in_digest,
         "output_digest": out_digest,
         "simulated_acceptance": prob,
         "decisions": {"expected": expected.value, "oracle": _decision_json(dec, value_tol=value_tol)},
@@ -226,8 +225,8 @@ def cmd_compile_circuit(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    doc, inst = _load(args)
-    payload: dict = {"command": ["solve", args.method], "input_digest": digest(doc)}
+    in_digest, inst = _load(args)
+    payload: dict = {"command": ["solve", args.method], "input_digest": in_digest}
     if args.method == "oracle":
         dec = oracle_decide(inst, tol=args.tol, check=args.check)
         payload["decisions"] = {"oracle": _decision_json(dec)}

@@ -19,11 +19,16 @@ Schemas (field names are load-bearing, consumed by the CLI and the tests):
 Documents are written in the layout of ``json.JSONEncoder(indent=1,
 sort_keys=True)``, byte for byte (:func:`dumps`), with floats in Python's
 shortest round-trip decimal form, which is exact for double precision and
-keeps equal inputs byte-identical on disk.  A numeric table (a list of
-equal-length lists of plain ints and floats, such as a matrix's ``data``
-or ``entries``) is rendered a batch of rows at a time by string joins;
-:func:`save_json` and :func:`digest` write and hash the text in pieces of
-about 64 KB, so the whole document is never held as one string.
+keeps equal inputs byte-identical on disk.  :func:`instance_doc` holds each
+matrix's ``data`` or ``entries`` as a :class:`Table`, its int64 and float64
+column arrays, which :func:`instance_to_json` and :func:`matrix_to_json`
+give as lists.  One renderer writes every numeric table: a ``Table``, or a
+list of equal-length lists whose every column is all ints (within int64) or
+all floats.  A long repetitive column gets one text per distinct bit
+pattern, looked up a batch of rows at a time; so writing an instance builds
+no Python object per entry.  :func:`save_json` and :func:`digest` write and
+hash the text in pieces of about 64 KB, so the whole document is never held
+as one string.  :func:`load_json` takes a document's digest as it loads it.
 Sizes, indices and qubit numbers must be JSON integers, and matrix values,
 kappa, epsilon and b finite numbers; anything else is a :class:`SchemaError`.
 A COO matrix's shape is checked against ``params.n`` before anything of that
@@ -67,31 +72,46 @@ def _number(x, what: str) -> float:
     return float(x)
 
 
-def _parts(v: np.ndarray) -> tuple[list, list]:
-    return v.real.tolist(), v.imag.tolist()
+class Table:
+    """A numeric table held as its columns: int64 or float64 arrays of one
+    length.  :func:`dumps` writes it as the list of its rows, and
+    :meth:`tolist` gives that list."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns: np.ndarray):
+        self.columns = tuple(np.ascontiguousarray(c) for c in columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def tolist(self) -> list[list]:
+        return [list(row) for row in zip(*(c.tolist() for c in self.columns))]
+
+
+def _matrix_doc(a) -> dict:
+    """The dense schema for an array, the COO schema for a SciPy sparse
+    matrix (never densified), with the numbers in a :class:`Table`."""
+    if is_sparse(a):
+        coo = as_form(a).tocoo()  # canonical: no repeated positions, no zeros
+        order = np.lexsort((coo.col, coo.row))
+        v = coo.data[order]
+        entries = Table(coo.row[order].astype(np.int64), coo.col[order].astype(np.int64), v.real, v.imag)
+        return {"format": "coo", "rows": int(coo.shape[0]), "cols": int(coo.shape[1]), "entries": entries}
+    a = np.asarray(a, dtype=np.complex128)
+    v = a.reshape(-1)
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": Table(v.real, v.imag)}
+
+
+def _listed(doc: dict) -> dict:
+    """``doc`` with each :class:`Table` value given as its list."""
+    return {key: value.tolist() if isinstance(value, Table) else value for key, value in doc.items()}
 
 
 def matrix_to_json(a) -> dict:
     """The dense schema for an array; the COO schema for a SciPy sparse
     matrix, which is never densified."""
-    if is_sparse(a):
-        coo = as_form(a).tocoo()  # canonical: no repeated positions, no zeros
-        order = np.lexsort((coo.col, coo.row))
-        return {
-            "format": "coo",
-            "rows": int(coo.shape[0]),
-            "cols": int(coo.shape[1]),
-            "entries": [
-                list(e)
-                for e in zip(coo.row[order].tolist(), coo.col[order].tolist(), *_parts(coo.data[order]))
-            ],
-        }
-    a = np.asarray(a, dtype=np.complex128)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "data": [list(p) for p in zip(*_parts(a.reshape(-1)))],
-    }
+    return _listed(_matrix_doc(a))
 
 
 def _values(re: list, im: list) -> np.ndarray:
@@ -188,7 +208,10 @@ def _b_from_json(obj):
     return _number(obj, "b")
 
 
-def instance_to_json(inst: ProblemInstance) -> dict:
+def instance_doc(inst: ProblemInstance) -> dict:
+    """The instance schema for ``inst``, each matrix's numbers in a
+    :class:`Table`: what :func:`save_json` writes without building a Python
+    object per entry."""
     out = {
         "type": inst.kind.value,
         "params": {
@@ -197,7 +220,7 @@ def instance_to_json(inst: ProblemInstance) -> dict:
             "kappa": inst.params.kappa,
             "epsilon": inst.params.epsilon,
         },
-        "matrices": [matrix_to_json(a) for a in inst.forms],
+        "matrices": [_matrix_doc(a) for a in inst.forms],
     }
     if inst.s is not None:
         out["s"] = inst.s
@@ -208,6 +231,13 @@ def instance_to_json(inst: ProblemInstance) -> dict:
     if inst.b is not None:
         out["b"] = _b_to_json(inst.b)
     return out
+
+
+def instance_to_json(inst: ProblemInstance) -> dict:
+    """:func:`instance_doc` with every table given as its list."""
+    doc = instance_doc(inst)
+    doc["matrices"] = [_listed(m) for m in doc["matrices"]]
+    return doc
 
 
 def instance_from_json(obj) -> ProblemInstance:
@@ -300,6 +330,7 @@ def circuit_from_json(obj) -> GeneralCircuit:
 # the stdlib does and renders numeric tables a batch of rows at a time.
 _INDENT = " "
 _BATCH = 1024  # numbers per rendered table batch, about 30 KB of text
+_UNIQUE_MIN = 256  # a shorter column is rendered number by number
 _WRITE = 1 << 16  # characters written and hashed at a time, about
 _quote = json.encoder.encode_basestring_ascii
 
@@ -343,6 +374,8 @@ def _encode(o, level: int, markers: set):
     text = _scalar(o)
     if text is not None:
         yield text
+    elif isinstance(o, Table):
+        yield from _encode_table(o, level)
     elif isinstance(o, (list, tuple)):
         yield from _encode_list(o, level, markers)
     elif isinstance(o, dict):
@@ -355,21 +388,18 @@ def _encode_list(lst, level: int, markers: set):
     if not lst:
         yield "[]"
         return
+    table = _as_table(lst)
+    if table is not None:
+        yield from _encode_table(table, level)
+        return
     _enter(lst, markers)
     level += 1
     sep = ",\n" + _INDENT * level
-    width = _table_width(lst)
     buf = "[" + sep[1:]
-    if width:
-        step = max(1, _BATCH // width)
-        for start in range(0, len(lst), step):
-            yield buf + _rows(lst[start : start + step], width, level)
-            buf = sep
-    else:
-        for value in lst:
-            yield buf
-            yield from _encode(value, level, markers)
-            buf = sep
+    for value in lst:
+        yield buf
+        yield from _encode(value, level, markers)
+        buf = sep
     yield "\n" + _INDENT * (level - 1) + "]"
     markers.discard(id(lst))
 
@@ -393,27 +423,77 @@ def _encode_dict(dct, level: int, markers: set):
     markers.discard(id(dct))
 
 
-def _table_width(lst) -> int:
-    """k when ``lst`` is a numeric table, a list of lists that each hold
-    k >= 1 plain ints and floats; 0 otherwise."""
+def _as_table(lst) -> Table | None:
+    """``lst`` as a :class:`Table` when it is a list of lists of one length
+    k >= 1 whose every column is all ints that fit int64 or all floats;
+    None otherwise."""
     if set(map(type, lst)) != {list}:
-        return 0
+        return None
     widths = set(map(len, lst))
     if len(widths) != 1 or 0 in widths:
-        return 0
-    if not set(map(type, itertools.chain.from_iterable(lst))) <= {int, float}:
-        return 0
-    return widths.pop()
+        return None
+    columns = []
+    for column in zip(*lst):
+        types = set(map(type, column))
+        if types == {float}:
+            columns.append(np.array(column, dtype=np.float64))
+        elif types == {int}:
+            try:
+                columns.append(np.array(column, dtype=np.int64))
+            except OverflowError:
+                return None
+        else:
+            return None
+    return Table(*columns)
 
 
-def _rows(rows: list, width: int, level: int) -> str:
-    """Table rows at indent ``level``, joined as the stdlib joins them."""
-    inner = "\n" + _INDENT * (level + 1)
-    row = "[" + inner + ("," + inner).join(["%r"] * width) + "\n" + _INDENT * level + "]"
-    text = (",\n" + _INDENT * level).join([row] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
-    if "n" in text:  # only nan, inf and -inf put a letter n among the numbers
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
+def _texts(values: np.ndarray, before: str, after: str) -> list[str]:
+    """The text of each number of ``values`` between ``before`` and ``after``."""
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        return [before + _float(x) + after for x in values.tolist()]
+    # %r gives the stdlib's text of an int and of a finite float
+    return list(map((before + "%r" + after).__mod__, values.tolist()))
+
+
+def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct bit patterns of ``column`` (so -0.0 and 0.0 differ) and
+    each number's index into them; None for a column under ``_UNIQUE_MIN``
+    numbers, or one with more distinct numbers than repeats, which is
+    rendered a batch at a time instead."""
+    if len(column) < _UNIQUE_MIN:
+        return None
+    bits, index = np.unique(column.view(np.uint64), return_inverse=True)
+    return (bits.view(column.dtype), index) if 2 * len(bits) <= len(column) else None
+
+
+def _encode_table(table: Table, level: int):
+    """The rows of ``table`` at indent ``level``, a batch at a time.  Each
+    number's text carries the punctuation that follows it, so a batch is one
+    join, and a repetitive column renders each distinct number once."""
+    if not len(table):
+        yield "[]"
+        return
+    row = "\n" + _INDENT * (level + 1)
+    number = "\n" + _INDENT * (level + 2)
+    last = len(table.columns) - 1
+    columns = []  # (numbers, affix, texts): with texts, numbers index them
+    for k, numbers in enumerate(table.columns):
+        affix = ("[" if k == 0 else ",") + number, row + "]," + row if k == last else ""
+        texts, distinct = None, _distinct(numbers)
+        if distinct is not None:
+            values, numbers = distinct
+            texts = np.array(_texts(values, *affix), dtype=object)
+        columns.append((numbers, affix, texts))
+    step = max(1, _BATCH // len(columns))
+    yield "[" + row
+    for start in range(0, len(table), step):
+        rows = slice(start, start + step)
+        batch = np.empty((min(step, len(table) - start), len(columns)), dtype=object)
+        for k, (numbers, affix, texts) in enumerate(columns):
+            batch[:, k] = _texts(numbers[rows], *affix) if texts is None else texts[numbers[rows]]
+        text = "".join(batch.ravel().tolist())
+        yield text if start + step < len(table) else text[: -len(row) - 1]
+    yield "\n" + _INDENT * level + "]"
 
 
 def _pieces(obj):
@@ -429,7 +509,8 @@ def _pieces(obj):
 
 
 def dumps(obj) -> str:
-    """``json.JSONEncoder(indent=1, sort_keys=True).encode(obj)``."""
+    """``json.JSONEncoder(indent=1, sort_keys=True).encode(obj)``, with each
+    :class:`Table` written as its list."""
     return "".join(_encode(obj, 0, set()))
 
 
@@ -444,21 +525,30 @@ def digest(obj) -> str:
 def save_json(obj, path) -> str:
     """Write ``dumps(obj)`` and a newline to ``path``; return ``digest(obj)``.
 
-    The text is written and hashed a piece at a time, so the whole document
-    is never held as one string.
+    The text is encoded, hashed and written a piece at a time, so the whole
+    document is never held as one string.
     """
     sha = hashlib.sha256()
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         for text in _pieces(obj):
-            fh.write(text)
-            sha.update(text.encode())
-        fh.write("\n")
+            data = text.encode()
+            sha.update(data)
+            fh.write(data)
+        fh.write(b"\n")
     return sha.hexdigest()
 
 
-def load_json(path):
+def load_json(path) -> tuple[object, str]:
+    """The JSON document at ``path`` and its :func:`digest`, taken as it is
+    loaded, so that a document that cannot be read or written back is
+    refused before any work."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return doc, digest(doc)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"nested too deeply: {path}") from exc

@@ -890,3 +890,36 @@ def test_internal_error_exits_3_in_one_line(inst_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "oracle_decide", broken)
     assert run("solve", inst_file) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: broken oracle\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "compile-circuit"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(command, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(json.dumps(_circuit()).encode()[:-1] + b', "note": "\xff"}')
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    writes = ["--out", out] if command == "compile-circuit" else []
+    assert run(command, path, *writes, "--report", report) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith("schema error: not UTF-8 text: ") and err.count("\n") == 1
+    assert not out.exists() and not report.exists()
+
+
+def test_an_array_nested_too_deeply_to_decode_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run("verify", path) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err == f"schema error: nested too deeply: {path}\n"
+
+
+@pytest.mark.parametrize("report", [False, True], ids=["no report", "report"])
+def test_a_circuit_too_deep_to_digest_is_refused_before_any_output(report, tmp_path, capsys):
+    # json reads a 600-deep list, but writing it back for the input digest
+    # recurses past the interpreter's limit; the unknown key is ignored otherwise
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({**_circuit(), "note": json.loads("[" * 600 + "]" * 600)}))
+    out, rep = tmp_path / "out.json", tmp_path / "report.json"
+    assert run("compile-circuit", path, "--out", out, *(["--report", rep] if report else [])) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err == f"schema error: nested too deeply: {path}\n"
+    assert not out.exists() and not rep.exists()
