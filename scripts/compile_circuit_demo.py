@@ -23,7 +23,7 @@ from condred.circuits import (
     simulate_acceptance,
     unitary_gate,
 )
-from condred.problems import DEFAULT_TOL, _output, oracle_decide, product_entry
+from condred.problems import DEFAULT_TOL, _output, oracle_decide
 from condred.reductions import carried_tol, chain
 from condred.serialize import circuit_to_json, save_json
 
@@ -63,7 +63,7 @@ def main() -> None:
         print(f"wrote {args.out}")
 
     inst = circuit_to_itmatprod(circ)
-    entry = product_entry(inst.matrices, inst.s, inst.t)
+    entry = inst.quantity
     print(f"iterated-product encoding: {inst.params.m} matrices of dimension "
           f"{inst.params.n}; designated entry = {entry.real:.6f}")
 

@@ -11,7 +11,7 @@ The package has five layers:
   the problems, with per-application provenance records;
 * :mod:`condred.circuits` -- circuits with intermediate measurements and the
   compiler that turns them into measurement-free matrix instances, plus the
-  verifier operator, clock Hamiltonian and stochastic-chain encodings;
+  clock Hamiltonian and stochastic-chain encodings;
 * :mod:`condred.series` -- certified truncated-series approximators for
   log-determinants and inverse entries.
 
@@ -48,11 +48,9 @@ from .circuits import (
     clock_hamiltonian,
     eliminate_measurements,
     markov_to_matpow,
-    mixed_state_acceptance,
     simulate_acceptance,
-    verifier_operator,
 )
-from .series import ApproxResult, absdet_multiplicative, logdet_series, neumann_inverse_entry
+from .series import ApproxResult, logdet_series, neumann_inverse_entry
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
-    adjoint_apply,
     as_matrix,
     check_kraus_complete,
     hermitian_eigs,
@@ -237,34 +236,6 @@ def eliminate_measurements(
     agrees with thresholding ``simulate_acceptance`` at 2/3 versus 1/3.
     """
     return chain(circuit_to_itmatprod(circ), ELIMINATION_RULES)
-
-
-# ---------------------------------------------------------------------------
-# verifier circuits
-
-
-def verifier_operator(circ: GeneralCircuit) -> np.ndarray:
-    """The 2^m x 2^m PSD matrix M with <psi|M|psi> = acceptance on proof psi.
-
-    Computed in the Heisenberg picture: pull the accept projector back
-    through the gates in reverse, then restrict to work register |0...0>.
-    """
-    m = circ.merlin_qubits
-    if m < 1:
-        raise ValueError("verifier circuits need at least one witness qubit")
-    x = accept_projector(circ.h)
-    for g in reversed(circ.gates):
-        x = adjoint_apply(g.kraus, x)
-    w = 2 ** (circ.h - m)  # work-register dimension; slice work index 0
-    sel = np.arange(2**m) * w
-    return np.ascontiguousarray(x[np.ix_(sel, sel)])
-
-
-def mixed_state_acceptance(circ: GeneralCircuit) -> float:
-    """Acceptance with the proof replaced by the totally mixed state:
-    2^-m * tr(M)."""
-    m = circ.merlin_qubits
-    return float(np.real(np.trace(verifier_operator(circ)))) / 2**m
 
 
 @dataclass(frozen=True)

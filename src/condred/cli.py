@@ -67,9 +67,9 @@ def _emit_report(args, payload: dict) -> None:
         save_json({**payload, "wall_time_s": time.perf_counter() - args.started}, args.report)
 
 
-def _load(args):
-    """The digest of the JSON document at ``args.path`` and the instance it holds."""
-    doc, in_digest = load_json(args.path)
+def _load(path):
+    """The digest of the JSON document at ``path`` and the instance it holds."""
+    doc, in_digest = load_json(path)
     return in_digest, instance_from_json(doc)
 
 
@@ -118,10 +118,10 @@ def cmd_verify(args) -> int:
     if not paths:
         print(f"error: no *.json files under {p}", file=sys.stderr)
         return EXIT_USAGE
+    loaded = [(path, *_load(path)) for path in paths]  # a malformed file refuses the batch before any output
     rows = []
-    for path in paths:
-        doc, in_digest = load_json(path)
-        report = check_promise(instance_from_json(doc), tol=args.tol)
+    for path, in_digest, inst in loaded:
+        report = check_promise(inst, tol=args.tol)
         rows.append((path, in_digest, report))
         verdict = "pass" if report.overall else "VIOLATED: " + ", ".join(report.failing())
         print(f"{path}: {verdict}")
@@ -164,7 +164,7 @@ def _decide_ends(args, in_digest, inst, out, records, command, head: str, extra:
 
 
 def cmd_reduce(args) -> int:
-    in_digest, inst = _load(args)
+    in_digest, inst = _load(args.path)
     try:
         out, (rec,) = reductions.chain(inst, [args.rule])
     except (KeyError, ValueError) as exc:
@@ -182,7 +182,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    in_digest, inst = _load(args)
+    in_digest, inst = _load(args.path)
     path = [r for r in args.rules.split(",") if r] if args.rules else []
     try:
         out, records = reductions.chain(inst, path)
@@ -225,7 +225,7 @@ def cmd_compile_circuit(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    in_digest, inst = _load(args)
+    in_digest, inst = _load(args.path)
     payload: dict = {"command": ["solve", args.method], "input_digest": in_digest}
     if args.method == "oracle":
         dec = oracle_decide(inst, tol=args.tol, check=args.check)

@@ -251,8 +251,8 @@ def vec_index(row_state: int, col_state: int, d: int) -> int:
     return row_state * d + col_state
 
 
-def kraus_defect(operators) -> float:
-    """Max-abs deviation of sum_k K_k^dag K_k from the identity."""
+def check_kraus_complete(operators, tol: float = DEFAULT_TOL) -> None:
+    """ValueError unless sum_k K_k^dag K_k is the identity to within tol (max-abs)."""
     ops = [as_matrix(k, square=True) for k in operators]
     if not ops:
         raise ValueError("empty Kraus set")
@@ -262,11 +262,7 @@ def kraus_defect(operators) -> float:
         if k.shape != (d, d):
             raise ValueError("Kraus operators must share one dimension")
         acc += k.conj().T @ k
-    return float(np.max(np.abs(acc - np.eye(d))))
-
-
-def check_kraus_complete(operators, tol: float = DEFAULT_TOL) -> None:
-    defect = kraus_defect(operators)
+    defect = float(np.max(np.abs(acc - np.eye(d))))
     if defect > tol:
         raise ValueError(f"Kraus set is not trace preserving: completeness defect {defect:.3e}")
 
@@ -288,16 +284,6 @@ def kraus_superoperator(ops) -> np.ndarray:
     out = np.zeros((d * d, d * d), dtype=np.complex128)
     for k in ops:
         out += np.multiply.outer(k, k.conj()).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return out
-
-
-def adjoint_apply(operators, x) -> np.ndarray:
-    """Heisenberg-picture action sum_k K_k^dag X K_k."""
-    x = as_matrix(x, square=True)
-    out = np.zeros_like(x)
-    for k in operators:
-        k = as_matrix(k, square=True)
-        out += k.conj().T @ x @ k
     return out
 
 

@@ -93,11 +93,10 @@ def _matrix_doc(a) -> dict:
     """The dense schema for an array, the COO schema for a SciPy sparse
     matrix (never densified), with the numbers in a :class:`Table`."""
     if is_sparse(a):
-        coo = as_form(a).tocoo()  # canonical: no repeated positions, no zeros
-        order = np.lexsort((coo.col, coo.row))
-        v = coo.data[order]
-        entries = Table(coo.row[order].astype(np.int64), coo.col[order].astype(np.int64), v.real, v.imag)
-        return {"format": "coo", "rows": int(coo.shape[0]), "cols": int(coo.shape[1]), "entries": entries}
+        csr = as_form(a).tocsr()  # canonical: no repeated positions, no zeros; row-major, sorted columns
+        rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64), np.diff(csr.indptr))
+        entries = Table(rows, csr.indices.astype(np.int64), csr.data.real, csr.data.imag)
+        return {"format": "coo", "rows": int(csr.shape[0]), "cols": int(csr.shape[1]), "entries": entries}
     a = np.asarray(a, dtype=np.complex128)
     v = a.reshape(-1)
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": Table(v.real, v.imag)}

@@ -25,7 +25,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, Spectrum, as_matrix, gram, running_products
+from .matcore import DEFAULT_TOL, Spectrum, as_matrix, running_products
 from .problems import ConditionParams, Decision, Kind, ProblemInstance, _output, spectral_checks
 
 
@@ -39,7 +39,6 @@ class ApproxResult:
     value: float | complex
     terms_used: int
     certified_error: float | None = None  # additive bound
-    certified_ratio: float | None = None  # multiplicative bound, >= 1
 
 
 def log_count(x: float) -> int:
@@ -94,23 +93,6 @@ def logdet_series(h, kappa: float, epsilon: float, tol: float = DEFAULT_TOL) -> 
     _require(Kind.DET_PLUS, h, kappa, epsilon, tol)
     m_hat = logdet_terms(h.shape[0], kappa, epsilon)
     return ApproxResult(value=-log_series(h, m_hat), terms_used=m_hat, certified_error=epsilon / 2.0)
-
-
-def absdet_multiplicative(a, kappa: float, epsilon: float, tol: float = DEFAULT_TOL) -> ApproxResult:
-    """|det A| to within a factor of e^epsilon, via ln det(AA^dag) / 2.
-
-    AA^dag is positive definite with condition parameter kappa^2; running the
-    log-determinant series at additive target 2*epsilon certifies the halved
-    value to epsilon/2, comfortably inside the requested ratio.
-    """
-    a = as_matrix(a, square=True)
-    _require(Kind.DET, a, kappa, epsilon, tol)
-    inner = logdet_series(gram(a, left=False), kappa**2, 2.0 * epsilon, tol)
-    return ApproxResult(
-        value=math.exp(float(np.real(inner.value)) / 2.0),
-        terms_used=inner.terms_used,
-        certified_ratio=math.exp(inner.certified_error / 2.0),
-    )
 
 
 def neumann_inverse_entry(

@@ -1,9 +1,8 @@
-"""Circuit simulation, the measurement-elimination compiler, verifier
-operators, the clock Hamiltonian and the stochastic-chain encoding.
+"""Circuit simulation, the measurement-elimination compiler, the clock
+Hamiltonian and the stochastic-chain encoding.
 
 Independent oracles used here: a vectorized pure-state trajectory sampler
-(for the density-matrix simulator), basis-state enumeration (for the
-mixed-proof acceptance), exact eigensolves (for verifier operators and clock
+(for the density-matrix simulator), exact eigensolves (for clock
 Hamiltonians) and direct Monte-Carlo walks (for stochastic chains).
 """
 
@@ -29,12 +28,10 @@ from condred.circuits import (
     kraus_gate,
     markov_to_matpow,
     measure_gate,
-    mixed_state_acceptance,
     reset_gate,
     simulate_acceptance,
     simulate_from_state,
     unitary_gate,
-    verifier_operator,
 )
 from condred.matcore import random_kraus_set, random_unitary, svd_values
 from condred.problems import DecisionValue, Kind, oracle_decide, partial_products, product_entry
@@ -292,83 +289,11 @@ class TestEliminateMeasurements:
         assert oracle_decide(inst, check="gap").value is DecisionValue.PROMISE_VIOLATED
 
 
-def identity_verifier(m, extra_work=1, t=1):
-    h = m + extra_work
-    return GeneralCircuit(h, tuple(unitary_gate(np.eye(2), (1,), h) for _ in range(t)), m)
-
-
-def rejecting_verifier(m, extra_work=1):
-    h = m + extra_work
-    return GeneralCircuit(h, (reset_gate(1, h),), m)
-
-
 def random_unitary_verifier(m, extra_work, t, seed):
     rng = np.random.default_rng((seed, 0x7E51))
     h = m + extra_work
     gates = tuple(unitary_gate(random_unitary(2**h, rng), tuple(range(1, h + 1)), h) for _ in range(t))
     return GeneralCircuit(h, gates, m)
-
-
-class TestVerifierOperator:
-    def test_identity_verifier_projector(self):
-        m = 2
-        mat = verifier_operator(identity_verifier(m))
-        lam = np.linalg.eigvalsh(mat)
-        assert abs(lam[-1] - 1.0) < 1e-12
-        assert abs(np.trace(mat).real - 2 ** (m - 1)) < 1e-12
-        assert np.allclose(mat @ mat, mat, atol=1e-12)
-
-    def test_rejecting_verifier_is_zero(self):
-        assert np.max(np.abs(verifier_operator(rejecting_verifier(2)))) < 1e-12
-
-    def test_random_proofs_below_top_eigenvalue(self):
-        circ = random_unitary_verifier(2, 1, 3, seed=5)
-        mat = verifier_operator(circ)
-        lam, vecs = np.linalg.eigh(mat)
-        rng = np.random.default_rng(0)
-        best = 0.0
-        for _ in range(200):
-            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-            psi /= np.linalg.norm(psi)
-            best = max(best, float(np.real(psi.conj() @ mat @ psi)))
-            assert best <= lam[-1] + 1e-9
-        top = vecs[:, -1]
-        assert abs(float(np.real(top.conj() @ mat @ top)) - lam[-1]) < 1e-9
-
-    def test_heisenberg_matches_schrodinger(self):
-        for seed in range(5):
-            circ = random_unitary_verifier(2, 1, 2, seed)
-            mat = verifier_operator(circ)
-            rng = np.random.default_rng(seed + 100)
-            for _ in range(20):
-                psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-                psi /= np.linalg.norm(psi)
-                quad = float(np.real(psi.conj() @ mat @ psi))
-                assert abs(quad - simulate_from_state(circ, psi)) < 1e-8
-
-
-class TestMixedStateAcceptance:
-    def test_identity_verifier_half(self):
-        assert abs(mixed_state_acceptance(identity_verifier(2)) - 0.5) < 1e-12
-
-    def test_perfect_soundness_zero(self):
-        assert mixed_state_acceptance(rejecting_verifier(2)) == 0.0
-
-    def test_equals_basis_average(self):
-        for seed in range(5):
-            circ = random_unitary_verifier(2, 1, 2, seed)
-            m = circ.merlin_qubits
-            avg = np.mean(
-                [simulate_from_state(circ, np.eye(2**m)[:, i]) for i in range(2**m)]
-            )
-            assert abs(mixed_state_acceptance(circ) - avg) < 1e-9
-
-    def test_mixed_acceptance_floor_when_accepting_proof_exists(self):
-        # identity verifier accepts |1...> with certainty, so the mixed-proof
-        # acceptance must be at least 2^-(m+1)
-        for m in (1, 2):
-            circ = identity_verifier(m)
-            assert mixed_state_acceptance(circ) >= 2.0 ** -(m + 1) - 1e-12
 
 
 def coin_verifier():
@@ -421,8 +346,6 @@ class TestClockHamiltonian:
 
     def test_coin_family_energy_floor(self):
         circ = coin_verifier()
-        mat = verifier_operator(circ)
-        assert abs(np.linalg.eigvalsh(mat)[-1] - 0.5) < 1e-12
         assert clock_ground_energy(clock_hamiltonian(circ)) >= COIN_TAU
 
     def test_parts_are_psd_and_sum(self):

@@ -923,3 +923,19 @@ def test_a_circuit_too_deep_to_digest_is_refused_before_any_output(report, tmp_p
     printed, err = capsys.readouterr()
     assert printed == "" and err == f"schema error: nested too deeply: {path}\n"
     assert not out.exists() and not rep.exists()
+
+
+@pytest.mark.parametrize("bad", [b'{"type": "\xff"}', b'{"type": "MATINV"}'], ids=["not UTF-8", "no params"])
+def test_verify_refuses_a_directory_with_a_malformed_file_before_any_output(bad, tmp_path, capsys):
+    # a.json is valid and sorts first; b.json is refused at load, so no verdict is printed
+    folder = tmp_path / "batch"
+    folder.mkdir()
+    assert run("gen", "--kind", "MATINV", "--n", 3, "--kappa", 4, "--epsilon", 0.05,
+               "--seed", 1, "--out", folder / "a.json") == 0
+    (folder / "b.json").write_bytes(bad)
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run("verify", folder, "--report", report) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith("schema error: ") and err.count("\n") == 1
+    assert not report.exists()

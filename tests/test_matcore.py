@@ -9,7 +9,6 @@ from scipy import sparse
 
 from condred.matcore import (
     Spectrum,
-    adjoint_apply,
     as_matrix,
     hermitian_eigs,
     kraus_superoperator,
@@ -205,16 +204,6 @@ class TestNaturalRepresentation:
         composed = [b @ a for b in k2 for a in k1]
         lhs = natural_representation(k2) @ natural_representation(k1)
         assert np.allclose(lhs, natural_representation(composed), atol=1e-9)
-
-    def test_adjoint_pullback(self, rng):
-        d = 4
-        ops = random_kraus_set(d, 2, rng)
-        x = random_complex(rng, d, d)
-        x = x + x.conj().T
-        rho = random_complex(rng, d, d)
-        lhs = np.trace(x @ apply_channel(ops, rho))
-        rhs = np.trace(adjoint_apply(ops, x) @ rho)
-        assert abs(lhs - rhs) < 1e-9
 
 
 @pytest.mark.parametrize("d,n_ops", [(2, 1), (4, 3), (8, 2)])

@@ -15,9 +15,9 @@ from condred.problems import (
     gen_instance,
     oracle_decide,
 )
+from condred.reductions import chain
 from condred.series import (
     PromiseViolation,
-    absdet_multiplicative,
     decide,
     logdet_series,
     neumann_inverse_entry,
@@ -106,36 +106,9 @@ def test_an_indefinite_matrix_breaks_the_promise_of_both_solvers(lam_min, kappa,
 @pytest.mark.parametrize("kappa,epsilon", [(0.5, 0.1), (2.0, 0.0), (2.0, -1.0)])
 def test_bad_parameters_are_value_errors(kappa, epsilon):
     for solve in (lambda: logdet_series(np.eye(2), kappa, epsilon),
-                  lambda: absdet_multiplicative(np.eye(2), kappa, epsilon),
                   lambda: neumann_inverse_entry(np.eye(2), 1, 1, kappa, epsilon)):
         with pytest.raises(ValueError):
             solve()
-
-
-class TestAbsdetMultiplicative:
-    def test_unitary(self, rng):
-        u = random_unitary(4, rng)
-        res = absdet_multiplicative(u, kappa=1.0, epsilon=0.1)
-        assert math.exp(-0.1) <= res.value <= math.exp(0.1)
-
-    def test_exact_diagonal(self):
-        a = np.diag([0.5, 0.5]).astype(complex)
-        res = absdet_multiplicative(a, kappa=2.0, epsilon=0.05)
-        ratio = res.value / 0.25
-        assert math.exp(-0.05) <= ratio <= math.exp(0.05)
-
-    def test_seeded_ratio_inside_band(self):
-        from condred.problems import gen_conditioned_matrix
-        from condred.matcore import svd_values
-
-        for seed in range(15):
-            kappa, eps = 3.0 + seed % 5, 0.05 * (1 + seed % 4)
-            a = gen_conditioned_matrix(4, 1.0 / kappa, 1.0, seed)
-            res = absdet_multiplicative(a, kappa, eps)
-            true = float(np.prod(svd_values(a)))
-            ratio = res.value / true
-            assert math.exp(-eps) <= ratio <= math.exp(eps)
-            assert res.certified_ratio <= math.exp(eps)
 
 
 class TestNeumannInverseEntry:
@@ -201,3 +174,16 @@ def test_the_series_never_decides_against_the_oracle(kind):
                 in_range = b <= 0 if kind is Kind.DET_PLUS else b >= 0
                 if oracle is not DecisionValue.PROMISE_VIOLATED or not in_range:
                     assert series is oracle, (n, seed, b)
+
+
+def test_det_is_decided_by_the_series_on_its_det_plus_end():
+    # DET's certified path: det_to_posdet, then the log series on A A^dag
+    for n in (2, 3, 4):
+        for kappa in (1.5, 2.0, 2.5, 3.0):
+            for seed in range(5):
+                for want_one in (True, False):
+                    src = gen_instance(Kind.DET, ConditionParams(n, 1, kappa, 0.3), seed, want_one=want_one)
+                    end, _ = chain(src, ["det_to_posdet"])
+                    want = DecisionValue.ONE if want_one else DecisionValue.ZERO
+                    assert oracle_decide(src).value is want, (n, kappa, seed)
+                    assert decide(end)[0].value is want, (n, kappa, seed)
