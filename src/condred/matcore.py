@@ -13,9 +13,9 @@ straight into that form (:func:`condred.reductions._block_matrix`), a
 canonical read-only CSC made in one column-ordered pass when it is nearly
 empty and a dense array filled through slices otherwise.  An instance keeps
 that form (:func:`as_form`), adopting a builder's CSC without a copy, and
-densifies only when its dense ``matrices`` are read
-(:func:`dense_form`).  The kernels :func:`inverse_entry`, :func:`log_abs_det`
-and :func:`gram` compute on the form they are given: a dense array goes to
+only :func:`dense_form` densifies it.  The kernels :func:`inverse_entry`,
+:func:`log_abs_det`, :func:`gram` and :func:`identity_minus` (I - A, formed
+nowhere else) compute on the form they are given: a dense array goes to
 LAPACK and a dense product, a sparse matrix to SuperLU and the sparse
 product (exactly Hermitian as :func:`gram` makes it), whatever its density.
 SciPy is imported only on the sparse path.  Every iterated product sweeps a
@@ -108,6 +108,15 @@ def dense_form(a) -> np.ndarray:
     out = a.toarray(order="C")
     out.flags.writeable = False
     return out
+
+
+def identity_minus(a):
+    """I - A in ``a``'s form, with the bits of ``np.eye(n) - a``; a canonical read-only CSC for a sparse ``a``."""
+    if not is_sparse(a):
+        return np.eye(a.shape[0], dtype=np.complex128) - a
+    from scipy import sparse
+
+    return as_form(sparse.eye_array(a.shape[0], dtype=np.complex128, format="csc") - a)
 
 
 def nonzeros(a) -> int:

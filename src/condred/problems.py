@@ -273,15 +273,19 @@ def product_entry(matrices, s: int, t: int) -> complex:
     return complex(_rows_of_product([as_form(a, square=True) for a in matrices], [s])[0, t - 1])
 
 
+def _max_sigma1(products) -> float:
+    """Largest sigma1 over ``products``; +inf once one has overflowed (an entry not finite)."""
+    return max(float(svd_values(p)[0]) if np.isfinite(p).all() else math.inf for p in products)
+
+
 def max_partial_sigma1(forms) -> float:
     """Largest sigma1 over all partial products A_{j1,j2}."""
-    return max(float(svd_values(prod)[0]) for _, prod in _partials(forms))
+    return _max_sigma1(prod for _, prod in _partials(forms))
 
 
 def max_power_sigma1(a, m: int) -> float:
     """Largest sigma1 over the powers A^1 .. A^m; ``a`` is dense or sparse."""
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    return max(float(svd_values(powed)[0]) for powed in running_products(eye, (a,) * m))
+    return _max_sigma1(running_products(np.eye(a.shape[0], dtype=np.complex128), (a,) * m))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matcore import _frozen, adjoint, as_form, dense_form, gram, nonzeros, svd_values
+from .matcore import _frozen, adjoint, as_form, dense_form, gram, identity_minus, nonzeros, svd_values
 from .problems import ConditionParams, Kind, ProblemInstance
 from .series import PromiseViolation, log_series, logdet_terms, neumann_series, neumann_terms
 from .series import log_count as _log_count
@@ -286,7 +286,7 @@ def _posdet_to_sumitmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     n, kappa, eps = p.n, p.kappa, p.epsilon
     l_hat = _log_count(kappa)
     m_hat = logdet_terms(n, kappa, eps)
-    x = np.eye(n, dtype=np.complex128) - inst.matrix  # I - H
+    x = identity_minus(inst.forms[0])
     dim = n * (l_hat + m_hat)
     # k-th factor: identity on the first l_hat + (k-1) diagonal blocks, then
     # I - H on the rest; the first factor instead carries -(I-H)/(j+1) in
@@ -366,7 +366,7 @@ def _posmatinv_to_sumitmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> Buil
     p = inst.params
     n, kappa, eps = p.n, p.kappa, p.epsilon
     m_hat = neumann_terms(kappa, eps)
-    x = np.eye(n, dtype=np.complex128) - inst.matrix
+    x = identity_minus(inst.forms[0])
     dim = n * (m_hat + 1)
     # j-th factor: identity on the first j diagonal blocks, then I - H
     mats = tuple(
@@ -425,7 +425,7 @@ def _singular_b(inst: ProblemInstance) -> np.ndarray:
     """B_hat = diag(2cA, 1/(1 - b/(2c))) with c = ceil(kappa), for a vMATINV input."""
     n, c = inst.params.n, math.ceil(inst.params.kappa)
     b_mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    b_mat[:n, :n] = 2.0 * c * inst.matrix
+    b_mat[:n, :n] = 2.0 * c * dense_form(inst.forms[0])
     b_mat[n, n] = 1.0 / (1.0 - complex(inst.b) / (2.0 * c))
     return b_mat
 
@@ -437,12 +437,8 @@ def _vmatinv_to_singular(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     if abs(b) > kappa:
         raise PromiseViolation(f"|b| = {abs(b):.4g} exceeds kappa; instance is promise-violating")
     c = math.ceil(kappa)
-    b_mat = _singular_b(inst)
-    u = np.zeros(n + 1, dtype=np.complex128)
-    v = np.zeros(n + 1, dtype=np.complex128)
-    u[inst.s - 1] = u[n] = 1.0
-    v[inst.t - 1] = v[n] = 1.0
-    c_mat = b_mat - np.outer(v, u.conj())
+    c_mat = _singular_b(inst)
+    c_mat[np.ix_([inst.t - 1, n], [inst.s - 1, n])] -= 1.0  # B_hat - v u^dag, u = e_s + e_{n+1}, v = e_t + e_{n+1}
     d_hat = 1.0 / (2.0 * c + 1.0)
     h = np.zeros((2 * n + 2, 2 * n + 2), dtype=np.complex128)
     h[: n + 1, n + 1 :] = d_hat * c_mat
@@ -464,11 +460,10 @@ def _singular_identity(src: ProblemInstance, dst: ProblemInstance) -> float | No
     if src.quantity is None:
         return None
     c, n = math.ceil(src.params.kappa), src.params.n
-    c_hat = dst.matrix[: n + 1, n + 1 :] * (2 * c + 1)
+    c_hat = dense_form(dst.forms[0])[: n + 1, n + 1 :] * (2 * c + 1)
     det_b = np.linalg.det(_singular_b(src))
     want = (complex(src.b) - src.quantity) / (2 * c) * det_b
     return float(abs(np.linalg.det(c_hat) - want) / max(1.0, abs(det_b)))
-
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +523,7 @@ RULES: dict[str, Rule] = {
               lambda p: _affine(3, 0, "H_hat^-1[s, t+n]", "A^-1[s,t]")),
         _rule("posdet_to_sumitmatprod", Kind.DET_PLUS, Kind.SUMITMATPROD, _posdet_to_sumitmatprod,
               lambda p: _affine(1, p.n * _log_count(p.kappa), "sum over E", "ln det H", (0.0, p.epsilon / 2.0),
-                                lambda src, dst: -log_series(src.matrix, dst.params.m))),
+                                lambda src, dst: -log_series(src.forms[0], dst.params.m))),
         _rule("itmatprod_to_nonneg", Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, _itmatprod_to_nonneg,
               lambda p: _map(lambda q: abs(q) ** 2, "|{}|^2", "A_hat_{1,2m+1}[s,s]", "A_{1,m}[s,t]", nonneg=True)),
         _rule("nonneg_to_det", Kind.ITMATPROD_NONNEG, Kind.DET, _nonneg_to_det, _rank_one_map),
@@ -536,7 +531,7 @@ RULES: dict[str, Rule] = {
               lambda p: _affine(2, 0, "ln det H_hat", "ln|det A|")),
         _rule("posmatinv_to_sumitmatprod", Kind.MATINV_PLUS, Kind.SUMITMATPROD, _posmatinv_to_sumitmatprod,
               lambda p: _affine(1, 0, "sum over E", "H^-1[s,t]", (-p.epsilon / 4.0, p.epsilon / 4.0),
-                                lambda src, dst: neumann_series(src.matrix, src.s, src.t, dst.params.m))),
+                                lambda src, dst: neumann_series(src.forms[0], src.s, src.t, dst.params.m))),
         _rule("sumitmatprod_to_itmatprod", Kind.SUMITMATPROD, Kind.ITMATPROD, _sumitmatprod_to_itmatprod,
               lambda p: _affine(1, 0, "A_hat_{0,m+1}[1,1]", "sum over E of A_{1,m}[s,t]")),
         # a sigma_min test has no b: this rule maps no quantity, and its end is read at the source's tol

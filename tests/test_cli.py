@@ -939,3 +939,37 @@ def test_verify_refuses_a_directory_with_a_malformed_file_before_any_output(bad,
     printed, err = capsys.readouterr()
     assert printed == "" and err.startswith("schema error: ") and err.count("\n") == 1
     assert not report.exists()
+
+
+def _first_entry_of(*mats):
+    """Entry (1, 1) of the dense-schema matrices ``mats`` set to 1e200."""
+    return lambda doc: [doc["matrices"][k]["data"].__setitem__(0, [1e200, 0.0]) for k in mats]
+
+
+@pytest.mark.parametrize(
+    "gen,edit,command",
+    [
+        *(pytest.param(("MATPOW", "--m", 4, "--kappa", 2, "--epsilon", 0.02, "--seed", 1), _first_entry_of(0),
+                       (command,), id=f"MATPOW {command}") for command in ("verify", "solve")),
+        pytest.param(("ITMATPROD", "--m", 3, "--kappa", 2, "--epsilon", 0.02, "--seed", 1), _first_entry_of(0, 1),
+                     ("verify",), id="ITMATPROD verify"),
+        pytest.param(("DET+", "--kappa", 2, "--epsilon", 0.3, "--seed", 3),
+                     lambda doc: doc["matrices"][0]["data"][4].__setitem__(1, 1e308),
+                     ("reduce", "--rule", "posdet_to_sumitmatprod", "--out", "{tmp}/out.json"),
+                     id="DET+ reduce posdet_to_sumitmatprod"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_product_that_overflows_fails_its_sigma1_clause(gen, edit, command, tmp_path, capsys):
+    # once a partial product or power overflows its sigma1 reads +inf, so the
+    # sweep's clause fails: exit 1, not an internal error
+    path = tmp_path / "inst.json"
+    assert run("gen", "--kind", gen[0], "--n", 3, *gen[1:], "--out", path) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(command[0], path, *(o.format(tmp=tmp_path) for o in command[1:])) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "internal error" not in err

@@ -1,5 +1,9 @@
 """Core linear algebra against independent brute-force oracles."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,10 +11,12 @@ from hypothesis import strategies as st
 
 from scipy import sparse
 
+import condred
 from condred.matcore import (
     Spectrum,
     as_matrix,
     hermitian_eigs,
+    identity_minus,
     kraus_superoperator,
     natural_representation,
     nonzeros,
@@ -214,3 +220,31 @@ def test_superoperator_has_the_bits_of_the_kron_sum(d, n_ops):
         want += np.kron(k, k.conj())
     assert kraus_superoperator(ops).tobytes() == want.tobytes()
     assert natural_representation(ops).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,density", [(1, 1.0), (5, 0.3), (9, 0.1)])
+def test_identity_minus_keeps_the_form_and_the_bits(rng, n, density):
+    a = random_complex(rng, n, n) * (rng.uniform(size=(n, n)) < density)
+    a[0, 0] = 1.0  # an entry of I - A that cancels to zero
+    want = np.eye(n, dtype=np.complex128) - a
+    assert identity_minus(a).tobytes() == want.tobytes()
+    got = identity_minus(sparse.csc_array(a))
+    assert type(got) is sparse.csc_array and got.has_canonical_format and got.data.all()
+    assert not any(p.flags.writeable for p in (got.data, got.indices, got.indptr))
+    assert got.toarray().tobytes() == want.tobytes()
+
+
+def test_only_the_instance_views_read_the_dense_matrices():
+    # library code computes on ``forms`` and densifies through dense_form; the
+    # dense ``matrices`` are read only by ProblemInstance's public views
+    allowed = {"matrices", "matrix", "spectrum"}
+    reads = []
+    for path in sorted(Path(condred.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        views = [node for node in ast.walk(ast.parse(text)) if path.name == "problems.py"
+                 and isinstance(node, ast.FunctionDef) and node.name in allowed]
+        for number, line in enumerate(text.splitlines(), 1):
+            if re.search(r"\.(matrix|matrices)\b", line) and not any(
+                    v.lineno <= number <= v.end_lineno for v in views):
+                reads.append(f"{path.name}:{number}: {line.strip()}")
+    assert reads == []

@@ -89,6 +89,17 @@ def test_promise_measures_on_csc_factors_match_dense_products(rng):
     assert abs(max_power_sigma1(forms[0], m) - max(np.linalg.norm(p, 2) for p in powers)) <= RTOL
 
 
+@pytest.mark.parametrize("stored", ["dense", "csc"])
+def test_a_product_that_overflows_reads_sigma1_inf(stored):
+    # the square of diag(1e200, 1) overflows: its sigma1 reads +inf, not an error
+    a = np.diag([1e200, 1.0]).astype(np.complex128)
+    form = a if stored == "dense" else sparse.csc_array(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert max_power_sigma1(form, 1) < np.inf and max_partial_sigma1([np.eye(2), form]) < np.inf
+        assert max_power_sigma1(form, 3) == np.inf
+        assert max_partial_sigma1([np.eye(2), form, form]) == np.inf
+
+
 def _dense_log_series(h, terms):
     """The log series as a dense power loop: sum_k Re tr((I-H)^k) / k."""
     n = h.shape[0]

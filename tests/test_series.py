@@ -1,9 +1,11 @@
 """Truncated-series approximators against eigensolver / dense-solve oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from condred.matcore import random_unitary
 from condred.problems import (
@@ -19,8 +21,10 @@ from condred.reductions import chain
 from condred.series import (
     PromiseViolation,
     decide,
+    log_series,
     logdet_series,
     neumann_inverse_entry,
+    neumann_series,
 )
 
 
@@ -187,3 +191,42 @@ def test_det_is_decided_by_the_series_on_its_det_plus_end():
                     want = DecisionValue.ONE if want_one else DecisionValue.ZERO
                     assert oracle_decide(src).value is want, (n, kappa, seed)
                     assert decide(end)[0].value is want, (n, kappa, seed)
+
+
+#: seeded DET+ and MATINV+ sources, n = 1 to 4; kappa = 4 with epsilon = 0.1
+#: makes the series rules' outputs nearly empty from n = 3 on, so stored as CSC
+SERIES_SOURCES = [
+    pytest.param(kind, n, kappa, eps, seed, id=f"{kind.value} n={n} kappa={kappa} seed={seed}")
+    for kind in (Kind.DET_PLUS, Kind.MATINV_PLUS)
+    for n in (1, 2, 3, 4)
+    for kappa, eps in ((1.5, 0.15), (4.0, 0.1))
+    for seed in (0, 1)
+]
+
+
+def dense_and_csc(kind, n, kappa, eps, seed):
+    """A generated source, and the same source with its H passed as a ``csc_array``."""
+    inst = gen_instance(kind, ConditionParams(n, 1, kappa, eps), seed, want_one=seed % 2 == 0)
+    return inst, dataclasses.replace(inst, forms=(sparse.csc_array(inst.forms[0]),))
+
+
+@pytest.mark.parametrize("kind,n,kappa,eps,seed", SERIES_SOURCES)
+def test_the_series_take_stored_forms(kind, n, kappa, eps, seed):
+    dense, csc = dense_and_csc(kind, n, kappa, eps, seed)
+    assert isinstance(dense.forms[0], np.ndarray) and sparse.issparse(csc.forms[0])
+
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    s, t = (dense.s, dense.t) if kind is Kind.MATINV_PLUS else (1, n)
+    for terms in (0, 1, 7):
+        assert close(log_series(csc.forms[0], terms), log_series(dense.forms[0], terms)), terms
+        assert close(neumann_series(csc.forms[0], s, t, terms), neumann_series(dense.forms[0], s, t, terms)), terms
+    on_csc = (logdet_series(csc.forms[0], kappa, eps), neumann_inverse_entry(csc.forms[0], s, t, kappa, eps))
+    on_dense = (logdet_series(dense.forms[0], kappa, eps), neumann_inverse_entry(dense.forms[0], s, t, kappa, eps))
+    for got, want in zip(on_csc, on_dense):
+        assert close(got.value, want.value)
+        assert (got.terms_used, got.certified_error) == (want.terms_used, want.certified_error)
+    (got, got_approx), (want, want_approx) = decide(csc), decide(dense)
+    assert got.value is want.value is oracle_decide(dense).value
+    assert close(got.witness_value, want.witness_value) and close(got_approx.value, want_approx.value)

@@ -33,6 +33,7 @@ from condred.reductions import (
 from condred.series import logdet_terms, neumann_terms
 from test_acceptance import _det_plus_cycle_instance, _matinv_plus_cycle_instance
 from test_circuits import forced_circuit
+from test_series import SERIES_SOURCES, dense_and_csc
 
 #: the builders whose choice of dense or CSC depends on their source's density
 BUILDERS = ("matpow_to_matinv", "nonneg_to_det", "matinv_to_posmatinv", "det_to_posdet")
@@ -304,6 +305,22 @@ def test_a_det_plus_cycle_decides_without_a_dense_copy():
 
 def _csc_parts(a):
     return tuple(part.tobytes() for part in (a.data, a.indices, a.indptr))
+
+
+@pytest.mark.parametrize("kind,n,kappa,eps,seed", SERIES_SOURCES)
+def test_the_series_rules_keep_their_bits_with_a_csc_h(kind, n, kappa, eps, seed):
+    # I - H formed as a CSC gives the same stored outputs as the dense H; the
+    # log series' weights agree too, as SciPy's x / d on a CSC multiplies by
+    # 1/d, and so does NumPy's division of a complex array by a real
+    rule = "posdet_to_sumitmatprod" if kind is Kind.DET_PLUS else "posmatinv_to_sumitmatprod"
+    dense, csc = dense_and_csc(kind, n, kappa, eps, seed)
+    (from_dense, _), (from_csc, _) = RULES[rule].apply(dense), RULES[rule].apply(csc)
+    for a, b in zip(from_dense.forms, from_csc.forms, strict=True):
+        assert type(a) is type(b)
+        assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else _csc_parts(a) == _csc_parts(b)
+    assert (n >= 3 and kappa == 4.0) is sparse.issparse(from_dense.forms[0])
+    for src, dst in ((dense, from_dense), (csc, from_csc)):
+        assert reductions.identity_residual(rule, src, dst) <= 1e-12
 
 
 @pytest.mark.parametrize("form,n,nnz", [("dense", 5, 25), ("dense", 20, 10), ("csc", 20, 10), ("csr", 20, 10)])
