@@ -73,11 +73,12 @@ class ChannelGate:
     def dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_unitary(self) -> bool:
+        """One Kraus operator U with U U^dag = I within :data:`DEFAULT_TOL`."""
         if len(self.kraus) != 1:
             return False
         u = self.kraus[0]
-        return bool(np.max(np.abs(u @ u.conj().T - np.eye(self.dim))) <= tol)
+        return bool(np.max(np.abs(u @ u.conj().T - np.eye(self.dim))) <= DEFAULT_TOL)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = np.zeros_like(rho)
@@ -150,12 +151,7 @@ def simulate_acceptance(circ: GeneralCircuit) -> float:
     """Density-matrix evolution from |0...0>; probability of reading 1."""
     if circ.merlin_qubits:
         raise ValueError("acceptance simulation is for circuits without a proof register")
-    d = 2**circ.h
-    rho = np.zeros((d, d), dtype=np.complex128)
-    rho[0, 0] = 1.0
-    for g in circ.gates:
-        rho = g.apply(rho)
-    return float(np.real(np.trace(accept_projector(circ.h) @ rho)))
+    return simulate_from_state(circ, np.ones(1))
 
 
 def simulate_from_state(circ: GeneralCircuit, psi: np.ndarray) -> float:
@@ -246,10 +242,6 @@ class ClockHamiltonianParts:
     h_total: np.ndarray
 
 
-def _qubit_one_projector(qubit: int, h: int) -> np.ndarray:
-    return embed_operator(np.diag([0.0, 1.0]), (qubit,), h)
-
-
 def clock_hamiltonian(circ: GeneralCircuit) -> ClockHamiltonianParts:
     """Clock-register Hamiltonian whose ground energy tracks the verifier's
     best acceptance probability: exactly 0 for a perfectly accepted basis
@@ -270,7 +262,7 @@ def clock_hamiltonian(circ: GeneralCircuit) -> ClockHamiltonianParts:
     h_in = np.zeros((d * clock, d * clock), dtype=np.complex128)
     proj0 = ket(0) @ ket(0).conj().T
     for b in range(m + 1, h + 1):
-        h_in += np.kron(_qubit_one_projector(b, h), proj0)
+        h_in += np.kron(embed_operator(np.diag([0.0, 1.0]), (b,), h), proj0)
 
     # the output term penalizes the REJECT outcome (first qubit 0) at the
     # final clock value; penalizing acceptance instead would give a perfectly
@@ -301,7 +293,8 @@ def clock_ground_energy(parts: ClockHamiltonianParts) -> float:
 
 @dataclass(frozen=True)
 class StochasticChain:
-    """Column-stochastic transition matrix: transition[i, j] = Pr(j -> i)."""
+    """Column-stochastic transition matrix: transition[i, j] = Pr(j -> i),
+    real, nonnegative and with columns summing to 1 within :data:`DEFAULT_TOL`."""
 
     transition: np.ndarray
     start: int
@@ -316,25 +309,20 @@ class StochasticChain:
             raise ValueError("start/accept indices out of range")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        t = self.transition
-        if np.max(np.abs(t.imag)) > tol or np.min(t.real) < -tol:
+        if np.max(np.abs(t.imag)) > DEFAULT_TOL or np.min(t.real) < -DEFAULT_TOL:
             raise ValueError("transition entries must be real and nonnegative")
-        colsums = t.real.sum(axis=0)
-        if np.max(np.abs(colsums - 1.0)) > tol:
+        if np.max(np.abs(t.real.sum(axis=0) - 1.0)) > DEFAULT_TOL:
             raise ValueError("columns must sum to 1")
 
 
-def markov_to_matpow(chain: StochasticChain, b: float = ACCEPT_HI) -> ProblemInstance:
-    """Encode "the walk sits on the accept state after `steps` steps".
+def markov_to_matpow(chain: StochasticChain) -> ProblemInstance:
+    """Encode "the walk sits on the accept state after `steps` steps" against b = 2/3.
 
     A^steps[accept, start] is that probability; stochasticity bounds every
     power's largest singular value by sqrt(dimension).
     """
-    chain.validate()
     n = chain.transition.shape[0]
     params = ConditionParams(n, chain.steps, math.sqrt(n), ACCEPT_HI - ACCEPT_LO)
     return ProblemInstance(
-        Kind.MATPOW, params, (chain.transition,), s=chain.accept, t=chain.start, b=b
+        Kind.MATPOW, params, (chain.transition,), s=chain.accept, t=chain.start, b=ACCEPT_HI
     )

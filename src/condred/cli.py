@@ -20,6 +20,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import reductions, series
 from .circuits import ELIMINATION_RULES, append_cleanup, circuit_to_itmatprod, simulate_acceptance
 from .matcore import DEFAULT_TOL
@@ -61,10 +63,23 @@ def _record_to_json(rec: reductions.ReductionRecord) -> dict:
             "answer_map": rec.map.text, "bounds": bounds}
 
 
+def _strict(o):
+    """``o`` with each float that is not finite (NaN, an infinity) as None:
+    strict JSON has no text for them."""
+    if isinstance(o, float):
+        return o if math.isfinite(o) else None
+    if isinstance(o, dict):
+        return {key: _strict(value) for key, value in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_strict(value) for value in o]
+    return o
+
+
 def _emit_report(args, payload: dict) -> None:
-    """Write ``payload`` and the time since :func:`main` began to ``--report``, if given."""
+    """Write ``payload`` and the time since :func:`main` began to ``--report``,
+    if given, as strict JSON (:func:`_strict`)."""
     if args.report is not None:
-        save_json({**payload, "wall_time_s": time.perf_counter() - args.started}, args.report)
+        save_json(_strict({**payload, "wall_time_s": time.perf_counter() - args.started}), args.report)
 
 
 def _load(path):
@@ -261,10 +276,11 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``condred`` parser.  Each subcommand's ``func`` looks its ``cmd_*``
-    up when it is called, so a parser built once still runs a ``cmd_*``
-    replaced later (a tracer's wrapper, a test's spy)."""
+    """The ``condred`` parser, built once per process.  Each subcommand's
+    ``func`` looks its ``cmd_*`` up when it is called, so the parser still
+    runs a ``cmd_*`` replaced later (a tracer's wrapper, a test's spy)."""
     parser = argparse.ArgumentParser(
         prog="condred",
         description="well-conditioned matrix promise problems: generation, "
@@ -322,15 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` reads, built on its first call and reused for
-    the rest of the process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help()
@@ -340,7 +349,8 @@ def main(argv=None) -> int:
         for path in (getattr(args, "out", None), args.report):  # refused before any work
             if path is not None and Path(path).is_dir():
                 raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # an input that overflows ends as a verdict, not a warning
+            return args.func(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -240,10 +240,10 @@ class Spectrum:
         return sv
 
 
-def hermitian_eigs(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending."""
+def hermitian_eigs(a) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix (within :data:`DEFAULT_TOL`), descending."""
     spec = Spectrum(as_matrix(a, square=True))
-    if spec.defect > tol:
+    if spec.defect > DEFAULT_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return spec.lam
 
@@ -260,8 +260,8 @@ def vec_index(row_state: int, col_state: int, d: int) -> int:
     return row_state * d + col_state
 
 
-def check_kraus_complete(operators, tol: float = DEFAULT_TOL) -> None:
-    """ValueError unless sum_k K_k^dag K_k is the identity to within tol (max-abs)."""
+def check_kraus_complete(operators) -> None:
+    """ValueError unless sum_k K_k^dag K_k is the identity to within :data:`DEFAULT_TOL` (max-abs)."""
     ops = [as_matrix(k, square=True) for k in operators]
     if not ops:
         raise ValueError("empty Kraus set")
@@ -272,18 +272,18 @@ def check_kraus_complete(operators, tol: float = DEFAULT_TOL) -> None:
             raise ValueError("Kraus operators must share one dimension")
         acc += k.conj().T @ k
     defect = float(np.max(np.abs(acc - np.eye(d))))
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise ValueError(f"Kraus set is not trace preserving: completeness defect {defect:.3e}")
 
 
-def natural_representation(operators, tol: float = DEFAULT_TOL) -> np.ndarray:
+def natural_representation(operators) -> np.ndarray:
     """d^2 x d^2 matrix K of the channel, with vec(Phi(A)) = K vec(A).
 
     Under row-major vec the channel rho -> sum_k K_k rho K_k^dag has
     K = sum_k K_k (x) conj(K_k).
     """
     ops = [as_matrix(k, square=True) for k in operators]
-    check_kraus_complete(ops, tol)
+    check_kraus_complete(ops)
     return kraus_superoperator(ops)
 
 

@@ -208,9 +208,7 @@ class ProblemInstance:
             rows = np.unique([s for s, _ in self.E])
             prod = _rows_of_product(self.forms, rows)
             return complex(sum(prod[np.searchsorted(rows, s), t - 1] for s, t in self.E))
-        if kind is Kind.SINGULAR:
-            return float(self.spectrum.sigma[-1])
-        raise ValueError(f"unknown kind {kind}")
+        return float(self.spectrum.sigma[-1])  # SINGULAR
 
 
 class DecisionValue(str, enum.Enum):
@@ -223,9 +221,6 @@ class DecisionValue(str, enum.Enum):
 class Decision:
     value: DecisionValue
     witness_value: float | complex | None = None
-
-    def __bool__(self):
-        return self.value is DecisionValue.ONE
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,6 @@ class ReductionRecord:
     map: AnswerMap = field(compare=False, repr=False)
     b: float | complex
     declared_bounds: tuple[Bound, ...] = ()
-    measured: bool = False
 
 
 @dataclass(frozen=True)
@@ -585,4 +584,4 @@ def measure_record(record: ReductionRecord, src: ProblemInstance, dst: ProblemIn
     (None where the bound needs a decision quantity that does not exist)."""
     measured = tuple(replace(b, measured=None if (v := b.measure(src, dst)) is None else float(v))
                      for b in record.declared_bounds)
-    return replace(record, declared_bounds=measured, measured=True)
+    return replace(record, declared_bounds=measured)

@@ -188,13 +188,9 @@ def _instance_matrix(obj, n: int):
 
 
 def _b_to_json(b):
-    if b is None:
-        return None
-    if isinstance(b, complex) or (isinstance(b, np.complexfloating)):
-        if complex(b).imag != 0.0:
-            return [complex(b).real, complex(b).imag]
-        return complex(b).real
-    return float(b)
+    """b as a number, or as [re, im] when it has an imaginary part."""
+    b = complex(b)
+    return [b.real, b.imag] if b.imag else b.real
 
 
 def _b_from_json(obj):

@@ -388,8 +388,10 @@ class TestMarkov:
         assert abs(q - 0.5) < 1e-12
 
     def test_rejects_nonstochastic(self):
-        with pytest.raises(ValueError):
-            markov_to_matpow(StochasticChain(np.full((2, 2), 0.7), 1, 1, 1))
+        # columns summing to 1.4, and a column summing to 1 through a complex entry
+        for t in (np.full((2, 2), 0.7), np.array([[1.0, 0.5j], [0.0, 1.0 - 0.5j]])):
+            with pytest.raises(ValueError):
+                StochasticChain(t, 1, 1, 1)
 
     def test_seeded_walk_matches_monte_carlo(self):
         rng = np.random.default_rng(3)

@@ -946,30 +946,48 @@ def _first_entry_of(*mats):
     return lambda doc: [doc["matrices"][k]["data"].__setitem__(0, [1e200, 0.0]) for k in mats]
 
 
-@pytest.mark.parametrize(
-    "gen,edit,command",
-    [
-        *(pytest.param(("MATPOW", "--m", 4, "--kappa", 2, "--epsilon", 0.02, "--seed", 1), _first_entry_of(0),
-                       (command,), id=f"MATPOW {command}") for command in ("verify", "solve")),
-        pytest.param(("ITMATPROD", "--m", 3, "--kappa", 2, "--epsilon", 0.02, "--seed", 1), _first_entry_of(0, 1),
-                     ("verify",), id="ITMATPROD verify"),
-        pytest.param(("DET+", "--kappa", 2, "--epsilon", 0.3, "--seed", 3),
-                     lambda doc: doc["matrices"][0]["data"][4].__setitem__(1, 1e308),
-                     ("reduce", "--rule", "posdet_to_sumitmatprod", "--out", "{tmp}/out.json"),
-                     id="DET+ reduce posdet_to_sumitmatprod"),
-    ],
-)
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_a_product_that_overflows_fails_its_sigma1_clause(gen, edit, command, tmp_path, capsys):
-    # once a partial product or power overflows its sigma1 reads +inf, so the
-    # sweep's clause fails: exit 1, not an internal error
+#: (gen options, an edit that makes a product overflow, command): the inputs that overflow
+_OVERFLOWS = [
+    *(pytest.param(("MATPOW", "--m", 4, "--kappa", 2, "--epsilon", 0.02, "--seed", 1), _first_entry_of(0),
+                   (command,), id=f"MATPOW {command}") for command in ("verify", "solve")),
+    pytest.param(("ITMATPROD", "--m", 3, "--kappa", 2, "--epsilon", 0.02, "--seed", 1), _first_entry_of(0, 1),
+                 ("verify",), id="ITMATPROD verify"),
+    pytest.param(("DET+", "--kappa", 2, "--epsilon", 0.3, "--seed", 3),
+                 lambda doc: doc["matrices"][0]["data"][4].__setitem__(1, 1e308),
+                 ("reduce", "--rule", "posdet_to_sumitmatprod", "--out", "{tmp}/out.json"),
+                 id="DET+ reduce posdet_to_sumitmatprod"),
+]
+
+
+def _run_overflowing(gen, edit, command, tmp_path, *options) -> int:
+    """Generate ``gen``, apply ``edit`` to its document, and run ``command`` on it with ``options``."""
     path = tmp_path / "inst.json"
     assert run("gen", "--kind", gen[0], "--n", 3, *gen[1:], "--out", path) == 0
     doc = json.loads(path.read_text())
     edit(doc)
     path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run(command[0], path, *(o.format(tmp=tmp_path) for o in command[1:])) == 1
+    return run(command[0], path, *(o.format(tmp=tmp_path) for o in command[1:]), *options)
+
+
+@pytest.mark.parametrize("gen,edit,command", _OVERFLOWS)
+def test_a_product_that_overflows_fails_its_sigma1_clause(gen, edit, command, tmp_path, capsys):
+    # once a partial product or power overflows its sigma1 reads +inf, so the
+    # sweep's clause fails: exit 1, not an internal error, and no NumPy
+    # warning (an error under the test settings) reaches stderr
+    assert _run_overflowing(gen, edit, command, tmp_path) == 1
     err = capsys.readouterr().err
-    assert "Traceback" not in err and "internal error" not in err
+    assert "Traceback" not in err and "internal error" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("gen,edit,command", _OVERFLOWS)
+def test_the_report_of_an_overflowing_input_is_strict_json(gen, edit, command, tmp_path):
+    # each of these reports holds a NaN or an infinity, which is written as null
+    report = tmp_path / "report.json"
+    assert _run_overflowing(gen, edit, command, tmp_path, "--report", report) == 1
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    text = report.read_text()
+    json.loads(text, parse_constant=refuse)
+    assert "null" in text
