@@ -3,13 +3,14 @@
 
 Runs ``perfbench/run.py`` in alternating pairs, one run of the parent and
 one of this checkout per pair, the parent first in odd pairs (1-based), each
-run in its own checkout.  Prints each side's median and quartiles of every
-end-to-end metric named in ``BENCHMARK.json``, and the share of pairs this
-checkout won on it (ties count for neither side).  Writes the two records
+run in its own checkout.  Prints every end-to-end metric named in
+``BENCHMARK.json`` of both runs as each pair ends, then each side's median
+and quartiles of each metric and the share of pairs this checkout won on it
+(ties count for neither side).  Writes the two records
 ``bench/BENCH_<tag>-parent_<workload>.json`` and
 ``bench/BENCH_<tag>_<workload>.json``; each holds the command, the machine,
-the run nearest its side's median ``items_per_s`` as ``result``, and the
-pair summary.
+the run nearest its side's median ``items_per_s`` as ``result``, every run's
+result object in run order as ``runs``, and the pair summary.
 
 Usage (from the root of a checkout; the parent is another checkout, for
 example a ``git clone`` of this repository at the parent commit):
@@ -93,8 +94,8 @@ def main(argv=None) -> int:
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in sides:
             runs[side].append(run_once(parent if side == "parent" else ROOT, args))
-        print(f"pair {i + 1}: " + ", ".join(
-            f"{side} {runs[side][-1]['metrics']['items_per_s']['value']:.1f}" for side in sides) + " items/s",
+        print(f"pair {i + 1}: " + "; ".join(side + " " + ", ".join(
+            f"{name} {runs[side][-1]['metrics'][name]['value']:.4g}" for name in names) for side in sides),
             flush=True)
 
     won = {}
@@ -122,7 +123,7 @@ def main(argv=None) -> int:
         if side == "change":
             pairs["won"] = won
         doc = {"source": sources[side], "workload": args.workload, "seed": args.seed, "command": command,
-               "machine": host, "result": nearest, "pairs": pairs}
+               "machine": host, "result": nearest, "runs": runs[side], "pairs": pairs}
         path = ROOT / "bench" / f"BENCH_{args.tag}{suffix}_{args.workload}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"wrote {path.relative_to(ROOT)}")

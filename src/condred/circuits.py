@@ -167,7 +167,8 @@ def simulate_from_state(circ: GeneralCircuit, psi: np.ndarray) -> float:
     rho = np.outer(full, full.conj())
     for g in circ.gates:
         rho = g.apply(rho)
-    return float(np.real(np.trace(accept_projector(circ.h) @ rho)))
+    # Tr(accept_projector(h) rho): rho's diagonal where the first qubit is 1
+    return float(rho.diagonal()[2 ** (circ.h - 1) :].sum().real)
 
 
 @functools.cache

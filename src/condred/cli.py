@@ -63,23 +63,11 @@ def _record_to_json(rec: reductions.ReductionRecord) -> dict:
             "answer_map": rec.map.text, "bounds": bounds}
 
 
-def _strict(o):
-    """``o`` with each float that is not finite (NaN, an infinity) as None:
-    strict JSON has no text for them."""
-    if isinstance(o, float):
-        return o if math.isfinite(o) else None
-    if isinstance(o, dict):
-        return {key: _strict(value) for key, value in o.items()}
-    if isinstance(o, (list, tuple)):
-        return [_strict(value) for value in o]
-    return o
-
-
 def _emit_report(args, payload: dict) -> None:
     """Write ``payload`` and the time since :func:`main` began to ``--report``,
-    if given, as strict JSON (:func:`_strict`)."""
+    if given."""
     if args.report is not None:
-        save_json(_strict({**payload, "wall_time_s": time.perf_counter() - args.started}), args.report)
+        save_json({**payload, "wall_time_s": time.perf_counter() - args.started}, args.report)
 
 
 def _load(path):

@@ -324,8 +324,8 @@ def _nonneg_to_det(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
         raise ValueError("degenerate corner: rescaled determinant threshold above 1")
     p = inst.params
     n, m, kappa = p.n, p.m, p.kappa
-    bump = np.zeros((n, n), dtype=np.complex128)
-    bump[inst.t - 1, inst.s - 1] = 1.0
+    # |t><s|, laid out in n blocks of size 1
+    bump = _block_matrix(1, n, (), layout=lambda: [(inst.t - 1, inst.s - 1, 1, 1.0)])
     # C = exp(-l_hat) (I - superdiag(A_1, ..., A_m) + |nm+t><s|)
     c_hat = _block_matrix(
         n, m + 1, inst.forms, scale=(np.multiply, math.exp(-_log_count(2.0 + kappa))),

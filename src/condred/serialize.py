@@ -16,10 +16,11 @@ Schemas (field names are load-bearing, consumed by the CLI and the tests):
              "kraus" | "measure" | "reset", "targets": [...],
              "matrices": [...]}]}; gate matrices use the dense schema
 
-Documents are written in the layout of ``json.JSONEncoder(indent=1,
-sort_keys=True)``, byte for byte (:func:`dumps`), with floats in Python's
-shortest round-trip decimal form, which is exact for double precision and
-keeps equal inputs byte-identical on disk.  :func:`instance_doc` holds each
+Documents are strict JSON, written in the layout of
+``json.JSONEncoder(indent=1, sort_keys=True)``, byte for byte (:func:`dumps`),
+with each non-finite float written as ``null`` and every other float in
+Python's shortest round-trip decimal form, which is exact for double precision
+and keeps equal inputs byte-identical on disk.  :func:`instance_doc` holds each
 matrix's ``data`` or ``entries`` as a :class:`Table`, its int64 and float64
 column arrays, which :func:`instance_to_json` and :func:`matrix_to_json`
 give as lists.  One renderer writes every numeric table: a ``Table``, or a
@@ -28,9 +29,10 @@ all floats.  A long repetitive column gets one text per distinct bit
 pattern, looked up a batch of rows at a time; so writing an instance builds
 no Python object per entry.  :func:`save_json` and :func:`digest` write and
 hash the text in pieces of about 64 KB, so the whole document is never held
-as one string.  :func:`load_json` takes a document's digest as it loads it.
-Sizes, indices and qubit numbers must be JSON integers, and matrix values,
-kappa, epsilon and b finite numbers; anything else is a :class:`SchemaError`.
+as one string.  :func:`load_json` refuses a ``NaN``, ``Infinity`` or
+``-Infinity`` token and takes a document's digest as it loads it.  Sizes,
+indices and qubit numbers must be JSON integers, and matrix values, kappa,
+epsilon and b finite numbers; anything else is a :class:`SchemaError`.
 A COO matrix's shape is checked against ``params.n`` before anything of that
 size is built.
 """
@@ -321,23 +323,14 @@ def circuit_from_json(obj) -> GeneralCircuit:
 
 
 # With an indent, CPython's json encodes in pure Python, one chunk per
-# number.  The writer below gives the same text; it walks dicts and lists as
-# the stdlib does and renders numeric tables a batch of rows at a time.
+# number.  The writer below gives the same text, with null for a non-finite
+# float; it walks dicts and lists as the stdlib does and renders numeric
+# tables a batch of rows at a time.
 _INDENT = " "
 _BATCH = 1024  # numbers per rendered table batch, about 30 KB of text
 _UNIQUE_MIN = 256  # a shorter column is rendered number by number
 _WRITE = 1 << 16  # characters written and hashed at a time, about
 _quote = json.encoder.encode_basestring_ascii
-
-
-def _float(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == math.inf:
-        return "Infinity"
-    if o == -math.inf:
-        return "-Infinity"
-    return float.__repr__(o)
 
 
 def _scalar(o) -> str | None:
@@ -354,7 +347,7 @@ def _scalar(o) -> str | None:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        return _float(o)
+        return float.__repr__(o) if math.isfinite(o) else "null"
     return None
 
 
@@ -445,7 +438,7 @@ def _as_table(lst) -> Table | None:
 def _texts(values: np.ndarray, before: str, after: str) -> list[str]:
     """The text of each number of ``values`` between ``before`` and ``after``."""
     if values.dtype.kind == "f" and not np.isfinite(values).all():
-        return [before + _float(x) + after for x in values.tolist()]
+        return [before + _scalar(x) + after for x in values.tolist()]
     # %r gives the stdlib's text of an int and of a finite float
     return list(map((before + "%r" + after).__mod__, values.tolist()))
 
@@ -504,7 +497,8 @@ def _pieces(obj):
 
 
 def dumps(obj) -> str:
-    """``json.JSONEncoder(indent=1, sort_keys=True).encode(obj)``, with each
+    """The layout of ``json.JSONEncoder(indent=1, sort_keys=True)``, byte for
+    byte, with each non-finite float written as ``null`` and each
     :class:`Table` written as its list."""
     return "".join(_encode(obj, 0, set()))
 
@@ -535,11 +529,14 @@ def save_json(obj, path) -> str:
 
 def load_json(path) -> tuple[object, str]:
     """The JSON document at ``path`` and its :func:`digest`, taken as it is
-    loaded, so that a document that cannot be read or written back is
-    refused before any work."""
+    loaded, so that a document that is not strict JSON, or cannot be read or
+    written back, is refused before any work."""
+    def refuse(token: str):
+        raise SchemaError(f"not strict JSON: {path}: {token} is not a JSON number")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=refuse)
         return doc, digest(doc)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text: {path}: {exc}") from exc

@@ -74,6 +74,22 @@ def _encoded(encode, doc):
         return type(exc)
 
 
+def _nulled(o):
+    """``o`` with each non-finite float, np.float64 included, as None."""
+    if isinstance(o, float):
+        return o if math.isfinite(o) else None
+    if isinstance(o, dict):
+        return {key: _nulled(value) for key, value in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_nulled(value) for value in o]
+    return o
+
+
+def _refuse(token):
+    """A ``parse_constant`` that refuses every NaN or infinity token."""
+    raise ValueError(f"not strict JSON: {token}")
+
+
 def _circular():
     doc = [1, [2.5]]
     doc[1].append(doc)
@@ -153,7 +169,23 @@ class TestRoundTrips:
     @given(_documents)
     @settings(max_examples=300, deadline=None)
     def test_dumps_is_the_standard_encoding(self, doc):
-        assert _encoded(dumps, doc) == _encoded(_STANDARD.encode, doc)
+        # with null for each non-finite float, which strict JSON has no text for
+        assert _encoded(dumps, doc) == _encoded(_STANDARD.encode, _nulled(doc))
+
+    @given(_documents)
+    @settings(max_examples=300, deadline=None)
+    def test_dumps_writes_strict_json(self, doc):
+        text = _encoded(dumps, doc)
+        if isinstance(text, str):
+            json.loads(text, parse_constant=_refuse)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_load_json_refuses_a_token_that_is_no_json_number(self, token, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(f'{{"a": [1.5, {token}]}}')
+        with pytest.raises(SchemaError) as refused:
+            serialize.load_json(path)
+        assert str(refused.value) == f"not strict JSON: {path}: {token} is not a JSON number"
 
     @pytest.mark.parametrize("doc", [np.int64(3), [[1, np.int64(2)]], {"a": object()}, {(1, 2): 3},
                                      {1: 2, "a": 3}, _circular(), _shared()], ids=repr)
@@ -941,6 +973,25 @@ def test_verify_refuses_a_directory_with_a_malformed_file_before_any_output(bad,
     assert not report.exists()
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_verify_refuses_a_directory_with_a_non_json_number_before_any_output(token, tmp_path, capsys):
+    # b.json is a valid instance but for the token in a field the schema
+    # ignores; it is refused at load, so no verdict is printed for a.json or c.json
+    folder = tmp_path / "batch"
+    folder.mkdir()
+    for name in "ac":
+        assert run("gen", "--kind", "MATINV", "--n", 3, "--kappa", 4, "--epsilon", 0.05,
+                   "--seed", 1, "--out", folder / f"{name}.json") == 0
+    bad = folder / "b.json"
+    bad.write_text(f'{{"note": {token},' + (folder / "a.json").read_text()[1:])
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run("verify", folder, "--report", report) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err == f"schema error: not strict JSON: {bad}: {token} is not a JSON number\n"
+    assert not report.exists()
+
+
 def _first_entry_of(*mats):
     """Entry (1, 1) of the dense-schema matrices ``mats`` set to 1e200."""
     return lambda doc: [doc["matrices"][k]["data"].__setitem__(0, [1e200, 0.0]) for k in mats]
@@ -984,10 +1035,6 @@ def test_the_report_of_an_overflowing_input_is_strict_json(gen, edit, command, t
     # each of these reports holds a NaN or an infinity, which is written as null
     report = tmp_path / "report.json"
     assert _run_overflowing(gen, edit, command, tmp_path, "--report", report) == 1
-
-    def refuse(token):
-        raise ValueError(f"not strict JSON: {token}")
-
     text = report.read_text()
-    json.loads(text, parse_constant=refuse)
+    json.loads(text, parse_constant=_refuse)
     assert "null" in text
