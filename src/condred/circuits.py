@@ -73,13 +73,6 @@ class ChannelGate:
     def dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def is_unitary(self) -> bool:
-        """One Kraus operator U with U U^dag = I within :data:`DEFAULT_TOL`."""
-        if len(self.kraus) != 1:
-            return False
-        u = self.kraus[0]
-        return bool(np.max(np.abs(u @ u.conj().T - np.eye(self.dim))) <= DEFAULT_TOL)
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = np.zeros_like(rho)
         for k in self.kraus:
@@ -139,14 +132,6 @@ class GeneralCircuit:
                 raise ValueError(f"gate dimension {g.dim} does not match h={self.h}")
 
 
-def accept_projector(h: int) -> np.ndarray:
-    """Projector onto basis states whose first qubit is 1."""
-    d = 2**h
-    diag = np.zeros(d)
-    diag[d // 2 :] = 1.0
-    return np.diag(diag).astype(np.complex128)
-
-
 def simulate_acceptance(circ: GeneralCircuit) -> float:
     """Density-matrix evolution from |0...0>; probability of reading 1."""
     if circ.merlin_qubits:
@@ -167,7 +152,7 @@ def simulate_from_state(circ: GeneralCircuit, psi: np.ndarray) -> float:
     rho = np.outer(full, full.conj())
     for g in circ.gates:
         rho = g.apply(rho)
-    # Tr(accept_projector(h) rho): rho's diagonal where the first qubit is 1
+    # Tr(P_accept rho): rho's diagonal where the first qubit is 1
     return float(rho.diagonal()[2 ** (circ.h - 1) :].sum().real)
 
 
@@ -253,10 +238,11 @@ def clock_hamiltonian(circ: GeneralCircuit) -> ClockHamiltonianParts:
     """
     m, h = circ.merlin_qubits, circ.h
     t = len(circ.gates)
-    for g in circ.gates:
-        if not g.is_unitary():
-            raise ValueError("clock construction needs unitary gates only")
     d = 2**h
+    for g in circ.gates:
+        u = g.kraus[0]
+        if len(g.kraus) != 1 or np.max(np.abs(u @ u.conj().T - np.eye(d))) > DEFAULT_TOL:
+            raise ValueError("clock construction needs unitary gates only")
     clock = t + 1
     ket = lambda j: np.eye(clock, dtype=np.complex128)[:, j : j + 1]
 
@@ -269,7 +255,7 @@ def clock_hamiltonian(circ: GeneralCircuit) -> ClockHamiltonianParts:
     # final clock value; penalizing acceptance instead would give a perfectly
     # accepted proof ground energy 1/(t+1) rather than the required 0
     proj_t = ket(t) @ ket(t).conj().T
-    h_out = np.kron(np.eye(d) - accept_projector(h), proj_t)
+    h_out = np.kron(np.diag(np.repeat([1.0, 0.0], d // 2)).astype(np.complex128), proj_t)
 
     h_prop = np.zeros_like(h_in)
     eye = np.eye(d, dtype=np.complex128)

@@ -318,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide an instance by oracle or certified series")
     p.add_argument("path")
     p.add_argument("--method", choices=["oracle", "series"], default="oracle")
-    p.add_argument("--check", choices=["full", "gap", "none"], default="full")
+    p.add_argument("--check", choices=["full", "gap", "none"], default="full",
+                   help="promise clauses checked before an oracle decision (--method oracle only; "
+                   "the series always checks the spectral clauses its certificate needs)")
     p.set_defaults(func=lambda args: cmd_solve(args))
 
     for p in sub.choices.values():  # every command writes its report (_emit_report)

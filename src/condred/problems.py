@@ -187,11 +187,13 @@ class ProblemInstance:
     @cached_property
     def quantity(self) -> float | complex | None:
         """The exact quantity each Output clause compares against b, made on
-        first read and kept: log|det| for the DET kinds, by a triangular
-        factorization; powers, product entries and sums over E by sweeping
-        row s, or the rows of E, through the stored factors; sigma_min, read
-        from the spectral record, for SINGULAR.  None for a MATINV-family
-        matrix that is exactly singular (no inverse entry: the promise breaks)."""
+        first read and kept: log|det| for the DET kinds and an inverse entry
+        for the MATINV kinds, by a triangular factorization; sigma_min, read
+        from the spectral record, for SINGULAR; for every other kind the sum
+        of the product entries at the pairs of E, or at the one pair (s, t),
+        by one sweep of their rows through the stored factors (A m times for
+        a power).  None for a MATINV-family matrix that is exactly singular
+        (no inverse entry: the promise breaks)."""
         kind, p = self.kind, self.params
         if kind in (Kind.DET, Kind.DET_PLUS):
             return log_abs_det(self.forms[0])
@@ -200,15 +202,14 @@ class ProblemInstance:
                 return inverse_entry(self.forms[0], self.s, self.t)
             except np.linalg.LinAlgError:
                 return None
-        if kind in (Kind.MATPOW, Kind.V_MATPOW):
-            return complex(_rows_of_product((self.forms[0],) * p.m, [self.s])[0, self.t - 1])
-        if kind in (Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, Kind.V_ITMATPROD):
-            return complex(_rows_of_product(self.forms, [self.s])[0, self.t - 1])
-        if kind is Kind.SUMITMATPROD:
-            rows = np.unique([s for s, _ in self.E])
-            prod = _rows_of_product(self.forms, rows)
-            return complex(sum(prod[np.searchsorted(rows, s), t - 1] for s, t in self.E))
-        return float(self.spectrum.sigma[-1])  # SINGULAR
+        if kind is Kind.SINGULAR:
+            return float(self.spectrum.sigma[-1])
+        factors = (self.forms[0],) * p.m if kind in (Kind.MATPOW, Kind.V_MATPOW) else self.forms
+        pairs = self.E or ((self.s, self.t),)
+        rows = np.unique([s for s, _ in pairs])
+        prod = _rows_of_product(factors, rows)
+        first, *rest = (prod[np.searchsorted(rows, s), t - 1] for s, t in pairs)
+        return complex(sum(rest, first))  # a lone entry keeps its bits, -0.0 parts included
 
 
 class DecisionValue(str, enum.Enum):
@@ -442,30 +443,9 @@ def oracle_decide(
 # generators
 
 
-def gen_conditioned_matrix(
-    n: int, sigma_min: float, sigma_max: float, seed: int
-) -> np.ndarray:
-    """A = U diag(sigma) V^dag with the spectrum pinned inside [min, max].
-
-    Both endpoints are hit deterministically (for n >= 2); interior values
-    are uniform.  Deterministic in (n, sigma_min, sigma_max, seed).
-    """
-    if not (0 < sigma_min <= sigma_max):
-        raise ValueError("need 0 < sigma_min <= sigma_max")
-    rng = np.random.default_rng(seed)
-    u = random_unitary(n, rng)
-    v = random_unitary(n, rng)
-    if n == 1:
-        sigma = np.array([sigma_max])
-    else:
-        sigma = np.sort(rng.uniform(sigma_min, sigma_max, size=n))[::-1]
-        sigma[0], sigma[-1] = sigma_max, sigma_min
-    return u @ np.diag(sigma).astype(np.complex128) @ v.conj().T
-
-
 def _conditioned(n: int, lo: float, hi: float, rng: np.random.Generator) -> np.ndarray:
-    """Like gen_conditioned_matrix but with a free interior spectrum, so
-    instance families stay varied at small n."""
+    """A = U diag(sigma) V^dag with every singular value drawn uniformly
+    from [lo, hi], so instance families stay varied at small n."""
     u = random_unitary(n, rng)
     v = random_unitary(n, rng)
     sigma = np.sort(rng.uniform(lo, hi, size=n))[::-1]

@@ -313,6 +313,8 @@ def circuit_from_json(obj) -> GeneralCircuit:
         raise SchemaError(f"bad circuit object: {exc}") from exc
     if h < 1:
         raise SchemaError(f"qubits = {h}; a circuit needs at least one qubit")
+    if h > 29:  # at h = 30 one dense 2^h x 2^h complex gate needs 2^64 bytes
+        raise SchemaError(f"qubits = {h}; a circuit has at most 29 qubits")
     if not isinstance(docs, list):
         raise SchemaError("gates must be a list")
     gates = tuple(gate_from_json(g, h) for g in docs)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,20 @@ class TestCli:
         assert "H positive definite" in capsys.readouterr().out
         assert run("--tol", 0.01, "solve", path, "--method", "series") == 1
         assert capsys.readouterr().err.startswith("promise violation: H positive definite fails")
+
+    def test_solve_check_applies_to_the_oracle_only(self, tmp_path, capsys):
+        # H = diag(0.5, -0.5) is not positive definite; --check none lets the
+        # oracle decide it, while the series checks the spectral clauses its
+        # certificate needs under every --check
+        inst = problems.ProblemInstance(Kind.MATINV_PLUS, ConditionParams(2, 1, 2.0, 0.5), (np.diag([0.5, -0.5]),),
+                                        s=1, t=1, b=1.5)
+        path = tmp_path / "indefinite.json"
+        save_json(instance_to_json(inst), path)
+        assert run("solve", path, "--method", "oracle", "--check", "none") == 0
+        assert capsys.readouterr().out.startswith("oracle: One")
+        for check in ("full", "gap", "none"):
+            assert run("solve", path, "--method", "series", "--check", check) == 1
+            assert capsys.readouterr().err.startswith("promise violation: H positive definite fails")
 
     @pytest.mark.parametrize("kind,epsilon,where", [
         # |H^-1[1,1]| = 2 and the series gives 1.984375 +- 0.125, inside (1.7, 2.2)
@@ -802,6 +817,19 @@ def test_bad_circuit_exits_without_traceback(doc, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run("compile-circuit", path, "--out", tmp_path / "out.json") == 2
     assert capsys.readouterr().err.startswith("schema error: ")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("qubits", [30, 10**30])
+def test_a_circuit_past_29_qubits_is_refused_at_once(qubits, tmp_path, capsys):
+    # 10**30 qubits, written out, used to run compile-circuit out of memory
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({"qubits": qubits, "gates": []}))
+    started = time.perf_counter()
+    assert run("compile-circuit", path, "--out", tmp_path / "out.json") == 2
+    assert time.perf_counter() - started < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"schema error: qubits = {qubits}; a circuit has at most 29 qubits\n"
     assert not (tmp_path / "out.json").exists()
 
 

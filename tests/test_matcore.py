@@ -1,7 +1,10 @@
 """Core linear algebra against independent brute-force oracles."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -248,3 +251,21 @@ def test_only_the_instance_views_read_the_dense_matrices():
                     v.lineno <= number <= v.end_lineno for v in views):
                 reads.append(f"{path.name}:{number}: {line.strip()}")
     assert reads == []
+
+
+def test_each_layer_import_loads_only_the_layers_it_needs():
+    # the package imports none of its layers: matcore loads no other condred
+    # module, and problems, which reads matcore, adds only itself
+    script = "\n".join([
+        "import sys",
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'condred')",
+        "import condred; print(loaded())",
+        "import condred.matcore; print(loaded())",
+        "import condred.problems; print(loaded())",
+    ])
+    src = str(Path(condred.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    layers = ["condred", "condred.matcore", "condred.problems"]
+    assert proc.stdout.splitlines() == [repr(layers[:k]) for k in (1, 2, 3)]

@@ -17,7 +17,6 @@ from condred.problems import (
     ProblemInstance,
     _output,
     check_promise,
-    gen_conditioned_matrix,
     gen_instance,
     oracle_decide,
     partial_products,
@@ -192,16 +191,15 @@ class TestOracle:
 
     def test_det_log_magnitude_equals_singular_values(self):
         for seed in range(20):
-            a = gen_conditioned_matrix(4, 0.2, 1.0, seed)
-            inst = ProblemInstance(Kind.DET, ConditionParams(4, 1, 5.0, 0.1), (a,), b=-0.5)
+            inst = gen_instance(Kind.DET, ConditionParams(4, 1, 5.0, 0.1), seed)
             q = oracle_decide(inst, check="none").witness_value
-            assert abs(q - np.log(svd_values(a)).sum()) < 1e-7
+            assert abs(q - np.log(svd_values(inst.matrix)).sum()) < 1e-7
 
     def test_unitary_basis_change_invariance(self):
         # the inverse entry transforms consistently under conjugation
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            a = gen_conditioned_matrix(4, 0.25, 1.0, seed)
+            a = gen_instance(Kind.MATINV, ConditionParams(4, 1, 4.0, 0.05), seed).matrix
             u = random_unitary(4, rng)
             s, t = int(rng.integers(4)), int(rng.integers(4))
             direct = np.linalg.solve(a, np.eye(4)[:, t])[s]
@@ -224,28 +222,10 @@ class TestPartialProducts:
 
 
 class TestGenerators:
-    def test_conditioned_matrix_spectrum(self):
-        for seed in range(25):
-            a = gen_conditioned_matrix(5, 0.1, 0.9, seed)
-            s = svd_values(a)
-            assert s[0] <= 0.9 + 1e-9
-            assert s[-1] >= 0.1 - 1e-9
-
-    def test_unit_scalar(self):
-        a = gen_conditioned_matrix(1, 1.0, 1.0, 3)
-        assert abs(abs(a[0, 0]) - 1.0) < 1e-12
-
     def test_determinism(self):
-        a = gen_conditioned_matrix(4, 0.2, 1.0, 11)
-        b = gen_conditioned_matrix(4, 0.2, 1.0, 11)
-        assert np.array_equal(a, b)
         i1 = gen_instance(Kind.MATINV, GEN_PARAMS[Kind.MATINV], seed=9)
         i2 = gen_instance(Kind.MATINV, GEN_PARAMS[Kind.MATINV], seed=9)
         assert np.array_equal(i1.matrix, i2.matrix) and i1.b == i2.b
-
-    def test_rejects_bad_sigma_range(self):
-        with pytest.raises(ValueError):
-            gen_conditioned_matrix(3, 0.5, 0.2, 0)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_wanted_decision_is_delivered(self, kind):
