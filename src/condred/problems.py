@@ -190,8 +190,8 @@ class ProblemInstance:
         first read and kept: log|det| for the DET kinds and an inverse entry
         for the MATINV kinds, by a triangular factorization; sigma_min, read
         from the spectral record, for SINGULAR; for every other kind the sum
-        of the product entries at the pairs of E, or at the one pair (s, t),
-        by one sweep of their rows through the stored factors (A m times for
+        of the product entries at the pairs of E for SUMITMATPROD, or at the
+        one pair (s, t) (an E given to another kind is not read), by one sweep of their rows through the stored factors (A m times for
         a power).  None for a MATINV-family matrix that is exactly singular
         (no inverse entry: the promise breaks)."""
         kind, p = self.kind, self.params
@@ -205,7 +205,7 @@ class ProblemInstance:
         if kind is Kind.SINGULAR:
             return float(self.spectrum.sigma[-1])
         factors = (self.forms[0],) * p.m if kind in (Kind.MATPOW, Kind.V_MATPOW) else self.forms
-        pairs = self.E or ((self.s, self.t),)
+        pairs = self.E if kind is Kind.SUMITMATPROD else ((self.s, self.t),)
         rows = np.unique([s for s, _ in pairs])
         prod = _rows_of_product(factors, rows)
         first, *rest = (prod[np.searchsorted(rows, s), t - 1] for s, t in pairs)

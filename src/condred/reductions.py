@@ -438,9 +438,10 @@ def _vmatinv_to_singular(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     c = math.ceil(kappa)
     c_mat = _singular_b(inst)
     c_mat[np.ix_([inst.t - 1, n], [inst.s - 1, n])] -= 1.0  # B_hat - v u^dag, u = e_s + e_{n+1}, v = e_t + e_{n+1}
-    # H_hat = [[0, C_hat], [C_hat^dag, 0]] / (2c + 1)
-    h = _block_matrix(n + 1, 2, (c_mat,), layout=lambda a: [(0, 1, 1, a), (1, 0, 1, a.conj().T)],
-                      scale=(np.multiply, 1.0 / (2.0 * c + 1.0)))
+    # H_hat = [[0, C_hat], [C_hat^dag, 0]] / (2c + 1), stored dense whatever
+    # its fill: SINGULAR is read through the SVD of its dense form
+    h = dense_form(_block_matrix(n + 1, 2, (c_mat,), layout=lambda a: [(0, 1, 1, a), (1, 0, 1, a.conj().T)],
+                                 scale=(np.multiply, 1.0 / (2.0 * c + 1.0))))
     # sigma_{n+1}(B_hat) >= 2/3 for every |b| <= ceil(kappa), which is weaker
     # than the 2/sqrt(5) available for Re(b) >= 0 but valid on the whole
     # promise; the output gap shrinks accordingly

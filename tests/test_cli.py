@@ -827,7 +827,7 @@ def test_a_circuit_past_29_qubits_is_refused_at_once(qubits, tmp_path, capsys):
     path.write_text(json.dumps({"qubits": qubits, "gates": []}))
     started = time.perf_counter()
     assert run("compile-circuit", path, "--out", tmp_path / "out.json") == 2
-    assert time.perf_counter() - started < 1.0
+    assert time.perf_counter() - started < 10.0  # a hang, not scheduler noise
     out, err = capsys.readouterr()
     assert out == "" and err == f"schema error: qubits = {qubits}; a circuit has at most 29 qubits\n"
     assert not (tmp_path / "out.json").exists()

@@ -124,6 +124,14 @@ class TestOracle:
                 assert (decided is not DecisionValue.PROMISE_VIOLATED) is holds, (kind, seed, check)
             assert holds and oracle_decide(moved).value is DecisionValue.ONE, (kind, seed)
 
+    @pytest.mark.parametrize("kind", [Kind.MATPOW, Kind.V_MATPOW, Kind.ITMATPROD, Kind.V_ITMATPROD])
+    def test_an_e_given_to_another_kind_is_not_read(self, kind):
+        # only SUMITMATPROD sums over E; any other entry kind reads (s, t)
+        inst = gen_instance(kind, GEN_PARAMS[kind], seed=2)
+        stray = replace(inst, E=((1, 1), (2, 3), (3, 2)))
+        assert repr(stray.quantity) == repr(inst.quantity)
+        assert oracle_decide(stray) == oracle_decide(inst)
+
     def test_gap_interior_is_promise_violated(self):
         a = np.diag([1.0, 0.5]).astype(complex)
         # entry is 2.0, strictly inside (b - eps, b) = (1.5, 2.5)

@@ -27,6 +27,7 @@ from condred.reductions import (
     DET_PLUS_CYCLE,
     MATINV_PLUS_CYCLE,
     RULES,
+    SPARSE_DENSITY,
     _log_count,
     carried_tol,
     chain,
@@ -391,6 +392,28 @@ class TestVmatinvToSingular:
         )
         with pytest.raises(ValueError):
             RULES["vmatinv_to_singular"].apply(inst)
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_a_nearly_empty_input_gives_a_dense_dilation(self, m):
+        # the chain makes a vMATINV input of n = 72 (dense) or 98 (CSC) so
+        # empty that the block helper assembles H_hat as CSC; it is stored dense
+        for want_one in (True, False):
+            src = gen_instance(Kind.V_ITMATPROD, ConditionParams(2, m, 2.0, 0.02), seed=4, want_one=want_one)
+            mid, _ = chain(src, ["vitmatprod_to_vmatpow", "vmatpow_to_vmatinv"])
+            out, _ = RULES["vmatinv_to_singular"].apply(mid)
+            assert isinstance(out.forms[0], np.ndarray)
+            n, c = mid.params.n, math.ceil(mid.params.kappa)
+            c_hat = np.zeros((n + 1, n + 1), dtype=complex)
+            c_hat[:n, :n] = mid.matrix * 2 * c
+            c_hat[n, n] = 1 / (1 - mid.b / (2 * c))
+            c_hat[np.ix_([mid.t - 1, n], [mid.s - 1, n])] -= 1.0
+            assert 2 * (n + 1) + np.count_nonzero(c_hat) <= SPARSE_DENSITY * (2 * n + 2) ** 2
+            h = out.matrix * (2 * c + 1)
+            assert np.allclose(h[: n + 1, n + 1 :], c_hat, rtol=0, atol=1e-12)
+            assert np.allclose(h[n + 1 :, : n + 1], c_hat.conj().T, rtol=0, atol=1e-12)
+            assert not h[: n + 1, : n + 1].any() and not h[n + 1 :, n + 1 :].any()
+            assert identity_residual("vmatinv_to_singular", mid, out) < 1e-9
+            assert oracle_decide(out).value is oracle_decide(mid).value is oracle_decide(src).value
 
     def test_seeded_pairs_and_det_identity(self):
         for seed in SEEDS:
