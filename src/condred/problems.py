@@ -483,6 +483,8 @@ def gen_instance(
     margin, where = None, {}
 
     if kind is Kind.SINGULAR:
+        if eps > 1.0:
+            raise InfeasibleParams(f"SINGULAR draws |eigenvalues| from [epsilon, 1]; epsilon={eps} > 1")
         u = random_unitary(n, rng)
         mags = rng.uniform(eps, 1.0, size=n)
         mags[0] = 1.0

@@ -15,9 +15,11 @@ that a series rule adds (:class:`AnswerMap`).  From that one statement come
 b_hat, the defining identity |q_hat - f(q)|, the remainder bounds, the
 record's answer-map text and the tolerance a target is read at
 (:func:`carried_tol`).  The builder makes the target with the output kind
-and b_hat it is given and returns it with its declared conditioning bounds,
-each with the function that measures it; the verification variants reuse
-the base builders.
+and b_hat it is given and returns only the target.  The record's bounds are
+the conditioning the target's kind promises at the kappa_hat in its
+parameters (:func:`_conditioning`), then the rule's own bounds and the
+remainder's, each with the function that measures it; the verification
+variants reuse the base builders.
 
 Every block matrix a rule builds out of its input's matrices, identities
 and scalars is stated as a layout, a list of blocks and their positions, and
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .matcore import _frozen, adjoint, as_form, dense_form, gram, identity_minus, nonzeros, svd_values
-from .problems import ConditionParams, Kind, ProblemInstance
+from .problems import POSITIVE_KINDS, PRODUCT_KINDS, ConditionParams, Kind, ProblemInstance
 from .series import PromiseViolation, log_series, logdet_terms, neumann_series, neumann_terms
 from .series import log_count as _log_count
 
@@ -142,16 +144,27 @@ def _affine(a, c, lhs: str, rhs: str, remainder=(0.0, 0.0), series=None) -> Answ
     return _map(lambda q: a * q + c, form, lhs, rhs, remainder=remainder, series=series)
 
 
-#: what a builder returns: the target and its declared conditioning bounds
-Built = tuple[ProblemInstance, tuple[Bound, ...]]
+def _sigma1(src: ProblemInstance, dst: ProblemInstance) -> float:
+    return dst.spectrum.sigma[0]
 
 
-# a bound on a sigma or a lambda of the target reads its spectral record,
-# ``dst.spectrum``; the sweeps of a product or power kind read ``sigma1_sweep``
+def _inverse_sigma1(src: ProblemInstance, dst: ProblemInstance) -> float:
+    """sigma1(A_hat^-1) as 1/sigma_min, or 1/lambda_min for DET+ and MATINV+ (so
+    that the bound states H > 0); +inf where that value is <= 0."""
+    low = float((dst.spectrum.lam if dst.kind in POSITIVE_KINDS else dst.spectrum.sigma)[-1])
+    return 1.0 / low if low > 0.0 else math.inf
 
 
-def _sigma1_sweep(src: ProblemInstance, dst: ProblemInstance) -> float:
-    return dst.sigma1_sweep
+def _conditioning(dst: ProblemInstance) -> tuple[Bound, ...]:
+    """The conditioning a target of ``dst``'s kind promises at its kappa_hat:
+    the partial-product or power sweep <= kappa_hat; else sigma1 <= 1 and,
+    unless it is SINGULAR, sigma1(A_hat^-1) <= kappa_hat."""
+    kind, kappa = dst.kind, dst.params.kappa
+    if kind in PRODUCT_KINDS or kind in (Kind.MATPOW, Kind.V_MATPOW):
+        name = "sigma1(all partial products)" if kind in PRODUCT_KINDS else "sigma1(A_hat^j), j in [m]"
+        return (Bound(name, kappa, measure=lambda _, dst: dst.sigma1_sweep),)
+    top = Bound("sigma1(A_hat)", 1.0, measure=_sigma1)
+    return (top,) if kind is Kind.SINGULAR else (top, Bound("sigma1(A_hat^-1)", kappa, measure=_inverse_sigma1))
 
 
 #: one n x n block of a layout: (block row, block column, sign, block), where
@@ -230,17 +243,16 @@ def _entries(block, n: int, dense: bool) -> tuple[np.ndarray, ...]:
 # product / powering / inversion chain
 
 
-def _itmatprod_to_matpow(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
+def _itmatprod_to_matpow(inst: ProblemInstance, kind: Kind, b_hat) -> ProblemInstance:
     p = inst.params
     n, m = p.n, p.m
     # A_1, ..., A_m immediately above the diagonal blocks
     big = _block_matrix(n, m + 1, inst.forms, layout=lambda *a: [(r, r + 1, 1, a[r]) for r in range(m)])
     out_params = ConditionParams(n * (m + 1), m, p.kappa, p.epsilon)
-    out = ProblemInstance(kind, out_params, (big,), s=inst.s, t=n * m + inst.t, b=b_hat)
-    return out, (Bound("sigma1(A_hat^j), j in [m]", p.kappa, measure=_sigma1_sweep),)
+    return ProblemInstance(kind, out_params, (big,), s=inst.s, t=n * m + inst.t, b=b_hat)
 
 
-def _matpow_to_matinv(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
+def _matpow_to_matinv(inst: ProblemInstance, kind: Kind, b_hat) -> ProblemInstance:
     p = inst.params
     n, m = p.n, p.m
     c = math.ceil(1.0 + p.kappa)
@@ -250,14 +262,10 @@ def _matpow_to_matinv(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
         layout=lambda a: [(r, r, 1, 1.0) for r in range(m + 1)] + [(r, r + 1, -1, a) for r in range(m)],
     )
     out_params = ConditionParams(n * (m + 1), 1, (1.0 + m * p.kappa) * c, c * p.epsilon)
-    out = ProblemInstance(kind, out_params, (z,), s=inst.s, t=n * m + inst.t, b=b_hat)
-    return out, (
-        Bound("sigma1(Z_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
-        Bound("sigma1(Z_hat^-1)", (1.0 + m * p.kappa) * c, measure=lambda _, dst: 1 / dst.spectrum.sigma[-1]),
-    )
+    return ProblemInstance(kind, out_params, (z,), s=inst.s, t=n * m + inst.t, b=b_hat)
 
 
-def _matinv_to_posmatinv(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
+def _matinv_to_posmatinv(inst: ProblemInstance, kind: Kind, b_hat) -> ProblemInstance:
     p = inst.params
     n = p.n
     # H = [[A^dag A, -A^dag], [-A, 2I]] / 3, with A^dag built once; the
@@ -269,18 +277,14 @@ def _matinv_to_posmatinv(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
         ],
     )
     out_params = ConditionParams(2 * n, 1, (3.0 * p.kappa) ** 2, 3.0 * p.epsilon)
-    out = ProblemInstance(kind, out_params, (h,), s=inst.s, t=inst.t + n, b=b_hat)
-    return out, (
-        Bound("sigma1(H_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
-        Bound("lambda_min(H_hat)", (3.0 * p.kappa) ** -2, upper=False, measure=lambda _, dst: dst.spectrum.lam[-1]),
-    )
+    return ProblemInstance(kind, out_params, (h,), s=inst.s, t=inst.t + n, b=b_hat)
 
 
 # ---------------------------------------------------------------------------
 # determinant chain
 
 
-def _posdet_to_sumitmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
+def _posdet_to_sumitmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> ProblemInstance:
     p = inst.params
     n, kappa, eps = p.n, p.kappa, p.epsilon
     l_hat = _log_count(kappa)
@@ -304,22 +308,20 @@ def _posdet_to_sumitmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     )
     pairs = tuple((d, d) for d in range(1, dim + 1))
     out_params = ConditionParams(dim, m_hat, 1.0, eps / 2.0)
-    out = ProblemInstance(kind, out_params, mats, E=pairs, b=b_hat)
-    return out, (Bound("sigma1(all partial products)", 1.0, measure=_sigma1_sweep),)
+    return ProblemInstance(kind, out_params, mats, E=pairs, b=b_hat)
 
 
-def _itmatprod_to_nonneg(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
+def _itmatprod_to_nonneg(inst: ProblemInstance, kind: Kind, b_hat) -> ProblemInstance:
     p = inst.params
     n, m = p.n, p.m
     # |t><t|, laid out in n blocks of size 1
     mid = _block_matrix(1, n, (), layout=lambda: [(inst.t - 1, inst.t - 1, 1, 1.0)])
     mats = inst.forms + (mid,) + tuple(adjoint(a) for a in reversed(inst.forms))
     out_params = ConditionParams(n, 2 * m + 1, p.kappa**2, p.epsilon**2)
-    out = ProblemInstance(kind, out_params, mats, s=inst.s, t=inst.s, b=b_hat)
-    return out, (Bound("sigma1(all partial products)", p.kappa**2, measure=_sigma1_sweep),)
+    return ProblemInstance(kind, out_params, mats, s=inst.s, t=inst.s, b=b_hat)
 
 
-def _nonneg_to_det(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
+def _nonneg_to_det(inst: ProblemInstance, kind: Kind, b_hat) -> ProblemInstance:
     if b_hat > 0:
         raise ValueError("degenerate corner: rescaled determinant threshold above 1")
     p = inst.params
@@ -333,12 +335,7 @@ def _nonneg_to_det(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
         + [(r, r + 1, -1, a[r]) for r in range(m)] + [(m, 0, 1, bump)],
     )
     out_params = ConditionParams(n * (m + 1), 1, (2.0 + m * kappa) ** 3, p.epsilon / (2.0 + 2.0 * kappa))
-    out = ProblemInstance(kind, out_params, (c_hat,), b=b_hat)
-    return out, (
-        Bound("sigma1(C_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
-        Bound("sigma_min(C_hat)", (2.0 + m * kappa) ** -3, upper=False,
-              measure=lambda _, dst: dst.spectrum.sigma[-1]),
-    )
+    return ProblemInstance(kind, out_params, (c_hat,), b=b_hat)
 
 
 def _rank_one_map(p: ConditionParams) -> AnswerMap:
@@ -348,20 +345,16 @@ def _rank_one_map(p: ConditionParams) -> AnswerMap:
                 f"ln(1+{{}}) - {l_hat}*{big_n}", "ln|det C_hat|", "A_{1,m}[s,t]", nonneg=True)
 
 
-def _det_to_posdet(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
+def _det_to_posdet(inst: ProblemInstance, kind: Kind, b_hat) -> ProblemInstance:
     p = inst.params
     h = gram(inst.forms[0], left=False)
     # the declared gap parameter is eps/2 although squaring the
     # determinant doubles the realized log gap
     out_params = ConditionParams(p.n, 1, p.kappa**2, p.epsilon / 2.0)
-    out = ProblemInstance(kind, out_params, (h,), b=b_hat)
-    return out, (
-        Bound("sigma1(H_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
-        Bound("lambda_min(H_hat)", p.kappa**-2, upper=False, measure=lambda _, dst: dst.spectrum.lam[-1]),
-    )
+    return ProblemInstance(kind, out_params, (h,), b=b_hat)
 
 
-def _posmatinv_to_sumitmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
+def _posmatinv_to_sumitmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> ProblemInstance:
     p = inst.params
     n, kappa, eps = p.n, p.kappa, p.epsilon
     m_hat = neumann_terms(kappa, eps)
@@ -377,8 +370,7 @@ def _posmatinv_to_sumitmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> Buil
     # j = 0 included so the diagonal picks up the identity term of the series
     pairs = tuple((inst.s + j * n, inst.t + j * n) for j in range(m_hat + 1))
     out_params = ConditionParams(dim, m_hat, 1.0, eps / 2.0)
-    out = ProblemInstance(kind, out_params, mats, E=pairs, b=b_hat)
-    return out, (Bound("sigma1(all partial products)", 1.0, measure=_sigma1_sweep),)
+    return ProblemInstance(kind, out_params, mats, E=pairs, b=b_hat)
 
 
 def _exchanged(n: int, a: int) -> np.ndarray:
@@ -388,7 +380,7 @@ def _exchanged(n: int, a: int) -> np.ndarray:
     return idx
 
 
-def _sumitmatprod_to_itmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
+def _sumitmatprod_to_itmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> ProblemInstance:
     p = inst.params
     n, m = p.n, p.m
     n_e = len(inst.E)
@@ -407,13 +399,8 @@ def _sumitmatprod_to_itmatprod(inst: ProblemInstance, kind: Kind, b_hat) -> Buil
         _block_matrix(n, n_e, (a,), layout=lambda _: [(i, i, 1, g[j]) for i, g in enumerate(summands)])
         for j, a in enumerate(inst.forms)
     ) + (fan_adj,)
-    kappa_hat = 2.0 * n_e * p.kappa
-    out_params = ConditionParams(n * n_e, m + 2, kappa_hat, p.epsilon)
-    out = ProblemInstance(kind, out_params, mats, s=1, t=1, b=b_hat)
-    return out, (
-        Bound("sigma1(fan-out factor)", math.sqrt(2.0 * n_e), measure=lambda _, dst: dst.spectrum.sigma[0]),
-        Bound("sigma1(all partial products)", kappa_hat, measure=_sigma1_sweep),
-    )
+    out_params = ConditionParams(n * n_e, m + 2, 2.0 * n_e * p.kappa, p.epsilon)
+    return ProblemInstance(kind, out_params, mats, s=1, t=1, b=b_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +416,7 @@ def _singular_b(inst: ProblemInstance) -> np.ndarray:
     return b_mat
 
 
-def _vmatinv_to_singular(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
+def _vmatinv_to_singular(inst: ProblemInstance, kind: Kind, b_hat) -> ProblemInstance:
     p = inst.params
     n, kappa = p.n, p.kappa
     b = complex(inst.b)
@@ -447,11 +434,7 @@ def _vmatinv_to_singular(inst: ProblemInstance, kind: Kind, b_hat) -> Built:
     # promise; the output gap shrinks accordingly
     eps_hat = (2.0 / 3.0) * p.epsilon / (c * (2.0 * c + 1.0) ** 2)
     out_params = ConditionParams(2 * n + 2, 1, 1.0, eps_hat)
-    out = ProblemInstance(kind, out_params, (h,))
-    return out, (
-        Bound("sigma1(H_hat)", 1.0, measure=lambda _, dst: dst.spectrum.sigma[0]),
-        Bound("sigma_{n+1}(B_hat)", 2.0 / 3.0, upper=False, measure=lambda src, _: svd_values(_singular_b(src))[-1]),
-    )
+    return ProblemInstance(kind, out_params, (h,))
 
 
 def _singular_identity(src: ProblemInstance, dst: ProblemInstance) -> float | None:
@@ -487,21 +470,25 @@ def _check_input(name: str, want: Kind, got: Kind) -> None:
         raise ValueError(f"rule {name} expects {want.value}, got {got.value}")
 
 
-def _rule(name: str, input_kind: Kind, output_kind: Kind, build: Callable[..., Built],
-          answer: Callable[[ConditionParams], AnswerMap], identity: Measure | None = None) -> Rule:
+def _rule(name: str, input_kind: Kind, output_kind: Kind, build: Callable[..., ProblemInstance],
+          answer: Callable[[ConditionParams], AnswerMap], identity: Measure | None = None,
+          bounds: Callable[[ProblemInstance], tuple[Bound, ...]] = lambda inst: ()) -> Rule:
     """The rule ``name``: ``answer`` states its map, ``build(inst,
     output_kind, b_hat)`` makes its target, and ``apply`` checks the input
-    kind and writes the record.  Unless one is given, the identity is
-    |q_hat - f(q)|, with the truncation in place of q for a series rule."""
+    kind and writes the record, whose bounds are the target's conditioning
+    at its kappa_hat, ``bounds(inst)``, the rule's own, and the map's
+    remainder.  Unless one is given, the identity is |q_hat - f(q)|, with
+    the truncation in place of q for a series rule."""
 
     def apply(inst: ProblemInstance) -> tuple[ProblemInstance, ReductionRecord]:
         _check_input(name, input_kind, inst.kind)
         try:
             m = answer(inst.params)
-            out, bounds = build(inst, output_kind, None if m.f is None else m.f(inst.b) + m.remainder[0])
+            out = build(inst, output_kind, None if m.f is None else m.f(inst.b) + m.remainder[0])
         except OverflowError as exc:  # a float ``**`` past the largest double
             raise ValueError(f"rule {name}: output parameters overflow") from exc
-        return out, ReductionRecord(name, inst.params, out.params, m, inst.b, bounds + m.bounds())
+        return out, ReductionRecord(name, inst.params, out.params, m, inst.b,
+                                    _conditioning(out) + bounds(inst) + m.bounds())
 
     def mapped(src: ProblemInstance, dst: ProblemInstance) -> float | None:
         return (m := answer(src.params)).offset(src, dst, series=m.series is not None)
@@ -532,11 +519,14 @@ RULES: dict[str, Rule] = {
               lambda p: _affine(1, 0, "sum over E", "H^-1[s,t]", (-p.epsilon / 4.0, p.epsilon / 4.0),
                                 lambda src, dst: neumann_series(src.forms[0], src.s, src.t, dst.params.m))),
         _rule("sumitmatprod_to_itmatprod", Kind.SUMITMATPROD, Kind.ITMATPROD, _sumitmatprod_to_itmatprod,
-              lambda p: _affine(1, 0, "A_hat_{0,m+1}[1,1]", "sum over E of A_{1,m}[s,t]")),
+              lambda p: _affine(1, 0, "A_hat_{0,m+1}[1,1]", "sum over E of A_{1,m}[s,t]"),
+              bounds=lambda inst: (Bound("sigma1(fan-out factor)", math.sqrt(2.0 * len(inst.E)), measure=_sigma1),)),
         # a sigma_min test has no b: this rule maps no quantity, and its end is read at the source's tol
         _rule("vmatinv_to_singular", Kind.V_MATINV, Kind.SINGULAR, _vmatinv_to_singular, lambda p: AnswerMap(
             None, "sigma_min(H_hat) = 0 iff A^-1[s,t] = b; "
-            "det(C_hat) = (b - A^-1[s,t])/(2*ceil(kappa)) * det(B_hat)"), _singular_identity),
+            "det(C_hat) = (b - A^-1[s,t])/(2*ceil(kappa)) * det(B_hat)"), _singular_identity,
+              bounds=lambda inst: (Bound("sigma_{n+1}(B_hat)", 2.0 / 3.0, upper=False,
+                                         measure=lambda src, _: svd_values(_singular_b(src))[-1]),)),
         _rule("vitmatprod_to_vmatpow", Kind.V_ITMATPROD, Kind.V_MATPOW, *_POWER),
         _rule("vmatpow_to_vmatinv", Kind.V_MATPOW, Kind.V_MATINV, *_INVERSE),
     )

@@ -117,15 +117,19 @@ def neumann_inverse_entry(
 def decide(inst: ProblemInstance, tol: float = DEFAULT_TOL) -> tuple[Decision, ApproxResult]:
     """A DET+ or MATINV+ instance decided by :meth:`condred.problems.Output.decide`
     on the interval its series certifies, with the compared value as witness;
-    ValueError for any other kind, before any work."""
+    ValueError for any other kind, before any work, or for a term count past
+    the largest double."""
     p = inst.params
-    if inst.kind is Kind.DET_PLUS:
-        approx = logdet_series(inst.forms[0], p.kappa, p.epsilon, tol)
-        below, above = approx.certified_error, 0.0  # the log series only overshoots ln det H
-    elif inst.kind is Kind.MATINV_PLUS:
-        approx = neumann_inverse_entry(inst.forms[0], inst.s, inst.t, p.kappa, p.epsilon, tol)
-        below = above = approx.certified_error  # |value - H^-1[s,t]| <= epsilon/4 either way
-    else:
-        raise ValueError("--method series needs a DET+ or MATINV+ instance")
+    try:
+        if inst.kind is Kind.DET_PLUS:
+            approx = logdet_series(inst.forms[0], p.kappa, p.epsilon, tol)
+            below, above = approx.certified_error, 0.0  # the log series only overshoots ln det H
+        elif inst.kind is Kind.MATINV_PLUS:
+            approx = neumann_inverse_entry(inst.forms[0], inst.s, inst.t, p.kappa, p.epsilon, tol)
+            below = above = approx.certified_error  # |value - H^-1[s,t]| <= epsilon/4 either way
+        else:
+            raise ValueError("--method series needs a DET+ or MATINV+ instance")
+    except OverflowError as exc:  # log_count of an infinite kappa/epsilon ratio
+        raise ValueError(f"the series term count overflows at kappa={p.kappa:g}, epsilon={p.epsilon:g}") from exc
     out = _output(inst, approx.value)
     return Decision(out.decide(tol, below, above), out.value), approx

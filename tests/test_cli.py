@@ -1066,3 +1066,44 @@ def test_the_report_of_an_overflowing_input_is_strict_json(gen, edit, command, t
     text = report.read_text()
     json.loads(text, parse_constant=_refuse)
     assert "null" in text
+
+
+@pytest.mark.parametrize("gen", [
+    ("--kind", "DET+", "--kappa", 2, "--epsilon", 1e-320),
+    ("--kind", "DET+", "--kappa", 1e308, "--epsilon", 0.1),
+    ("--kind", "MATINV+", "--kappa", 2, "--epsilon", 1e-320),
+], ids=["DET+ tiny epsilon", "DET+ huge kappa", "MATINV+ tiny epsilon"])
+def test_a_series_term_count_that_overflows_is_a_usage_error(gen, tmp_path, capsys):
+    # the term count's floor(1 + ln(floor(x))) meets x = inf: refused as a
+    # kind with no series is, with nothing on stdout and no report
+    src, report = tmp_path / "src.json", tmp_path / "report.json"
+    assert run("gen", *gen, "--n", 2, "--out", src) == 0
+    capsys.readouterr()
+    assert run("solve", src, "--method", "series", "--report", report) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith("error: the series term count overflows at ") and err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_a_singular_epsilon_above_one_is_infeasible(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run("gen", "--kind", "SINGULAR", "--n", 2, "--epsilon", 3, "--out", out) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err == "error: SINGULAR draws |eigenvalues| from [epsilon, 1]; epsilon=3.0 > 1\n"
+    assert not out.exists()
+
+
+def test_verify_of_a_directory_with_no_json_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("not an instance")
+    assert run("verify", tmp_path) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err == f"error: no *.json files under {tmp_path}\n"
+
+
+def test_verify_of_a_truncated_file_is_a_schema_error(inst_file, capsys):
+    inst_file.write_text(inst_file.read_text()[:-20])
+    capsys.readouterr()
+    assert run("verify", inst_file) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith(f"schema error: not valid JSON: {inst_file}: ") and err.count("\n") == 1

@@ -248,6 +248,11 @@ class TestGenerators:
         with pytest.raises(InfeasibleParams):
             gen_instance(Kind.DET, ConditionParams(1, 1, 1.5, 3.0), seed=0, want_one=False)
 
+    def test_infeasible_singular_epsilon(self):
+        # SINGULAR draws its eigenvalue magnitudes from [epsilon, 1]
+        with pytest.raises(InfeasibleParams, match=r"\[epsilon, 1\]"):
+            gen_instance(Kind.SINGULAR, ConditionParams(2, 1, 2.0, 3.0), seed=0)
+
 
 def _spectral_instances():
     """Exactly Hermitian instances: generated DET+, MATINV+ and SINGULAR ones

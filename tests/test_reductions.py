@@ -475,6 +475,39 @@ class TestBoundsAndDecisions:
             for bound in rec.declared_bounds:
                 assert bound.holds(1e-7), (rule_name, bound)
 
+    @staticmethod
+    def _dense_conditioning(dst):
+        """(declared, measured) of each conditioning bound of ``dst``'s kind at
+        its own kappa, each an upper bound, measured here on dense matrices."""
+        kappa, mats = dst.params.kappa, dst.matrices
+        if dst.kind in (Kind.ITMATPROD, Kind.ITMATPROD_NONNEG, Kind.SUMITMATPROD, Kind.V_ITMATPROD):
+            sweep = max(np.linalg.norm(np.linalg.multi_dot([np.eye(dst.params.n), *mats[i:j]]), 2)
+                        for i in range(len(mats)) for j in range(i + 1, len(mats) + 1))
+            return [(kappa, sweep)]
+        a = mats[0]
+        if dst.kind in (Kind.MATPOW, Kind.V_MATPOW):
+            return [(kappa, max(np.linalg.norm(np.linalg.matrix_power(a, j), 2) for j in range(1, dst.params.m + 1)))]
+        if dst.kind is Kind.SINGULAR:
+            return [(1.0, np.linalg.norm(a, 2))]
+        positive = dst.kind in (Kind.DET_PLUS, Kind.MATINV_PLUS)
+        inverse = 1.0 / np.linalg.eigvalsh(a)[0] if positive else np.linalg.norm(np.linalg.inv(a), 2)
+        return [(1.0, np.linalg.norm(a, 2)), (kappa, inverse)]
+
+    @pytest.mark.parametrize("rule_name", sorted(RULES))
+    def test_record_declares_the_targets_conditioning_at_its_kappa(self, rule_name):
+        # the record's first bounds are the conditioning the target's kind
+        # promises at the kappa_hat the rule hands on, and that kappa_hat holds
+        rule = RULES[rule_name]
+        for seed in SEEDS[:3]:
+            src = gen_instance(rule.input_kind, GEN_PARAMS[rule.input_kind], seed)
+            dst, rec = rule.apply(src)
+            want = self._dense_conditioning(dst)
+            got = measure_record(rec, src, dst).declared_bounds[:len(want)]
+            assert [(b.declared, b.upper) for b in got] == [(d, True) for d, _ in want], (rule_name, seed)
+            for bound, (_, measured) in zip(got, want):
+                assert bound.measured == pytest.approx(measured, rel=1e-9), (rule_name, seed, bound)
+                assert bound.holds(1e-7), (rule_name, seed, bound)
+
     @pytest.mark.parametrize("rule_name", sorted(RULES))
     def test_gap_preservation(self, rule_name):
         rule = RULES[rule_name]
